@@ -15,8 +15,11 @@ trajectories:
 
 This module evaluates constraints 2 and 3 for a decision vector and exposes
 them in the formats expected by :func:`scipy.optimize.minimize` (dictionaries
-with ``type``/``fun`` entries).  Constraint values are scaled to order one so
-that SLSQP's merit function treats them on an equal footing with the cost.
+with ``type``/``fun``/``jac`` entries).  Constraint values are scaled to order
+one so that SLSQP's merit function treats them on an equal footing with the
+cost.  Every pressure evaluation goes through the closed-form segment kernel
+:func:`~repro.hydraulics.pressure.piecewise_pressure_drop`, batched over all
+lanes and, for the Jacobians, over the whole finite-difference stencil.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..hydraulics.pressure import pressure_drop
+from ..hydraulics.pressure import piecewise_pressure_drop
 from ..thermal.geometry import ChannelGeometry
 from ..thermal.properties import Coolant
 from .parameterization import WidthParameterization
@@ -59,7 +62,7 @@ class PressureConstraints:
         inequalities (SLSQP handles equalities natively; other solvers get
         the relaxed form).
     n_samples:
-        Sample count of the trapezoidal pressure integral.
+        Sample count (at least 2) of the trapezoidal pressure integral.
     jacobian_step:
         Forward-difference step of the explicit constraint Jacobians
         (:meth:`margin_jacobian`, :meth:`balance_jacobian`); matches
@@ -83,34 +86,33 @@ class PressureConstraints:
             raise ValueError("max pressure drop must be positive")
         if not (0.0 < self.equal_pressure_tolerance < 1.0):
             raise ValueError("equal_pressure_tolerance must lie in (0, 1)")
+        if self.n_samples < 2:
+            raise ValueError(
+                f"the trapezoid rule needs n_samples >= 2, got {self.n_samples}"
+            )
 
     # -- raw evaluations -----------------------------------------------------------
 
     def pressure_drops(self, vector: np.ndarray) -> np.ndarray:
         """Per-lane pressure drops (Pa) for a decision vector."""
-        profiles = self.parameterization.profiles_from_vector(vector)
-        if self.parameterization.shared:
-            # All lanes share the same trajectory, evaluate once.
-            drop = pressure_drop(
-                profiles[0],
-                self.geometry,
-                self.flow_rate,
-                self.coolant,
-                self.n_samples,
-            )
-            return np.full(self.parameterization.n_lanes, drop)
-        return np.array(
-            [
-                pressure_drop(
-                    profile,
-                    self.geometry,
-                    self.flow_rate,
-                    self.coolant,
-                    self.n_samples,
-                )
-                for profile in profiles
-            ]
+        vector = np.asarray(vector, dtype=float)
+        if vector.ndim != 1:
+            raise ValueError(f"expected one decision vector, got shape {vector.shape}")
+        return self._stacked_drops(vector)
+
+    def _stacked_drops(self, vectors: np.ndarray) -> np.ndarray:
+        """Per-lane drops of decision vectors ``(..., n)``, shape ``(..., n_lanes)``."""
+        drops = piecewise_pressure_drop(
+            self.parameterization.segment_widths(vectors),
+            self.geometry,
+            self.flow_rate,
+            self.coolant,
+            self.n_samples,
         )
+        if self.parameterization.shared:
+            # One trajectory feeds every lane.
+            return np.repeat(drops, self.parameterization.n_lanes, axis=-1)
+        return drops
 
     def max_drop(self, vector: np.ndarray) -> float:
         """Largest per-lane pressure drop (Pa)."""
@@ -142,36 +144,35 @@ class PressureConstraints:
         """``tolerance - imbalance``; non-negative when hydraulically balanced."""
         return self.equal_pressure_tolerance - self.imbalance(vector)
 
-    def _finite_difference_jacobian(self, function, vector: np.ndarray) -> np.ndarray:
-        """Forward-difference Jacobian of a constraint function.
+    def _stencil_drops(self, vector: np.ndarray):
+        """Drops at the forward-difference stencil of ``vector``.
 
-        The step direction flips to backward at the upper box bound so
-        evaluations stay inside the feasible hypercube.  Constraint
-        evaluations are pure hydraulics (no thermal solve), so the n+1
-        evaluations are cheap relative to one gradient batch.
+        Returns ``(drops, steps)``: ``drops[0]`` is the base point and
+        ``drops[1 + j]`` the point with variable ``j`` moved by
+        ``steps[j]``.  The step flips to backward at the upper box bound so
+        evaluations stay inside the feasible hypercube.  All ``n + 1``
+        points go through one batched kernel call.
         """
         vector = np.asarray(vector, dtype=float)
-        base = np.atleast_1d(np.asarray(function(vector), dtype=float))
-        jacobian = np.empty((base.size, vector.size))
-        for variable in range(vector.size):
-            step = (
-                self.jacobian_step
-                if vector[variable] + self.jacobian_step <= 1.0
-                else -self.jacobian_step
-            )
-            perturbed = vector.copy()
-            perturbed[variable] += step
-            shifted = np.atleast_1d(np.asarray(function(perturbed), dtype=float))
-            jacobian[:, variable] = (shifted - base) / step
-        return jacobian
+        step = self.jacobian_step
+        steps = np.where(vector + step <= 1.0, step, -step)
+        points = np.vstack([vector, vector + np.diag(steps)])
+        return self._stacked_drops(points), steps
 
     def margin_jacobian(self, vector: np.ndarray) -> np.ndarray:
         """Jacobian of the Eq. (9) normalized margins, shape ``(n_lanes, n)``."""
-        return self._finite_difference_jacobian(self._normalized_margin, vector)
+        drops, steps = self._stencil_drops(vector)
+        margins = 1.0 - drops / self.max_pressure_drop
+        return ((margins[1:] - margins[0]) / steps[:, None]).T
 
     def balance_jacobian(self, vector: np.ndarray) -> np.ndarray:
         """Gradient of the Eq. (10) balance constraint, shape ``(n,)``."""
-        return self._finite_difference_jacobian(self._balance, vector)[0]
+        drops, steps = self._stencil_drops(vector)
+        spread = (np.max(drops, axis=-1) - np.min(drops, axis=-1)) / (
+            self.max_pressure_drop
+        )
+        balances = self.equal_pressure_tolerance - spread
+        return (balances[1:] - balances[0]) / steps
 
     def as_scipy_constraints(self, with_jacobians: bool = False) -> List[Dict]:
         """Constraint dictionaries for :func:`scipy.optimize.minimize` (SLSQP).

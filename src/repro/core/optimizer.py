@@ -24,7 +24,9 @@ Two mechanisms keep that cost down:
   explicit ``jac`` that evaluates all ``n + 1`` perturbed designs in a
   single :meth:`~repro.core.engine.EvaluationEngine.solve_many` batch --
   deduplicated against the cache and fanned out over the engine's thread
-  pool -- plus explicit (cheap, hydraulics-only) constraint Jacobians.
+  pool -- plus explicit hydraulics-only constraint Jacobians, whose whole
+  forward-difference stencil is one batched call of the closed-form Eq. (9)
+  segment kernel.
   Multistart restarts likewise run concurrently off the shared engine when
   ``n_workers > 1``.
 """

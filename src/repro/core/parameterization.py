@@ -94,26 +94,31 @@ class WidthParameterization:
 
     # -- profile construction ------------------------------------------------------
 
-    def profiles_from_vector(self, vector: np.ndarray) -> List[WidthProfile]:
-        """Build one :class:`WidthProfile` per lane from a decision vector."""
-        vector = np.asarray(vector, dtype=float)
-        if vector.shape != (self.n_variables,):
+    def segment_widths(self, vectors: np.ndarray) -> np.ndarray:
+        """Physical segment widths (m) of one or a stack of decision vectors.
+
+        ``vectors`` has shape ``(..., n_variables)``; the result has shape
+        ``(..., n_trajectories, n_segments)`` with one trajectory when
+        shared and ``n_lanes`` (in :meth:`lane_slice` order) otherwise.
+        """
+        vectors = np.asarray(vectors, dtype=float)
+        if vectors.shape[-1:] != (self.n_variables,):
             raise ValueError(
                 f"decision vector must have shape ({self.n_variables},), "
-                f"got {vector.shape}"
+                f"got {vectors.shape}"
             )
-        widths = self.vector_to_widths(vector)
+        widths = self.vector_to_widths(vectors)
+        return widths.reshape(vectors.shape[:-1] + (-1, self.n_segments))
+
+    def profiles_from_vector(self, vector: np.ndarray) -> List[WidthProfile]:
+        """Build one :class:`WidthProfile` per lane from a decision vector."""
         length = self.geometry.length
+        profiles = [
+            WidthProfile.piecewise_constant(widths, length)
+            for widths in self.segment_widths(vector)
+        ]
         if self.shared:
-            profile = WidthProfile.piecewise_constant(widths, length)
-            return [profile] * self.n_lanes
-        profiles = []
-        for lane in range(self.n_lanes):
-            start = lane * self.n_segments
-            stop = start + self.n_segments
-            profiles.append(
-                WidthProfile.piecewise_constant(widths[start:stop], length)
-            )
+            return profiles * self.n_lanes
         return profiles
 
     def vector_from_profiles(self, profiles: Sequence[WidthProfile]) -> np.ndarray:

@@ -10,11 +10,19 @@ which corresponds to a Poiseuille-type friction law with a constant
 expression (so the constraint used by the optimizer matches the paper), plus
 a refined variant that uses the Shah & London rectangular-duct ``f.Re``
 correlation, which the ablation benchmarks compare against.
+
+Both integrals use the trapezoid rule on ``n_samples`` equally spaced
+points.  For the uniform and piecewise-constant profiles the optimizer
+produces, that sum collapses to one weighted term per segment
+(:func:`segment_weights`), so :func:`piecewise_pressure_drop` evaluates the
+integrand once per segment, vectorized over any number of channels and
+candidate designs; only callable profiles are actually sampled.
 """
 
 from __future__ import annotations
 
-from typing import Union
+import functools
+from typing import Callable, Union
 
 import numpy as np
 
@@ -26,8 +34,10 @@ from ..thermal.properties import Coolant, TABLE_I
 
 __all__ = [
     "local_pressure_gradient",
+    "piecewise_pressure_drop",
     "pressure_drop",
     "pressure_drop_rectangular",
+    "segment_weights",
     "uniform_width_pressure_drop",
 ]
 
@@ -62,6 +72,55 @@ def local_pressure_gradient(
     return result
 
 
+@functools.lru_cache(maxsize=64)
+def segment_weights(length: float, n_segments: int, n_samples: int) -> np.ndarray:
+    """Trapezoid weights of a piecewise-constant integrand, one per segment.
+
+    For ``g`` constant on each of ``n_segments`` equal segments,
+    ``trapezoid(g(z), z)`` on ``z = linspace(0, length, n_samples)`` equals
+    ``sum_k c_k g_k``; ``c_k`` is the trapezoid rule applied to the indicator
+    of segment ``k`` (samples are assigned to segments exactly as
+    :class:`~repro.thermal.geometry.WidthProfile` does).  The weights are
+    cached per ``(length, n_segments, n_samples)`` and returned read-only,
+    so concurrent callers can share them.
+    """
+    _check_samples(n_samples)
+    if n_segments < 1:
+        raise ValueError("n_segments must be at least 1")
+    z = np.linspace(0.0, length, n_samples)
+    index = np.minimum((z / length * n_segments).astype(int), n_segments - 1)
+    indicators = (index == np.arange(n_segments)[:, None]).astype(float)
+    weights = trapezoid(indicators, z, axis=-1)
+    weights.flags.writeable = False
+    return weights
+
+
+def piecewise_pressure_drop(
+    segment_widths: np.ndarray,
+    geometry: ChannelGeometry,
+    flow_rate: float,
+    coolant: Coolant = TABLE_I.coolant,
+    n_samples: int = 2001,
+) -> np.ndarray:
+    """Eq. (9) pressure drops (Pa) of piecewise-constant width profiles.
+
+    ``segment_widths`` has shape ``(..., n_segments)``: each row along the
+    last axis is one channel's equal-length segments over
+    ``geometry.length``.  Returns shape ``(...)`` -- the sampled trapezoid
+    of :func:`pressure_drop`, evaluated as ``sum_k c_k g(w_k)`` with the
+    :func:`segment_weights` ``c_k`` (``n_segments`` integrand evaluations
+    per channel instead of ``n_samples``).
+    """
+    widths = np.asarray(segment_widths, dtype=float)
+    weights = segment_weights(geometry.length, widths.shape[-1], n_samples)
+    gradients = local_pressure_gradient(
+        widths, geometry.channel_height, flow_rate, coolant.dynamic_viscosity
+    )
+    # A per-row reduction (not BLAS): identical rows give identical drops,
+    # so lanes with equal widths tie exactly in the Eq. (10) imbalance.
+    return np.sum(gradients * weights, axis=-1)
+
+
 def pressure_drop(
     width_profile: WidthProfile,
     geometry: ChannelGeometry,
@@ -69,13 +128,20 @@ def pressure_drop(
     coolant: Coolant = TABLE_I.coolant,
     n_samples: int = 2001,
 ) -> float:
-    """Total channel pressure drop of Eq. (9) in Pa (trapezoidal integration)."""
-    z = np.linspace(0.0, geometry.length, n_samples)
-    widths = np.atleast_1d(width_profile(z))
-    gradients = local_pressure_gradient(
-        widths, geometry.channel_height, flow_rate, coolant.dynamic_viscosity
+    """Total channel pressure drop of Eq. (9) in Pa (trapezoidal integration).
+
+    ``n_samples`` (at least 2) sets the trapezoid grid; uniform and
+    piecewise profiles are integrated exactly on that grid by the segment
+    weights, callable profiles by sampling.
+    """
+    return _integrate(
+        lambda widths: local_pressure_gradient(
+            widths, geometry.channel_height, flow_rate, coolant.dynamic_viscosity
+        ),
+        width_profile,
+        geometry,
+        n_samples,
     )
-    return float(trapezoid(gradients, z))
 
 
 def pressure_drop_rectangular(
@@ -91,21 +157,45 @@ def pressure_drop_rectangular(
     Fanning ``f.Re``.  More accurate than the paper's constant-``f.Re``
     expression for very flat channels; used by the ablation benchmarks.
     """
+    height = geometry.channel_height
+
+    def gradient(widths: np.ndarray) -> np.ndarray:
+        f_re = correlations.friction_factor_times_reynolds(widths, height)
+        d_h = correlations.hydraulic_diameter(widths, height)
+        velocity = correlations.mean_velocity(flow_rate, widths, height)
+        return 2.0 * f_re * coolant.dynamic_viscosity * velocity / d_h**2
+
+    return _integrate(gradient, width_profile, geometry, n_samples)
+
+
+def _integrate(
+    gradient: Callable[[np.ndarray], np.ndarray],
+    width_profile: WidthProfile,
+    geometry: ChannelGeometry,
+    n_samples: int,
+) -> float:
+    """Trapezoid of ``gradient(w(z))`` on ``linspace(0, L, n_samples)``.
+
+    Uniform and piecewise profiles spanning the channel use the segment
+    weights; callable profiles (no fingerprint) and profiles over another
+    length are sampled.
+    """
+    _check_samples(n_samples)
+    if width_profile.fingerprint() is not None and (
+        width_profile.length == geometry.length
+    ):
+        widths = width_profile.segment_widths
+        weights = segment_weights(geometry.length, widths.size, n_samples)
+        return float(np.sum(gradient(widths) * weights))
     z = np.linspace(0.0, geometry.length, n_samples)
-    widths = np.atleast_1d(width_profile(z))
-    gradients = np.empty_like(widths)
-    for index, width in enumerate(widths):
-        f_re = correlations.friction_factor_times_reynolds(
-            width, geometry.channel_height
+    return float(trapezoid(gradient(np.atleast_1d(width_profile(z))), z))
+
+
+def _check_samples(n_samples: int) -> None:
+    if n_samples < 2:
+        raise ValueError(
+            f"the trapezoid rule needs n_samples >= 2, got {n_samples}"
         )
-        d_h = correlations.hydraulic_diameter(width, geometry.channel_height)
-        velocity = correlations.mean_velocity(
-            flow_rate, width, geometry.channel_height
-        )
-        gradients[index] = (
-            2.0 * f_re * coolant.dynamic_viscosity * velocity / d_h**2
-        )
-    return float(trapezoid(gradients, z))
 
 
 def uniform_width_pressure_drop(
