@@ -4,8 +4,8 @@ Times one ≥100-step trace-driven arch1 transient through the full
 backward-Euler engine, through the Krylov reduced-order tier with a cold
 model cache (the build pays the Arnoldi solves), and again with the
 cache warm (the steady state of sweeps and policy control), asserts the
-measured-error contract, and emits the ``transient_rom`` ``BENCH {json}``
-record:
+measured-error contract and the solve structure of the build, and emits
+the ``transient_rom`` ``BENCH {json}`` record:
 
 .. code-block:: console
 
@@ -13,8 +13,11 @@ record:
         | grep '^BENCH '
 
 Setting ``REPRO_BENCH_SMOKE=1`` shrinks the problem to smoke-test size
-(the CI benchmark job archives the records); the ≥10x speedup and
-≤0.1 K error assertions apply to the full-size run only.
+(the CI benchmark job archives the records).  The speedups are reported
+in the record only: a wall-clock ratio depends on machine load, so the
+asserts cover what is deterministic -- one factorization and one content
+hash per Krylov build, the build's solve count, a warm run that solves
+only its checkpoints, and the ≤0.1 K error bound.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from repro.thermal.backends import SparseLUBackend
 from repro.transient import PolicySpec, RomSpec, TraceSpec, TransientSpec
 from repro.transient_engine import simulate_transient
 
-#: Smoke mode: tiny problem, no speedup assertions (CI runs this).
+#: Smoke mode: tiny problem (CI runs this).
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip() not in ("", "0")
 
 N_COLS = 16 if SMOKE else 44
@@ -90,8 +93,14 @@ def make_specs():
     return full, rom
 
 
+def _solve_counts(backend: SparseLUBackend) -> dict:
+    stats = backend.stats()
+    stats["n_solves"] = stats["n_factorizations"] + stats["n_factorization_reuses"]
+    return stats
+
+
 def test_transient_rom_speedup(benchmark):
-    """ROM vs full engine: >=10x warm with <=0.1 K measured error."""
+    """ROM vs full engine: solve structure, <=0.1 K error, timings reported."""
     full_spec, rom_spec = make_specs()
 
     full_backend = SparseLUBackend()
@@ -125,6 +134,32 @@ def test_transient_rom_speedup(benchmark):
     assert rom_outcome.metadata["n_rom_builds"] == 0  # cache was warm
     assert rom_cache_stats()["n_hits"] >= 2
 
+    # Solve structure, counted on a fresh backend and model cache.  The
+    # constant policy makes the run one control chunk: its checkpoint
+    # reference solves share one factorization handle, the Krylov build
+    # another, and both solve the same implicit matrix.
+    check_stride = rom_outcome.metadata["rom_check_stride"]
+    n_checkpoints = sum(
+        1 for step in range(1, N_STEPS + 1)
+        if step % check_stride == 0 or step == N_STEPS
+    )
+    clear_rom_cache()
+    counted = SparseLUBackend()
+    assert simulate_transient(rom_spec, backend=counted).metadata["n_rom_builds"] == 1
+    cold = _solve_counts(counted)
+    build_solves = cold["n_solves"] - n_checkpoints
+    assert cold["n_factorizations"] == 1
+    assert cold["n_content_hashes"] == 2
+    # Every basis vector but the uniform-state one costs one implicit
+    # solve; deflated directions add a few more.
+    rom_order = rom_outcome.metrics["rom_order"]
+    assert rom_order - 1 <= build_solves <= 2 * rom_order
+    assert simulate_transient(rom_spec, backend=counted).metadata["n_rom_builds"] == 0
+    warm = _solve_counts(counted)
+    assert warm["n_factorizations"] == 1
+    assert warm["n_content_hashes"] == 3
+    assert warm["n_solves"] - cold["n_solves"] == n_checkpoints
+
     benchmark(lambda: simulate_transient(rom_spec, backend=rom_backend))
 
     record = {
@@ -132,7 +167,9 @@ def test_transient_rom_speedup(benchmark):
         "n_steps": N_STEPS,
         "grid": [N_ROWS, N_COLS],
         "n_unknowns": rom_outcome.metadata["n_unknowns"],
-        "rom_order": rom_outcome.metrics["rom_order"],
+        "rom_order": rom_order,
+        "build_solves": build_solves,
+        "checkpoint_solves": n_checkpoints,
         "full_s": full_s,
         "rom_cold_s": rom_cold_s,
         "rom_warm_s": rom_warm_s,
@@ -150,5 +187,3 @@ def test_transient_rom_speedup(benchmark):
         f"cold {rom_cold_s * 1e3:.1f} ms, warm {rom_warm_s * 1e3:.1f} ms "
         f"({record['speedup_warm']:.1f}x warm, err {measured_err:.2e} K)"
     )
-    if not SMOKE:
-        assert record["speedup_warm"] >= 10.0

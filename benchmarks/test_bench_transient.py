@@ -3,7 +3,10 @@
 Times a batch of trace-driven transient scenarios that share one stack
 (so one factorization serves every step of every scenario) against the
 step-by-step reference path, asserts bit-identical trajectories, and
-emits the ``transient_throughput`` ``BENCH {json}`` record:
+emits the ``transient_throughput`` ``BENCH {json}`` record.  A second
+record, ``factorization_handles``, compares stepping through one
+factorization handle with the per-step lookup path it replaced (every
+step handing the matrix to ``backend.solve``, which content-hashes it):
 
 .. code-block:: console
 
@@ -24,6 +27,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.ice.transient import TransientSolver
 from repro.scenarios import GridSpec, ScenarioSpec, SolverSpec, WorkloadSpec
 from repro.thermal.backends import SparseLUBackend
 from repro.transient import PolicySpec, TraceSpec, TransientSpec
@@ -144,4 +148,85 @@ def test_transient_throughput_batched_vs_reference(benchmark):
         f"({record['n_unknowns']} unknowns): reference "
         f"{reference_s * 1e3:.1f} ms, batched {batched_s * 1e3:.1f} ms "
         f"({record['speedup']:.2f}x, one factorization)"
+    )
+
+
+def _best_of(function, repeats: int = 2) -> float:
+    return min(_time_once(function) for _ in range(repeats))
+
+
+def test_factorization_handles_hash_once_per_chunk(benchmark):
+    """One content hash per integrate call instead of one per step."""
+    spec = make_batch()[0]
+    stack = spec.build_stack()
+    n_steps = spec.transient.n_steps
+    dt = spec.transient.time_step_s
+
+    def make_solver():
+        backend = SparseLUBackend()
+        solver = TransientSolver(
+            stack, power_schedule=spec.transient.schedule(), backend=backend
+        )
+        return solver, backend
+
+    def per_step_lookup(solver):
+        implicit, c_over_dt, token = solver.implicit_system(dt)
+        state = np.full(solver.system.n_unknowns, stack.ambient_temperature)
+        states = []
+        for step in range(1, n_steps + 1):
+            rhs = solver.rhs_at(step * dt) + c_over_dt @ state
+            state = solver.backend.solve(implicit, rhs, token)
+            states.append(state)
+        return states
+
+    def through_handle(solver):
+        states = []
+        solver.integrate(
+            np.full(solver.system.n_unknowns, stack.ambient_temperature),
+            step_offset=0,
+            n_steps=n_steps,
+            time_step=dt,
+            on_step=lambda step, time, state: states.append(state.copy()),
+        )
+        return states
+
+    lookup_solver, lookup_backend = make_solver()
+    handle_solver, handle_backend = make_solver()
+    lookup_states = per_step_lookup(lookup_solver)
+    handle_states = through_handle(handle_solver)
+    for expected, got in zip(lookup_states, handle_states):
+        assert np.array_equal(got, expected)
+    before = lookup_backend.stats()
+    after = handle_backend.stats()
+    assert before["n_content_hashes"] == n_steps
+    assert after["n_content_hashes"] == 1
+    # Counter semantics are unchanged: one miss, then one reuse per step.
+    for stats in (before, after):
+        assert stats["n_factorizations"] == 1
+        assert stats["n_factorization_reuses"] == n_steps - 1
+
+    lookup_s = _best_of(lambda: per_step_lookup(lookup_solver))
+    handle_s = _best_of(lambda: through_handle(handle_solver))
+    benchmark(lambda: through_handle(handle_solver))
+
+    record = {
+        "benchmark": "factorization_handles",
+        "n_steps": n_steps,
+        "grid": [N_ROWS, N_COLS],
+        "n_unknowns": handle_solver.system.n_unknowns,
+        "hashes_per_step_before": before["n_content_hashes"] / n_steps,
+        "hashes_per_step_after": after["n_content_hashes"] / n_steps,
+        "per_step_lookup_s": lookup_s,
+        "handle_s": handle_s,
+        "speedup": lookup_s / handle_s,
+        "bit_identical": True,
+        "smoke": SMOKE,
+    }
+    emit_bench(record)
+    print()
+    print(
+        f"factorization handles, {n_steps} steps: "
+        f"{record['hashes_per_step_before']:.2f} -> "
+        f"{record['hashes_per_step_after']:.3f} hashes/step, "
+        f"{lookup_s * 1e3:.1f} -> {handle_s * 1e3:.1f} ms"
     )

@@ -17,10 +17,12 @@ maps, which enables simple dynamic-thermal-management style experiments on
 top of the reproduction.
 
 The implicit step is solved through the pluggable backends of
-:mod:`repro.thermal.backends`: the default sparse-LU backend factorizes
-``C/dt + A`` once and reuses the factorization for every step -- and, via
-its keyed factorization cache, across repeated runs of the same stack and
-time step (re-running a transient after a parameter sweep pays only
+:mod:`repro.thermal.backends`: each :meth:`TransientSolver.integrate` call
+acquires one factorization handle for ``C/dt + A`` (the sparse-LU backend
+factorizes it on a miss) and every step is a bare triangular solve
+through it.  The backend's keyed factorization cache carries the
+factorization across chunks and repeated runs of the same stack and time
+step (re-running a transient after a parameter sweep pays only
 triangular solves).
 """
 
@@ -31,7 +33,7 @@ from typing import Callable, Dict, Optional, Union
 import numpy as np
 from scipy import sparse
 
-from ..thermal.backends import SolverBackend, resolve_backend
+from ..thermal.backends import SolverBackend, resolve_backend, solver_for
 from .results import TransientResult
 from .solver import AssembledSystem
 from .stack import LayerStack
@@ -193,11 +195,14 @@ class TransientSolver:
         wrapper over this primitive.
         """
         implicit, c_over_dt, implicit_token = self.implicit_system(time_step)
+        # One factorization handle per call: the matrix is looked up (and
+        # content-hashed) once, every step is a bare triangular solve.
+        factorization = solver_for(self.backend, implicit, implicit_token)
         temperature = state
         for step in range(1, int(n_steps) + 1):
             time = (step_offset + step) * time_step
             rhs = self.rhs_at(time) + c_over_dt @ temperature
-            temperature = self.backend.solve(implicit, rhs, implicit_token)
+            temperature = factorization.solve(rhs)
             on_step(step, time, temperature)
         return temperature
 

@@ -27,8 +27,23 @@ engine can swap solvers without touching the assembly:
     Picks ``dense`` below :data:`AutoBackend.dense_cutoff` unknowns and
     ``sparse-lu`` above it.
 
+Factorization handles
+---------------------
+A caller that solves one fixed matrix many times -- a backward-Euler
+control chunk, a Krylov ROM build, a lockstep group of transient
+scenarios -- acquires a :class:`FactorizationHandle` once with
+:meth:`SolverBackend.solver_for` (one content lookup, which factorizes on
+a miss) and then solves through it with :meth:`FactorizationHandle.solve`
+(``trans="N"`` or ``"T"``), a bare triangular solve that never re-hashes
+the matrix.  ``solve``, ``solve_transpose`` and ``solve_matrix`` are thin
+wrappers over a handle acquired for the one call, so there is a single
+lookup path.  Handles are meant to live for one unit of work: the
+backend's bounded LRU stays the only long-lived owner of factorizations.
+
 Custom backends register with :func:`register_backend`; anything exposing
-``solve(matrix, rhs, pattern_token=None) -> ndarray`` works.
+``solve(matrix, rhs, pattern_token=None) -> ndarray`` works, and
+:func:`solver_for` gives such duck-typed backends a handle that forwards
+each solve to ``solve``.
 """
 
 from __future__ import annotations
@@ -36,7 +51,8 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Union
+from functools import partial
+from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 from scipy import sparse
@@ -46,6 +62,7 @@ __all__ = [
     "AutoBackend",
     "DEFAULT_BACKEND",
     "DenseBackend",
+    "FactorizationHandle",
     "SolverBackend",
     "SparseIterativeBackend",
     "SparseLUBackend",
@@ -53,10 +70,73 @@ __all__ = [
     "get_backend",
     "register_backend",
     "resolve_backend",
+    "solver_for",
 ]
 
 #: Name of the backend used when callers do not specify one.
 DEFAULT_BACKEND = "auto"
+
+
+def _columnwise(solve: Callable[[np.ndarray], np.ndarray], rhs) -> np.ndarray:
+    """Apply a single-RHS ``solve`` to a vector or to each column of a block.
+
+    Blocked multi-RHS kernels (SuperLU's, LAPACK's) reorder additions, so
+    an ``(n, k)`` block is solved one column at a time: every column is
+    then bit-identical to the corresponding single-RHS solve.
+    """
+    rhs = np.asarray(rhs)
+    if rhs.ndim == 1:
+        return solve(rhs)
+    return np.column_stack([solve(rhs[:, column]) for column in range(rhs.shape[1])])
+
+
+def _transposed(matrix, pattern_token):
+    """``(A^T, token)`` with the token wrapped so it never collides with ``A``'s."""
+    token = None if pattern_token is None else ("transpose", pattern_token)
+    return matrix.T.tocsr(), token
+
+
+class FactorizationHandle:
+    """One fixed matrix, looked up once, ready for repeated solves.
+
+    Acquire handles with :meth:`SolverBackend.solver_for` (or the
+    module-level :func:`solver_for` for duck-typed backends).  ``factor``
+    is whatever the owning backend prepared -- a SuperLU object, a dense
+    array, or None for backends that re-solve from the matrix each time.
+    ``used`` records whether a solve has gone through the handle yet, so
+    the backend can count every later solve as a factorization reuse.
+    """
+
+    __slots__ = ("backend", "matrix", "pattern_token", "factor", "used")
+
+    def __init__(self, backend, matrix, pattern_token=None, factor=None) -> None:
+        self.backend = backend
+        self.matrix = matrix
+        self.pattern_token = pattern_token
+        self.factor = factor
+        self.used = False
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """Solve ``A x = rhs`` (``trans="T"``: ``A^T x = rhs``).
+
+        ``rhs`` is a vector or an ``(n, k)`` block; each column of a block
+        equals the corresponding single-RHS solve bit for bit.
+        """
+        return self.backend.solve_with(self, rhs, trans)
+
+
+class _ForwardingHandle(FactorizationHandle):
+    """Handle over a duck-typed backend that only exposes ``solve``."""
+
+    __slots__ = ()
+
+    def solve(self, rhs, trans="N"):
+        matrix, token = self.matrix, self.pattern_token
+        if trans == "T":
+            matrix, token = _transposed(matrix, token)
+        return _columnwise(
+            lambda column: self.backend.solve(matrix, column, token), rhs
+        )
 
 
 class SolverBackend:
@@ -64,7 +144,10 @@ class SolverBackend:
 
     Subclasses implement :meth:`solve`; ``pattern_token`` (when provided by
     the assembly layer) identifies the static sparsity structure of the
-    matrix so backends can cache factorizations cheaply.
+    matrix so backends can cache factorizations cheaply.  Backends that can
+    prepare a matrix once for many solves also override :meth:`solver_for`
+    and :meth:`solve_with`; the defaults hand out a handle that re-solves
+    from the matrix through :meth:`solve`/:meth:`solve_transpose`.
     """
 
     #: Registry name of the backend.
@@ -78,6 +161,21 @@ class SolverBackend:
     ) -> np.ndarray:
         raise NotImplementedError
 
+    def solver_for(
+        self, matrix: sparse.spmatrix, pattern_token: Optional[tuple] = None
+    ) -> FactorizationHandle:
+        """Acquire a :class:`FactorizationHandle` for repeated solves of ``matrix``."""
+        return FactorizationHandle(self, matrix, pattern_token)
+
+    def solve_with(
+        self, handle: FactorizationHandle, rhs: np.ndarray, trans: str = "N"
+    ) -> np.ndarray:
+        """Solve through a handle this backend handed out (see :class:`FactorizationHandle`)."""
+        solve = self.solve if trans == "N" else self.solve_transpose
+        return _columnwise(
+            lambda column: solve(handle.matrix, column, handle.pattern_token), rhs
+        )
+
     def solve_matrix(
         self,
         matrix: sparse.spmatrix,
@@ -87,10 +185,8 @@ class SolverBackend:
         """Solve one matrix against many right-hand sides at once.
 
         ``rhs_matrix`` has shape ``(n, k)`` -- one column per right-hand
-        side -- and the result has the same shape.  The base implementation
-        loops over the columns through :meth:`solve`; direct backends
-        override it to hash and look up the factorization once for the
-        whole block (the batched transient engine's hot path).  Either way
+        side -- and the result has the same shape.  One handle serves the
+        whole block, so direct backends look up the factorization once;
         each column equals the corresponding single-RHS solve bit for bit.
         """
         rhs_matrix = np.asarray(rhs_matrix)
@@ -98,12 +194,7 @@ class SolverBackend:
             raise ValueError(
                 f"rhs_matrix must be 2-D (n, k), got shape {rhs_matrix.shape}"
             )
-        return np.column_stack(
-            [
-                self.solve(matrix, rhs_matrix[:, column], pattern_token)
-                for column in range(rhs_matrix.shape[1])
-            ]
-        )
+        return self.solve_with(self.solver_for(matrix, pattern_token), rhs_matrix)
 
     def solve_transpose(
         self,
@@ -114,15 +205,16 @@ class SolverBackend:
         """Solve ``A^T x = rhs`` (the adjoint system of :meth:`solve`).
 
         The base implementation materializes the transposed matrix and
-        solves it like any other system; direct backends override this to
-        reuse the *forward* factorization (SuperLU solves both ``A x = b``
-        and ``A^T x = b`` from one decomposition), so an adjoint solve
-        after a forward solve of the same matrix costs only a triangular
-        solve.  The pattern token is wrapped so transposed structures never
-        collide with forward ones in structure-keyed caches.
+        solves it like any other system; direct backends solve it through
+        a handle on the *forward* factorization (SuperLU solves both
+        ``A x = b`` and ``A^T x = b`` from one decomposition), so an adjoint
+        solve after a forward solve of the same matrix costs only a
+        triangular solve.  The pattern token is wrapped so transposed
+        structures never collide with forward ones in structure-keyed
+        caches.
         """
-        token = None if pattern_token is None else ("transpose", pattern_token)
-        return self.solve(matrix.T.tocsr(), rhs, token)
+        transposed, token = _transposed(matrix, pattern_token)
+        return self.solve(transposed, rhs, token)
 
     def reset(self) -> None:
         """Drop any cached state (factorizations, counters)."""
@@ -135,30 +227,43 @@ class SolverBackend:
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
-class DenseBackend(SolverBackend):
-    """LAPACK dense solve; the fastest option for tiny systems."""
+class _HandleBackend(SolverBackend):
+    """A backend whose every solve goes through a factorization handle."""
+
+    def solve(self, matrix, rhs, pattern_token=None):
+        return self.solve_with(self.solver_for(matrix, pattern_token), rhs)
+
+    def solve_transpose(self, matrix, rhs, pattern_token=None):
+        return self.solve_with(self.solver_for(matrix, pattern_token), rhs, "T")
+
+
+class DenseBackend(_HandleBackend):
+    """LAPACK dense solve; the fastest option for tiny systems.
+
+    The handle holds the densified matrix; every solve is a fresh
+    ``np.linalg.solve`` on it, one column at a time (LAPACK's blocked
+    multi-RHS back-substitution would reorder additions).
+    """
 
     name = "dense"
 
-    def solve(self, matrix, rhs, pattern_token=None):
-        return np.linalg.solve(matrix.toarray(), rhs)
+    def solver_for(self, matrix, pattern_token=None):
+        return FactorizationHandle(self, matrix, pattern_token, matrix.toarray())
 
-    def solve_transpose(self, matrix, rhs, pattern_token=None):
-        return np.linalg.solve(matrix.toarray().T, rhs)
-
-    # solve_matrix keeps the base per-column loop: LAPACK's blocked
-    # multi-RHS back-substitution reorders additions, so a 2-D
-    # ``np.linalg.solve`` would not be bit-identical to the single-RHS
-    # solves this backend otherwise produces.
+    def solve_with(self, handle, rhs, trans="N"):
+        dense = handle.factor.T if trans == "T" else handle.factor
+        return _columnwise(partial(np.linalg.solve, dense), rhs)
 
 
-class SparseLUBackend(SolverBackend):
+class SparseLUBackend(_HandleBackend):
     """SuperLU direct solve with factorization reuse.
 
     Factorizations are cached in a bounded LRU keyed on the sparsity
     pattern token plus a content hash of the coefficient values, so solving
     the same matrix again (same design, same grid) skips the numeric
-    factorization entirely.
+    factorization entirely.  Acquiring a handle is one such lookup (counted
+    in ``n_content_hashes``); each handle solve after the first counts as a
+    factorization reuse, exactly as a fresh lookup hit would.
     """
 
     name = "sparse-lu"
@@ -171,6 +276,7 @@ class SparseLUBackend(SolverBackend):
         self._lock = threading.Lock()
         self.n_factorizations = 0
         self.n_factorization_reuses = 0
+        self.n_content_hashes = 0
 
     def _matrix_key(self, matrix, pattern_token):
         digest = hashlib.blake2b(matrix.data.tobytes(), digest_size=16)
@@ -185,6 +291,7 @@ class SparseLUBackend(SolverBackend):
         """The (possibly cached) SuperLU factorization of ``matrix``."""
         key = self._matrix_key(matrix, pattern_token)
         with self._lock:
+            self.n_content_hashes += 1
             factorization = self._factorizations.get(key)
             if factorization is not None:
                 self._factorizations.move_to_end(key)
@@ -199,55 +306,36 @@ class SparseLUBackend(SolverBackend):
                         self._factorizations.popitem(last=False)
         return factorization
 
-    def solve(self, matrix, rhs, pattern_token=None):
-        matrix = matrix.tocsr() if not sparse.issparse(matrix) else matrix
-        return self._factorization_for(matrix, pattern_token).solve(rhs)
+    def solver_for(self, matrix, pattern_token=None):
+        if not sparse.issparse(matrix):
+            matrix = sparse.csr_matrix(matrix)
+        return FactorizationHandle(
+            self, matrix, pattern_token, self._factorization_for(matrix, pattern_token)
+        )
 
-    def solve_transpose(self, matrix, rhs, pattern_token=None):
+    def solve_with(self, handle, rhs, trans="N"):
         # SuperLU solves A^T x = b from the *forward* decomposition
-        # (``trans='T'``), so when the adjoint follows a forward solve of
-        # the same matrix -- the optimizer's hot path -- the factorization
-        # is a cache hit and the adjoint costs one triangular solve.
-        matrix = matrix.tocsr() if not sparse.issparse(matrix) else matrix
-        return self._factorization_for(matrix, pattern_token).solve(
-            rhs, trans="T"
-        )
-
-    def solve_matrix(self, matrix, rhs_matrix, pattern_token=None):
-        # One content hash + one factorization lookup for the whole block,
-        # then per-column back-substitution.  SuperLU *can* take a 2-D
-        # right-hand side, but its multi-RHS triangular solves go through
-        # blocked BLAS whose summation order differs from the single-RHS
-        # kernels -- columns would drift from single solves in the last
-        # bits.  Per-column solves over the shared factorization keep the
-        # bit-identity guarantee of the base class while still amortizing
-        # the hashing/lookup (the per-step cost that dominates batched
-        # transient stepping).
-        rhs_matrix = np.asarray(rhs_matrix)
-        if rhs_matrix.ndim != 2:
-            raise ValueError(
-                f"rhs_matrix must be 2-D (n, k), got shape {rhs_matrix.shape}"
-            )
-        matrix = matrix.tocsr() if not sparse.issparse(matrix) else matrix
-        factorization = self._factorization_for(matrix, pattern_token)
-        return np.column_stack(
-            [
-                factorization.solve(rhs_matrix[:, column])
-                for column in range(rhs_matrix.shape[1])
-            ]
-        )
+        # (``trans='T'``), so the adjoint after a forward solve of the same
+        # matrix -- the optimizer's hot path -- costs one triangular solve.
+        if handle.used:
+            with self._lock:
+                self.n_factorization_reuses += 1
+        handle.used = True
+        return _columnwise(partial(handle.factor.solve, trans=trans), rhs)
 
     def reset(self):
         with self._lock:
             self._factorizations.clear()
             self.n_factorizations = 0
             self.n_factorization_reuses = 0
+            self.n_content_hashes = 0
 
     def stats(self):
         with self._lock:
             return {
                 "n_factorizations": self.n_factorizations,
                 "n_factorization_reuses": self.n_factorization_reuses,
+                "n_content_hashes": self.n_content_hashes,
                 "cached_factorizations": len(self._factorizations),
             }
 
@@ -323,9 +411,9 @@ class SparseIterativeBackend(SolverBackend):
         # quality gates inside :meth:`solve` already fall back to the
         # direct solver (which handles the transpose via ``trans='T'``)
         # whenever the iteration misses direct-solve accuracy.
-        token = None if pattern_token is None else ("transpose", pattern_token)
         try:
-            return self.solve(matrix.T.tocsr(), rhs, token)
+            transposed, token = _transposed(matrix, pattern_token)
+            return self.solve(transposed, rhs, token)
         except RuntimeError:  # pragma: no cover - defensive
             self.n_fallbacks += 1
             return self._fallback.solve_transpose(matrix, rhs, pattern_token)
@@ -343,8 +431,11 @@ class SparseIterativeBackend(SolverBackend):
         }
 
 
-class AutoBackend(SolverBackend):
-    """Size-based dispatch: dense for tiny systems, sparse LU otherwise."""
+class AutoBackend(_HandleBackend):
+    """Size-based dispatch: dense for tiny systems, sparse LU otherwise.
+
+    Handles come from the chosen backend and solve through it.
+    """
 
     name = "auto"
 
@@ -352,28 +443,12 @@ class AutoBackend(SolverBackend):
     #: (measured crossover vs SuperLU on the FDM systems is ~120 unknowns).
     dense_cutoff = 120
 
-    def solve(self, matrix, rhs, pattern_token=None):
-        if matrix.shape[0] <= self.dense_cutoff:
-            return get_backend("dense").solve(matrix, rhs, pattern_token)
-        return get_backend("sparse-lu").solve(matrix, rhs, pattern_token)
+    def solver_for(self, matrix, pattern_token=None):
+        chosen = "dense" if matrix.shape[0] <= self.dense_cutoff else "sparse-lu"
+        return get_backend(chosen).solver_for(matrix, pattern_token)
 
-    def solve_matrix(self, matrix, rhs_matrix, pattern_token=None):
-        if matrix.shape[0] <= self.dense_cutoff:
-            return get_backend("dense").solve_matrix(
-                matrix, rhs_matrix, pattern_token
-            )
-        return get_backend("sparse-lu").solve_matrix(
-            matrix, rhs_matrix, pattern_token
-        )
-
-    def solve_transpose(self, matrix, rhs, pattern_token=None):
-        if matrix.shape[0] <= self.dense_cutoff:
-            return get_backend("dense").solve_transpose(
-                matrix, rhs, pattern_token
-            )
-        return get_backend("sparse-lu").solve_transpose(
-            matrix, rhs, pattern_token
-        )
+    def solve_with(self, handle, rhs, trans="N"):
+        return handle.backend.solve_with(handle, rhs, trans)
 
     def stats(self):
         return {"dense_cutoff": self.dense_cutoff}
@@ -436,6 +511,20 @@ def resolve_backend(
         "backend must be None, a registered backend name, or an object "
         "with a solve(matrix, rhs, pattern_token) method"
     )
+
+
+def solver_for(
+    backend, matrix: sparse.spmatrix, pattern_token: Optional[tuple] = None
+) -> FactorizationHandle:
+    """Acquire a :class:`FactorizationHandle` from any resolved backend.
+
+    :class:`SolverBackend` instances hand out their own handles; duck-typed
+    backends that only expose ``solve`` get one that forwards every solve
+    to it (transposed solves go through the materialized transpose).
+    """
+    if isinstance(backend, SolverBackend):
+        return backend.solver_for(matrix, pattern_token)
+    return _ForwardingHandle(backend, matrix, pattern_token)
 
 
 register_backend(DenseBackend())

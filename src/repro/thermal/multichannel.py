@@ -205,22 +205,16 @@ def cavity_from_flux_maps(
     lane_top = cluster_line_densities(densities_top, cluster_size)
     lane_bottom = cluster_line_densities(densities_bottom, cluster_size)
 
-    column_centers = (np.arange(n_cols) + 0.5) * length / n_cols
-    heat_top_profiles = []
-    heat_bottom_profiles = []
-    for lane in range(lane_top.shape[0]):
-        top_values = lane_top[lane]
-        bottom_values = lane_bottom[lane]
-        heat_top_profiles.append(
-            HeatInputProfile.from_function(
-                _step_interpolator(column_centers, top_values, length), length
-            )
-        )
-        heat_bottom_profiles.append(
-            HeatInputProfile.from_function(
-                _step_interpolator(column_centers, bottom_values, length), length
-            )
-        )
+    # Column c of the map covers [c, c + 1) * length / n_cols along the
+    # flow: exactly the equal-length segments of a piecewise-constant
+    # profile, which (unlike a callable) fingerprints, so the evaluation
+    # engine can cache solutions of rasterized designs.
+    heat_top_profiles = [
+        HeatInputProfile.piecewise_constant(values, length) for values in lane_top
+    ]
+    heat_bottom_profiles = [
+        HeatInputProfile.piecewise_constant(values, length) for values in lane_bottom
+    ]
 
     return build_cavity(
         geometry,
@@ -235,17 +229,3 @@ def cavity_from_flux_maps(
         lateral_coupling=lateral_coupling,
         developing_flow=developing_flow,
     )
-
-
-def _step_interpolator(centers: np.ndarray, values: np.ndarray, length: float):
-    """Nearest-column (piecewise-constant) interpolation of map columns."""
-    centers = np.asarray(centers, dtype=float)
-    values = np.asarray(values, dtype=float)
-    n = centers.size
-
-    def interpolate(z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        index = np.clip((z / length * n).astype(int), 0, n - 1)
-        return values[index]
-
-    return interpolate

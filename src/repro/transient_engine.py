@@ -19,18 +19,20 @@ Two solve paths share one stepping core
     flow (the assembly's cached sparsity pattern makes this cheap) and the
     solver backend's keyed factorization cache makes revisited scales --
     e.g. the two levels of a bang-bang controller -- pay only triangular
-    solves.
+    solves.  Each chunk acquires one factorization handle, so the matrix
+    is content-hashed once per chunk, not once per step.
 
 :func:`simulate_transient_many`
     The vectorized path: scenarios whose implicit systems are
     content-identical (same stack geometry, widths, flow and time step --
     they may differ arbitrarily in traces and static heat maps) are
-    *grouped* and stepped together, one multi-RHS
-    :meth:`~repro.thermal.backends.SolverBackend.solve_matrix` call per
-    time step over one shared factorization.  Every trajectory is
-    bit-identical to what :func:`simulate_transient` produces for the same
-    scenario (the backend tests and the transient test suite assert exact
-    equality), so batching is purely a throughput optimization.
+    *grouped* and stepped together: the group acquires one
+    :class:`~repro.thermal.backends.FactorizationHandle` and every time
+    step back-substitutes all members' right-hand sides through it.
+    Every trajectory is bit-identical to what :func:`simulate_transient`
+    produces for the same scenario (the backend tests and the transient
+    test suite assert exact equality), so batching is purely a throughput
+    optimization.
 
 Long traces do not blow memory: full-field snapshots are kept every
 ``store_every`` steps only, while the scalar observables driving metrics
@@ -58,7 +60,7 @@ from .ice.results import TransientResult
 from .ice.transient import TransientSolver, result_from_snapshots
 from .policies import FlowPolicy, policy_from_spec
 from .scenarios import ScenarioSpec, resolve_scenario
-from .thermal.backends import SolverBackend, resolve_backend
+from .thermal.backends import SolverBackend, resolve_backend, solver_for
 from .thermal.correlations import LAMINAR_REYNOLDS_LIMIT, reynolds_number
 from .thermal.geometry import ChannelGeometry, WidthProfile
 
@@ -503,13 +505,13 @@ def _reduced_model_for(
             if float(np.linalg.norm(delta)) > 0.0:
                 directions.append(delta)
 
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            return solver.backend.solve(implicit, rhs, token)
-
+        # One handle per build: every Krylov solve is a bare triangular
+        # solve instead of a content-hashed factorization lookup.
+        factorization = solver_for(solver.backend, implicit, token)
         return build_reduced_model(
             implicit,
             c_over_dt,
-            solve,
+            factorization.solve,
             base_rhs,
             directions,
             solver.rhs_at,
@@ -654,6 +656,8 @@ def _advance_reduced(
         orders.append(model.order)
         implicit, c_over_dt, token = ctx.solver.implicit_system(dt)
         x = model.project(recorder.state)
+        # Acquired at the chunk's first checkpoint, if it has one.
+        reference_solver = None
         # The chunk advances through the factored recurrence
         # ``x_{k+1} = P x_k + M^{-1} Vᵀ b_k``: all rhs projections solve
         # in one dense call, each step is one order-sized matvec, and the
@@ -689,11 +693,13 @@ def _advance_reduced(
             )
             if checkpoint:
                 x_prev = states[:, column - 1] if column else x_start
-                reference = ctx.solver.backend.solve(
-                    implicit,
+                if reference_solver is None:
+                    reference_solver = solver_for(
+                        ctx.solver.backend, implicit, token
+                    )
+                reference = reference_solver.solve(
                     ctx.solver.rhs_at(float(times[column]))
-                    + c_over_dt @ model.lift(x_prev),
-                    token,
+                    + c_over_dt @ model.lift(x_prev)
                 )
                 max_abs_err = max(
                     max_abs_err,
@@ -754,10 +760,9 @@ def simulate_transient_many(
     """Run many transient scenarios, batching compatible ones per step.
 
     Scenarios with an inactive (constant-flow) policy whose implicit
-    systems are content-identical advance together: one
-    :meth:`~repro.thermal.backends.SolverBackend.solve_matrix` call per
-    time step back-substitutes every member through one shared
-    factorization.  Scenarios with reactive policies -- whose flow (and
+    systems are content-identical advance together: one factorization
+    handle per group, and each time step back-substitutes every member
+    through it.  Scenarios with reactive policies -- whose flow (and
     hence matrix) can diverge mid-run -- and singleton groups fall back to
     :func:`simulate_transient`.  Results are returned in input order and
     are bit-identical to the per-scenario reference path.
@@ -836,21 +841,13 @@ def _integrate_group(
         for spec, ctx in zip(specs, contexts)
     ]
     states = np.column_stack([recorder.state for recorder in recorders])
-    solve_matrix = getattr(backend, "solve_matrix", None)
+    factorization = solver_for(backend, implicit, token)
     for step in range(1, n_steps + 1):
         time = step * dt
         rhs = np.column_stack(
             [ctx.solver.rhs_at(time) for ctx in contexts]
         ) + c_over_dt @ states
-        if solve_matrix is not None:
-            states = solve_matrix(implicit, rhs, token)
-        else:  # custom backend without multi-RHS support
-            states = np.column_stack(
-                [
-                    backend.solve(implicit, rhs[:, column], token)
-                    for column in range(rhs.shape[1])
-                ]
-            )
+        states = factorization.solve(rhs)
         for column, recorder in enumerate(recorders):
             recorder.observe(step, time, states[:, column])
     wall_time = _time.perf_counter() - start_wall

@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import flux_maps as oracle
+from repro.core.engine import EvaluationEngine
+from repro.scenarios import get_scenario
 from repro.thermal.geometry import HeatInputProfile, WidthProfile
 from repro.thermal.multichannel import (
     build_cavity,
@@ -129,3 +132,45 @@ class TestCavityFromFluxMaps:
         )
         lane = cavity.lanes[0]
         assert lane.heat_top(0.008) > lane.heat_top(0.002)
+
+    def test_lane_profiles_match_the_step_interpolator_oracle(self, params):
+        rng = np.random.default_rng(11)
+        length = 0.01
+        z = np.concatenate(
+            [
+                np.linspace(-1e-3, length + 1e-3, 997),
+                # Exact column edges, where the segment rule must round
+                # the same way as the interpolator did.
+                np.arange(0, 12) * length / 11,
+            ]
+        )
+        for n_cols in (1, 7, 11, 44):
+            values = rng.uniform(0.0, 5e3, n_cols)
+            profile = HeatInputProfile.piecewise_constant(values, length)
+            expected = oracle.step_profile(values, length)(z)
+            np.testing.assert_array_equal(profile(z), expected)
+        top = rng.uniform(5.0, 150.0, (20, 11))
+        cavity = cavity_from_flux_maps(
+            top, top[::-1], params=params, die_length=length, die_width=0.002,
+            cluster_size=5,
+        )
+        for lane in cavity.lanes:
+            for heat in (lane.heat_top, lane.heat_bottom):
+                columns = heat((np.arange(11) + 0.5) * length / 11)
+                np.testing.assert_array_equal(
+                    heat(z), oracle.step_profile(columns, length)(z)
+                )
+
+    @pytest.mark.parametrize(
+        "name", ["niagara-arch1", "niagara-arch2", "niagara-arch3"]
+    )
+    def test_niagara_designs_are_cacheable(self, name):
+        structure = get_scenario(name).build_structure()
+        assert EvaluationEngine.structure_key(structure, 41) is not None
+        engine = EvaluationEngine()
+        first = engine.solve(structure, n_points=41)
+        second = engine.solve(structure, n_points=41)
+        assert second is first
+        stats = engine.stats()
+        assert stats["n_solves"] == 1
+        assert stats["n_uncacheable"] == 0
