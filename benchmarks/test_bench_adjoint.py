@@ -3,7 +3,8 @@
 Times one full objective gradient of the Test A modulation problem
 through both strategies as the design dimension grows (n = 6, 12, 24
 segment widths), asserts the adjoint agrees with the finite-difference
-oracle, and emits the ``optimizer_adjoint`` ``BENCH {json}`` record:
+oracle and that each strategy pays its expected solve counts, and emits
+the ``optimizer_adjoint`` ``BENCH {json}`` record:
 
 .. code-block:: console
 
@@ -13,10 +14,12 @@ oracle, and emits the ``optimizer_adjoint`` ``BENCH {json}`` record:
 The point of the record: batched FD needs ``2n`` solves per gradient so
 its cost grows linearly with the number of design variables, while the
 adjoint needs one forward and one transpose solve regardless of ``n`` --
-the per-gradient cost stays flat.  When Numba is importable the record
+the per-gradient cost stays flat.  The asserts check that structure
+(solve, transpose-solve and batch counts per gradient); the speedups are
+reported in the BENCH record only.  When Numba is importable the record
 also times the compiled COO->CSR value-refresh kernel against the NumPy
 one.  Setting ``REPRO_BENCH_SMOKE=1`` shrinks the problem to smoke-test
-size; the speedup assertion applies to the full-size run only.
+size.
 """
 
 from __future__ import annotations
@@ -33,14 +36,13 @@ from repro.floorplan import test_a_structure as build_test_a
 from repro.thermal.assembly import assemble_system
 from repro.thermal.geometry import MultiChannelStructure
 
-#: Smoke mode: tiny problem, no speedup assertions (CI runs this).
+#: Smoke mode: tiny problem (CI runs this).
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip() not in ("", "0")
 
 SIZES = (2, 4) if SMOKE else (6, 12, 24)
 N_GRID = 61 if SMOKE else 241
-#: Full-size acceptance: the adjoint gradient at n = 24 must beat the
-#: 48-solve batched-FD gradient by at least this factor.
-MIN_SPEEDUP_AT_24 = 5.0
+#: Engine counters compared per gradient.
+COUNTERS = ("n_solves", "n_batches", "n_transpose_solves")
 
 
 def emit_bench(record: dict) -> None:
@@ -64,6 +66,15 @@ def _time_gradient(optimizer, gradient_fn, base_vector, repeats: int = 3):
         gradient_fn(vector)
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _gradient_counts(optimizer, gradient_fn, vector) -> dict:
+    """Engine counter increments of one gradient at a cost-evaluated iterate."""
+    optimizer.cost(vector)
+    before = optimizer.engine.stats()
+    gradient_fn(vector)
+    after = optimizer.engine.stats()
+    return {key: after[key] - before[key] for key in COUNTERS}
 
 
 def make_optimizer(config, n_segments: int) -> ChannelModulationOptimizer:
@@ -93,6 +104,18 @@ def test_adjoint_gradient_cost_is_flat(config, benchmark):
         # central differences is asserted in tests/test_adjoint.py.
         assert np.max(np.abs(adjoint_gradient - fd_gradient)) <= 1e-2 * scale
 
+        # Flat vs linear: the adjoint pays one transpose solve and no
+        # forward solve at a cost-evaluated iterate; fd-batched pays one
+        # batch of n forward solves.
+        n_variables = optimizer.parameterization.n_variables
+        fresh = np.clip(vector + 5e-3, 0.0, 1.0)
+        assert _gradient_counts(
+            optimizer, optimizer.adjoint_cost_gradient, fresh
+        ) == {"n_solves": 0, "n_batches": 0, "n_transpose_solves": 1}
+        assert _gradient_counts(
+            optimizer, optimizer.cost_gradient, np.clip(fresh + 5e-3, 0.0, 1.0)
+        ) == {"n_solves": n_variables, "n_batches": 1, "n_transpose_solves": 0}
+
         adjoint_s = _time_gradient(
             optimizer, optimizer.adjoint_cost_gradient, vector
         )
@@ -105,13 +128,6 @@ def test_adjoint_gradient_cost_is_flat(config, benchmark):
                 "speedup": fd_s / adjoint_s,
             }
         )
-
-    largest = rows[-1]
-    if not SMOKE:
-        assert largest["speedup"] >= MIN_SPEEDUP_AT_24
-        # "Flat": growing n 4x must not grow the adjoint cost anywhere
-        # near linearly (allow generous noise headroom).
-        assert rows[-1]["adjoint_s"] <= 2.0 * rows[0]["adjoint_s"]
 
     bench_optimizer = make_optimizer(config, SIZES[-1])
     bench_vector = np.linspace(

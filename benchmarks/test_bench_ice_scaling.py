@@ -1,11 +1,11 @@
 """ICE finite-volume and optimizer-gradient scaling benchmarks.
 
 Times the vectorized finite-volume assembly against the seed implementation
-(the triple-nested Python loop retained as
-:func:`repro.ice.solver.assemble_system_loop`) across grid sizes and stack
-heights, the backend-routed steady solves (cold factorization vs reuse),
-and the optimizer's batched SLSQP gradients against the sequential scalar
-loop they replace.
+(the triple-nested Python loop kept as the oracle
+``tests/oracles/ice_assembly.py``) across grid sizes and stack heights, the
+backend-routed steady solves (cold factorization vs reuse), the optimizer's
+batched SLSQP gradients against the sequential scalar loop they replace,
+and full SLSQP runs under the adjoint and fd-batched gradient modes.
 
 Each record is printed as a ``BENCH {json}`` line -- the repo's standard
 machine-readable benchmark format -- in addition to the human-readable
@@ -16,21 +16,23 @@ tables, so the scaling data can be collected mechanically::
 
 Setting ``REPRO_BENCH_SMOKE=1`` shrinks every problem to smoke-test size
 (used by the CI benchmark job to exercise the suite and archive the BENCH
-records in seconds); the speedup acceptance assertions only apply to the
-full-size run.
+records in seconds).
 
-The headline assertions reproduce the acceptance criteria of the
-vectorization PR: the vectorized assembly must be at least 5x faster than
-the loop reference on a 4-die 64x64 stack while producing bit-identical
-matrices and right-hand sides, and one batched SLSQP gradient must issue
-its ``n + 1`` perturbed solves through a single ``solve_many`` call.
+Speed ratios are reported in the BENCH records only.  The asserts are
+deterministic: the vectorized assembly of a 4-die 64x64 stack is
+bit-identical to the loop oracle and reuses one cached pattern, cold and
+warm solves pay the expected factorization counts, and one batched SLSQP
+gradient issues its ``n + 1`` perturbed solves through a single
+``solve_many`` call and equals the sequential finite differences.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -41,15 +43,21 @@ from repro.floorplan import get_architecture
 from repro.ice import (
     SteadyStateSolver,
     assemble_system,
-    assemble_system_loop,
     clear_stack_pattern_cache,
     multi_die_stack_from_architecture,
+    stack_pattern_cache_info,
 )
 from repro.thermal import backends
 from repro.thermal.geometry import ChannelGeometry, HeatInputProfile
 from repro.thermal.multichannel import build_cavity
 
-#: Smoke mode: tiny grids, no speedup assertions (CI runs this).
+TESTS_DIR = str(Path(__file__).resolve().parents[1] / "tests")
+if TESTS_DIR not in sys.path:
+    sys.path.insert(0, TESTS_DIR)
+
+from oracles.ice_assembly import assemble_system_loop  # noqa: E402
+
+#: Smoke mode: tiny grids (CI runs this).
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip() not in ("", "0")
 
 #: (n_dies, grid) points of the assembly scaling sweep.
@@ -95,23 +103,23 @@ def canonical(matrix):
 
 
 def test_ice_assembly_speedup_and_bit_identity(benchmark):
-    """Acceptance: vectorized >= 5x the loop at 4-die 64x64, bit-identical."""
+    """Vectorized vs loop assembly at 4-die 64x64: bit-identical, one pattern."""
     stack = make_stack(REFERENCE_DIES, REFERENCE_GRID)
     clear_stack_pattern_cache()
     # Warm the pattern cache once: production solves amortize the fold over
     # every assembly of the same stack shape, so the steady-state cost is
     # what sweeps and transient re-runs actually pay.
     vectorized = assemble_system(stack)
-    loop = assemble_system_loop(stack)
+    matrix, rhs, capacitances = assemble_system_loop(stack)
 
     a = canonical(vectorized.matrix())
-    b = canonical(loop.matrix())
+    b = canonical(matrix)
     bit_identical = (
         np.array_equal(a.indptr, b.indptr)
         and np.array_equal(a.indices, b.indices)
         and np.array_equal(a.data, b.data)
-        and np.array_equal(vectorized.rhs, loop.rhs)
-        and np.array_equal(vectorized.capacitances, loop.capacitances)
+        and np.array_equal(vectorized.rhs, rhs)
+        and np.array_equal(vectorized.capacitances, capacitances)
     )
     assert bit_identical
 
@@ -139,8 +147,9 @@ def test_ice_assembly_speedup_and_bit_identity(benchmark):
         f"{REFERENCE_GRID}: loop {loop_time * 1e3:.1f} ms, vectorized "
         f"{vectorized_time * 1e3:.2f} ms ({speedup:.0f}x)"
     )
-    if not SMOKE:
-        assert speedup >= 5.0
+    # Every timed assembly reused the one cached pattern of this shape.
+    assert assemble_system(stack).pattern is vectorized.pattern
+    assert stack_pattern_cache_info()["size"] == 1
 
 
 def test_ice_assembly_grid_scaling(benchmark):
@@ -194,6 +203,10 @@ def test_ice_solve_backend_reuse(benchmark):
     warm_solver.solve(compute_residual=False)
     warm = best_time(lambda: warm_solver.solve(compute_residual=False))
     with_residual = best_time(lambda: warm_solver.solve(compute_residual=True))
+    # Cold pays one factorization per solve, warm reuses its first one.
+    assert cold_backend.stats()["n_factorizations"] == 2
+    assert warm_backend.stats()["n_factorizations"] == 1
+    assert warm_backend.stats()["n_factorization_reuses"] == 6
     benchmark(lambda: warm_solver.solve(compute_residual=False))
     for label, seconds in (
         ("cold factorization", cold),
@@ -216,8 +229,6 @@ def test_ice_solve_backend_reuse(benchmark):
         f"{cold * 1e3:.1f} ms, reuse {warm * 1e3:.2f} ms, reuse+residual "
         f"{with_residual * 1e3:.2f} ms"
     )
-    if not SMOKE:  # sub-ms smoke timings are scheduler noise
-        assert warm <= cold
 
 
 def make_gradient_optimizer(n_workers: int) -> ChannelModulationOptimizer:
@@ -246,13 +257,14 @@ def make_gradient_optimizer(n_workers: int) -> ChannelModulationOptimizer:
 
 
 def test_optimizer_gradient_batching(benchmark):
-    """Acceptance: one SLSQP gradient = one solve_many call of n+1 solves.
+    """One SLSQP gradient = one solve_many call of n+1 solves.
 
     Wall times are reported per worker count.  On multicore hosts the
     fan-out speedup is bounded by how much of the solve releases the GIL
     (SuperLU's factorization does not), so the structural guarantees --
-    one batch, cache deduplication, no per-point Python dispatch -- are
-    asserted, while thread scaling is recorded for the BENCH trajectory.
+    one batch, cache deduplication, no per-point Python dispatch -- and
+    agreement with the sequential scalar loop are asserted, while the
+    speedups and thread scaling are recorded for the BENCH trajectory.
     """
     optimizer = make_gradient_optimizer(n_workers=1)
     n_variables = optimizer.parameterization.n_variables
@@ -260,7 +272,7 @@ def test_optimizer_gradient_batching(benchmark):
 
     # Counters: the batch must be a single solve_many of n+1 candidates.
     optimizer.engine.reset_stats()
-    optimizer.cost_gradient(midpoint)
+    batched_gradient = optimizer.cost_gradient(midpoint)
     stats = optimizer.engine.stats()
     assert stats["n_batches"] == 1
     assert stats["n_batch_items"] == n_variables + 1
@@ -270,11 +282,14 @@ def test_optimizer_gradient_batching(benchmark):
         optimizer.engine.clear_cache()
         step = optimizer.settings.finite_difference_step
         base = optimizer.cost(midpoint)
+        gradient = np.empty(n_variables)
         for variable in range(n_variables):
             perturbed = midpoint.copy()
             perturbed[variable] += step
-            optimizer.cost(perturbed)
-        return base
+            gradient[variable] = (optimizer.cost(perturbed) - base) / step
+        return gradient
+
+    np.testing.assert_allclose(batched_gradient, scalar(), rtol=1e-12, atol=0.0)
 
     scalar_time = best_time(scalar)
     times = {}
@@ -312,20 +327,15 @@ def test_optimizer_gradient_batching(benchmark):
         f"batched {times[1] * 1e3:.1f} ms @1 worker / "
         f"{times[4] * 1e3:.1f} ms @4 workers ({os.cpu_count()} cpus)"
     )
-    # Overhead parity: the batch must not cost more than the scalar loop it
-    # replaces when no parallel hardware is available.
-    if not SMOKE:  # sub-ms smoke timings are scheduler noise
-        assert times[1] <= scalar_time * 1.5
 
 
-def test_optimizer_wall_time_batched_vs_scalar(benchmark):
-    """Full SLSQP runs: batched gradients + jacobians vs the legacy path."""
+def test_optimizer_wall_time_adjoint_vs_fd_batched(benchmark):
+    """Full SLSQP runs under the adjoint and the fd-batched gradient oracle."""
     iterations = 4 if SMOKE else 12
     rows = []
-    results = {}
-    for label, batched, n_workers in (
-        ("scalar finite differences", False, 1),
-        ("batched gradients", True, 1),
+    for label, gradient_mode in (
+        ("fd-batched gradients", "fd-batched"),
+        ("adjoint gradients", "adjoint"),
     ):
         params = DEFAULT_EXPERIMENT.params
         geometry = ChannelGeometry.from_parameters(params)
@@ -346,14 +356,12 @@ def test_optimizer_wall_time_batched_vs_scalar(benchmark):
             n_segments=GRADIENT_SEGMENTS,
             n_grid_points=GRADIENT_POINTS,
             max_iterations=iterations,
-            use_batched_gradients=batched,
-            n_workers=n_workers,
+            gradient_mode=gradient_mode,
         )
         optimizer = ChannelModulationOptimizer(cavity, settings)
         start = time.perf_counter()
         result = optimizer.optimize()
         seconds = time.perf_counter() - start
-        results[label] = result
         stats = optimizer.engine.stats()
         rows.append(
             {
@@ -367,8 +375,8 @@ def test_optimizer_wall_time_batched_vs_scalar(benchmark):
             {
                 "benchmark": "optimizer_wall_time",
                 "path": label,
-                "use_batched_gradients": batched,
-                "n_workers": n_workers,
+                "gradient_mode": gradient_mode,
+                "n_workers": 1,
                 "n_variables": optimizer.parameterization.n_variables,
                 "n_lanes": GRADIENT_LANES,
                 "n_points": GRADIENT_POINTS,

@@ -1,10 +1,10 @@
 """Solver-scaling benchmark: assembly, backends, caching.
 
 Times the finite-difference hot path against the seed implementation (the
-per-grid-point Python-loop assembly retained as
-:func:`repro.thermal.assembly.assemble_system_loop`) across lane counts and
-grid resolutions, for every registered solver backend, and reports the
-evaluation engine's cache-hit rate on an optimizer-like workload.
+per-grid-point Python-loop assembly kept as the oracle
+``tests/oracles/assembly.py``) across lane counts and grid resolutions, for
+every registered solver backend, and reports the evaluation engine's
+cache-hit rate on an optimizer-like workload.
 
 Each record is printed as a ``BENCH {json}`` line -- the repo's standard
 machine-readable benchmark format -- in addition to the human-readable
@@ -13,15 +13,18 @@ tables, so the scaling data can be collected mechanically::
     PYTHONPATH=src python -m pytest benchmarks/test_bench_solver_scaling.py -s \
         | grep '^BENCH '
 
-The headline assertion reproduces the refactor's acceptance criterion: the
-vectorized assembly must be at least 5x faster than the seed loop assembly
-for a 32-lane, 241-point solve (in practice it is 20-60x).
+Speed ratios (the vectorized assembly is typically 20-60x the loop at 32
+lanes x 241 points) are reported in the BENCH records only.  The asserts
+are deterministic: agreement with the oracle, pattern reuse and the
+backends' factorization counts.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +34,12 @@ from repro.thermal import assembly, backends
 from repro.thermal.fdm import solve_finite_difference
 from repro.thermal.geometry import ChannelGeometry, HeatInputProfile
 from repro.thermal.multichannel import build_cavity
+
+TESTS_DIR = str(Path(__file__).resolve().parents[1] / "tests")
+if TESTS_DIR not in sys.path:
+    sys.path.insert(0, TESTS_DIR)
+
+from oracles import assembly as oracle  # noqa: E402
 
 #: Lane counts of the scaling sweep (the paper's cavities use 4-64 lanes).
 LANE_COUNTS = (1, 4, 16, 32, 64)
@@ -76,16 +85,21 @@ def make_cavity(config, n_lanes: int):
 
 
 def test_assembly_speedup_over_seed_loop(benchmark, config):
-    """Acceptance: vectorized assembly >= 5x the seed loop at 32 lanes."""
+    """Vectorized assembly vs the seed loop at 32 lanes: same system, one pattern."""
     cavity = make_cavity(config, REFERENCE_LANES)
     assembly.clear_pattern_cache()
     # Warm the pattern cache once: production solves amortize the pattern
     # over every solve of the same shape, so the steady-state cost is what
     # the optimizer hot loop actually pays.
-    assembly.assemble_system(cavity, n_points=REFERENCE_POINTS)
+    system = assembly.assemble_system(cavity, n_points=REFERENCE_POINTS)
+    matrix, rhs = oracle.assemble_system_loop(cavity, n_points=REFERENCE_POINTS)
+    # Elementwise |A - A_loop| <= 1e-13 |A_loop|, kept sparse.
+    excess = abs(system.matrix - matrix) - 1e-13 * abs(matrix)
+    assert excess.max() <= 0.0
+    np.testing.assert_allclose(system.rhs, rhs, rtol=1e-13, atol=0.0)
 
     loop_time = best_time(
-        lambda: assembly.assemble_system_loop(cavity, n_points=REFERENCE_POINTS)
+        lambda: oracle.assemble_system_loop(cavity, n_points=REFERENCE_POINTS)
     )
     vectorized_time = best_time(
         lambda: assembly.assemble_system(cavity, n_points=REFERENCE_POINTS)
@@ -109,7 +123,10 @@ def test_assembly_speedup_over_seed_loop(benchmark, config):
         f"loop {loop_time * 1e3:.1f} ms, vectorized {vectorized_time * 1e3:.2f} ms "
         f"({speedup:.0f}x)"
     )
-    assert speedup >= 5.0
+    # Every timed assembly reused the one cached pattern of this shape.
+    again = assembly.assemble_system(cavity, n_points=REFERENCE_POINTS)
+    assert again.pattern is system.pattern
+    assert assembly.pattern_cache_info()["size"] == 1
 
 
 def test_end_to_end_solve_speedup(benchmark, config):
@@ -118,15 +135,9 @@ def test_end_to_end_solve_speedup(benchmark, config):
     rows = []
     # The seed path: loop assembly + a cold direct solve every time (no
     # factorization cache existed in the seed).
-    seed_backend = backends.SparseLUBackend(factorization_cache_size=0)
+    reference = oracle.solve_loop(cavity, n_points=REFERENCE_POINTS)
     seed_like = best_time(
-        lambda: solve_finite_difference(
-            cavity,
-            n_points=REFERENCE_POINTS,
-            assembly_mode="loop",
-            backend=seed_backend,
-        ),
-        repeats=2,
+        lambda: oracle.solve_loop(cavity, n_points=REFERENCE_POINTS), repeats=2
     )
     # Cold: fresh factorization each call (distinct backend instance).
     cold_backend = backends.SparseLUBackend(factorization_cache_size=0)
@@ -140,12 +151,21 @@ def test_end_to_end_solve_speedup(benchmark, config):
     # re-evaluations served by the engine hit this path when the solution
     # cache itself was evicted).
     warm_backend = backends.SparseLUBackend()
-    solve_finite_difference(cavity, n_points=REFERENCE_POINTS, backend=warm_backend)
+    solution = solve_finite_difference(
+        cavity, n_points=REFERENCE_POINTS, backend=warm_backend
+    )
+    np.testing.assert_allclose(
+        solution.temperatures, reference.temperatures, rtol=0.0, atol=1e-8
+    )
     warm = best_time(
         lambda: solve_finite_difference(
             cavity, n_points=REFERENCE_POINTS, backend=warm_backend
         )
     )
+    assert cold_backend.stats()["n_factorizations"] == 2
+    assert cold_backend.stats()["n_factorization_reuses"] == 0
+    assert warm_backend.stats()["n_factorizations"] == 1
+    assert warm_backend.stats()["n_factorization_reuses"] == 3
     benchmark(
         lambda: solve_finite_difference(
             cavity, n_points=REFERENCE_POINTS, backend=warm_backend
@@ -176,8 +196,8 @@ def test_end_to_end_solve_speedup(benchmark, config):
     print()
     print("end-to-end solve, 32 lanes x 241 points:")
     print(format_table(rows))
-    assert cold < seed_like
-    assert warm * 5.0 < seed_like
+    # The pytest-benchmark rounds above all reused the one factorization.
+    assert warm_backend.stats()["n_factorizations"] == 1
 
 
 def test_backend_scaling_with_lane_count(benchmark, config):

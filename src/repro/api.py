@@ -377,9 +377,6 @@ class ICESimulator:
             provenance={
                 "backend": str(outcome.metadata["backend"]),
                 "solver": "ice-transient-backward-euler",
-                "assembly": str(
-                    outcome.result.metadata.get("assembly", "vectorized")
-                ),
                 "n_unknowns": outcome.metadata["n_unknowns"],
                 "memoized": memoized,
                 "cache": self.engine.stats() if self.engine else None,
@@ -427,7 +424,6 @@ class ICESimulator:
             provenance={
                 "backend": str(maps.metadata.get("backend", "auto")),
                 "solver": str(maps.metadata.get("solver", "ice-steady")),
-                "assembly": str(maps.metadata.get("assembly", "vectorized")),
                 "grid": list(maps.metadata.get("grid", ())),
                 "n_unknowns": maps.metadata.get("n_unknowns"),
                 "residual_norm": maps.metadata.get("residual_norm"),

@@ -241,13 +241,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _ice_bench_record(spec: ScenarioSpec) -> Dict[str, object]:
-    """Finite-volume benchmark record: vectorized vs loop assembly + solve."""
-    from .ice import SteadyStateSolver, assemble_system, assemble_system_loop
+    """Finite-volume benchmark record: assembly + cold and warm solves."""
+    from .ice import SteadyStateSolver, assemble_system
 
     stack = spec.build_stack()
     assemble_system(stack)  # warm the stack-pattern cache
     vectorized_s = _time_once(lambda: assemble_system(stack))
-    loop_s = _time_once(lambda: assemble_system_loop(stack))
     solver = SteadyStateSolver(stack, backend=spec.solver.backend)
     cold_solve_s = _time_once(lambda: solver.solve(compute_residual=False))
     warm_solve_s = _time_once(lambda: solver.solve(compute_residual=False))
@@ -257,8 +256,6 @@ def _ice_bench_record(spec: ScenarioSpec) -> Dict[str, object]:
         "grid": [stack.n_rows, stack.n_cols],
         "n_unknowns": solver.system.n_unknowns,
         "assembly_vectorized_s": vectorized_s,
-        "assembly_loop_s": loop_s,
-        "assembly_speedup": loop_s / vectorized_s,
         "solve_cold_s": cold_solve_s,
         "solve_warm_s": warm_solve_s,
     }
@@ -362,9 +359,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ice = payload["ice"]
         print(
             f"  ice assembly {ice['grid'][0]}x{ice['grid'][1]}: "
-            f"loop {ice['assembly_loop_s'] * 1e3:.2f} ms, vectorized "
-            f"{ice['assembly_vectorized_s'] * 1e3:.2f} ms "
-            f"({ice['assembly_speedup']:.0f}x), solve cold "
+            f"{ice['assembly_vectorized_s'] * 1e3:.2f} ms, solve cold "
             f"{ice['solve_cold_s'] * 1e3:.2f} ms / warm "
             f"{ice['solve_warm_s'] * 1e3:.2f} ms [{ice['backend']}]"
         )

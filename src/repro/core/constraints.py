@@ -174,7 +174,7 @@ class PressureConstraints:
         balances = self.equal_pressure_tolerance - spread
         return (balances[1:] - balances[0]) / steps
 
-    def as_scipy_constraints(self, with_jacobians: bool = False) -> List[Dict]:
+    def as_scipy_constraints(self) -> List[Dict]:
         """Constraint dictionaries for :func:`scipy.optimize.minimize` (SLSQP).
 
         The Eq. (9) limit becomes one vector-valued inequality (one entry
@@ -185,24 +185,27 @@ class PressureConstraints:
         within ``equal_pressure_tolerance`` of the allowed budget (the
         benchmarks report the achieved imbalance).
 
-        With ``with_jacobians=True`` each dictionary carries an explicit
-        ``jac`` entry, so SLSQP never falls back to its internal
-        finite differences for the constraints (used together with the
-        optimizer's batched cost gradient).
+        Each dictionary carries an explicit ``jac`` entry, so SLSQP never
+        falls back to its internal finite differences for the constraints.
         """
         constraints: List[Dict] = [
-            {"type": "ineq", "fun": self._normalized_margin}
+            {
+                "type": "ineq",
+                "fun": self._normalized_margin,
+                "jac": self.margin_jacobian,
+            }
         ]
-        if with_jacobians:
-            constraints[0]["jac"] = self.margin_jacobian
         multi_lane = (
             self.parameterization.n_lanes > 1 and not self.parameterization.shared
         )
         if self.enforce_equal_pressure and multi_lane:
-            balance: Dict = {"type": "ineq", "fun": self._balance}
-            if with_jacobians:
-                balance["jac"] = self.balance_jacobian
-            constraints.append(balance)
+            constraints.append(
+                {
+                    "type": "ineq",
+                    "fun": self._balance,
+                    "jac": self.balance_jacobian,
+                }
+            )
         return constraints
 
     def summary(self, vector: np.ndarray) -> Dict[str, float]:

@@ -161,9 +161,9 @@ class EvaluationEngine:
     def _derive_key(self, structure, n_points: int, solver_kwargs) -> Optional[tuple]:
         """Structure fingerprint extended with any extra solver options.
 
-        Options forwarded to the solver (``lane_pitch``, ``assembly_mode``,
-        ...) change the solution, so they must be part of the cache key;
-        unhashable option values make the call uncacheable.
+        Options forwarded to the solver (``lane_pitch``, ``backend``,
+        ``coolant_model``, ...) change the solution, so they must be part of
+        the cache key; unhashable option values make the call uncacheable.
         """
         base = self.structure_key(structure, n_points)
         if base is None or not solver_kwargs:

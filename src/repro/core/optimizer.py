@@ -21,8 +21,9 @@ Two mechanisms keep that cost down:
   one iterate reuse one solve; and
 * instead of SLSQP's *internal* finite differences (``n_variables + 1``
   strictly sequential solves per gradient), the optimizer hands SLSQP an
-  explicit ``jac`` that evaluates all ``n + 1`` perturbed designs in a
-  single :meth:`~repro.core.engine.EvaluationEngine.solve_many` batch --
+  explicit ``jac``: the adjoint gradient (one forward and one transpose
+  solve) or, in ``"fd-batched"`` mode, all ``n + 1`` perturbed designs in
+  a single :meth:`~repro.core.engine.EvaluationEngine.solve_many` batch --
   deduplicated against the cache and fanned out over the engine's thread
   pool -- plus explicit hydraulics-only constraint Jacobians, whose whole
   forward-difference stencil is one batched call of the closed-form Eq. (9)
@@ -79,10 +80,11 @@ class OptimizerSettings:
     max_iterations:
         SLSQP iteration limit.
     tolerance:
-        SLSQP convergence tolerance (on the scaled cost).
+        SLSQP convergence tolerance (on the scaled cost); must be positive.
     finite_difference_step:
         Step of the finite-difference cost gradients (applied to the
-        normalized decision variables in [0, 1]).
+        normalized decision variables in [0, 1]); must lie in ``(0, 1)`` so
+        every stencil point stays inside the box.
     gradient_mode:
         Cost-gradient strategy: ``"adjoint"`` (default) evaluates the
         exact gradient of the discrete linear system with one forward and
@@ -92,12 +94,6 @@ class OptimizerSettings:
         solves per iterate).  Objectives without an adjoint
         (``temperature_range``, ``peak_temperature``) fall back to
         ``"fd-batched"`` with a warning.
-    use_batched_gradients:
-        Evaluate the cost gradient as one batched ``solve_many`` call (all
-        ``n + 1`` perturbed designs at once, parallel across ``n_workers``)
-        and hand SLSQP explicit cost/constraint Jacobians.  False restores
-        SLSQP's internal sequential finite differences (kept as the
-        benchmark baseline).
     multistart:
         Number of starting points.  The first start is always the uniform
         mid-width design; additional starts interpolate between the uniform
@@ -126,7 +122,6 @@ class OptimizerSettings:
     tolerance: float = 1e-8
     finite_difference_step: float = 1e-3
     gradient_mode: str = "adjoint"
-    use_batched_gradients: bool = True
     multistart: int = 1
     enforce_equal_pressure: bool = True
     equal_pressure_tolerance: float = 0.05
@@ -141,6 +136,13 @@ class OptimizerSettings:
             raise ValueError("n_grid_points must be at least 3")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if not self.tolerance > 0.0:
+            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0.0 < self.finite_difference_step < 1.0:
+            raise ValueError(
+                "finite_difference_step must lie in (0, 1), "
+                f"got {self.finite_difference_step}"
+            )
         if self.multistart < 1:
             raise ValueError("multistart must be at least 1")
         if self.n_workers < 1:
@@ -460,23 +462,17 @@ class ChannelModulationOptimizer:
             if callback is not None:
                 callback(vector)
 
-        jacobian = (
-            self._scaled_cost_gradient
-            if self.settings.use_batched_gradients
-            else None
-        )
         result = optimize.minimize(
             self._scaled_cost,
             start,
             method="SLSQP",
-            jac=jacobian,
+            jac=self._scaled_cost_gradient,
             bounds=bounds,
             constraints=constraints,
             callback=record,
             options={
                 "maxiter": self.settings.max_iterations,
                 "ftol": self.settings.tolerance,
-                "eps": self.settings.finite_difference_step,
             },
         )
         trace.converged = bool(result.success)
@@ -534,9 +530,7 @@ class ChannelModulationOptimizer:
             else self._starting_points()
         )
 
-        constraints = self.pressure.as_scipy_constraints(
-            with_jacobians=self.settings.use_batched_gradients
-        )
+        constraints = self.pressure.as_scipy_constraints()
         bounds = [(0.0, 1.0)] * self.parameterization.n_variables
         if len(starts) > 1 and self.settings.n_workers > 1:
             # Warm the solution cache for every starting point in one batch,

@@ -14,7 +14,6 @@ from .solver import (
     StackPattern,
     SteadyStateSolver,
     assemble_system,
-    assemble_system_loop,
     clear_stack_pattern_cache,
     stack_pattern_cache_info,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "SteadyStateSolver",
     "TransientSolver",
     "assemble_system",
-    "assemble_system_loop",
     "clear_stack_pattern_cache",
     "stack_pattern_cache_info",
     "multi_die_stack_from_architecture",

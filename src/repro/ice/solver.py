@@ -19,22 +19,19 @@ into ``n_rows x n_cols`` cells and assembles one energy balance per cell:
 This mirrors the structure of the 3D-ICE compact model used by the paper
 for validation and map rendering.
 
-Two assembly routes are provided, mirroring :mod:`repro.thermal.assembly`:
+:func:`assemble_system` (equivalently ``AssembledSystem(stack)``) produces
+all coefficient (COO) triplets with vectorized NumPy operations, including
+the Shah & London ``heat_transfer_coefficient`` over the per-cell channel
+widths.  The sparsity structure -- which depends only on the stack shape,
+the layer kinds and the zero-coefficient mask -- is folded once per shape
+and cached as a :class:`StackPattern`, so repeated assemblies of the same
+stack shape (width sweeps, an optimizer in the loop, transient re-runs)
+only recompute the coefficient values.
 
-* :func:`assemble_system` (the default ``AssembledSystem(stack)``) -- the
-  production path.  All coefficient (COO) triplets are produced with
-  vectorized NumPy operations in the exact emission order of the reference
-  loop (including the vectorized Shah & London ``heat_transfer_coefficient``
-  over the per-cell channel widths), and the sparsity structure -- which
-  depends only on the stack shape, the layer kinds and the zero-coefficient
-  mask -- is folded once per shape and cached as a :class:`StackPattern`.
-  Repeated assemblies of the same stack shape (width sweeps, an optimizer
-  in the loop, transient re-runs) only recompute the coefficient values.
-* :func:`assemble_system_loop` -- the original triple-nested Python-loop
-  assembly, kept verbatim as the reference implementation for the
-  equivalence test suite and the scaling benchmark.
-
-Both routes produce bit-identical matrices, right-hand sides and
+The triplets are emitted in the per-cell order of the original
+triple-nested Python-loop assembly, which lives on as the reference oracle
+``tests/oracles/ice_assembly.py``.  Both share the conductance helpers of
+this module and produce bit-identical matrices, right-hand sides and
 capacitance vectors (the equivalence suite asserts exact equality).  The
 linear systems are solved through the pluggable backends of
 :mod:`repro.thermal.backends` (SuperLU with factorization reuse by
@@ -60,14 +57,9 @@ __all__ = [
     "StackPattern",
     "SteadyStateSolver",
     "assemble_system",
-    "assemble_system_loop",
     "clear_stack_pattern_cache",
     "stack_pattern_cache_info",
 ]
-
-#: Assembly routes accepted by :class:`AssembledSystem`.
-ASSEMBLY_MODES: Tuple[str, ...] = ("vectorized", "loop")
-
 
 class StackPattern:
     """Precomputed sparsity fold of the finite-volume system for one shape.
@@ -121,6 +113,60 @@ def stack_pattern_cache_info() -> dict:
     return _PATTERN_CACHE.info()
 
 
+# -- conductance helpers ---------------------------------------------------------
+
+
+def _vertical_conductance_between(
+    stack: LayerStack,
+    lower: Union[SolidLayer, CavityLayer],
+    upper: Union[SolidLayer, CavityLayer],
+) -> float:
+    """Solid-solid vertical conductance per cell between adjacent layers (W/K)."""
+    area = stack.cell_area
+    resistance = 0.0
+    for layer in (lower, upper):
+        if layer.is_cavity:
+            raise ValueError("use the cavity coupling for cavity layers")
+        resistance += layer.thickness / (
+            2.0 * layer.material.thermal_conductivity * area
+        )
+    return 1.0 / resistance
+
+
+def _lateral_conductances(stack: LayerStack, layer: SolidLayer) -> Tuple[float, float]:
+    """(x-direction, y-direction) lateral conductances per cell face (W/K)."""
+    k = layer.material.thermal_conductivity
+    t = layer.thickness
+    g_x = k * t * stack.cell_width / stack.cell_length
+    g_y = k * t * stack.cell_length / stack.cell_width
+    return g_x, g_y
+
+
+def _cavity_row_widths(
+    stack: LayerStack, layer: CavityLayer, x_centers: np.ndarray
+) -> Tuple[np.ndarray, float]:
+    """Average channel width per cell and channels crossing each row.
+
+    Channels are grouped uniformly onto the rows of the cell grid; each
+    cell sees the mean width of the channels assigned to its row.
+    """
+    n_rows, n_cols = stack.n_rows, stack.n_cols
+    n_channels = stack.channels_per_cavity()
+    channels_per_row = n_channels / n_rows
+    widths = layer.widths_for_channels(n_channels, stack.die_length, x_centers)
+    row_of_channel = np.minimum(
+        (np.arange(n_channels) * n_rows) // max(n_channels, 1), n_rows - 1
+    )
+    row_widths = np.zeros((n_rows, n_cols))
+    counts = np.zeros(n_rows)
+    for channel in range(n_channels):
+        row_widths[row_of_channel[channel]] += widths[channel]
+        counts[row_of_channel[channel]] += 1
+    counts[counts == 0] = 1.0
+    row_widths /= counts[:, None]
+    return row_widths, channels_per_row
+
+
 class AssembledSystem:
     """The assembled sparse system ``A T = b`` plus the cell bookkeeping.
 
@@ -131,11 +177,6 @@ class AssembledSystem:
     ----------
     stack:
         The layer stack to assemble.
-    method:
-        ``"vectorized"`` (default, NumPy whole-array triplet construction
-        over the cached :class:`StackPattern`) or ``"loop"`` (the original
-        triple-nested reference loops).  Both produce bit-identical
-        systems.
     coolant_films:
         Optional mapping of cavity layer index to a film coolant record
         (an array-valued :class:`~repro.thermal.properties.CoolantState`)
@@ -144,115 +185,39 @@ class AssembledSystem:
         and fluid capacitance keep the layer's own constant coolant, so
         the sparsity mask -- and hence the cached pattern token -- is
         unchanged and each Picard iteration is a pure value refresh.
-        Vectorized assembly only.
     """
 
     def __init__(
         self,
         stack: LayerStack,
-        method: str = "vectorized",
         coolant_films: Optional[Dict[int, object]] = None,
     ) -> None:
-        if method not in ASSEMBLY_MODES:
-            raise ValueError(
-                f"method must be one of {list(ASSEMBLY_MODES)}, got {method!r}"
-            )
-        if coolant_films and method != "vectorized":
-            raise ValueError(
-                "coolant film overrides require the vectorized assembly"
-            )
         self.stack = stack
-        self.method = method
         self.coolant_films = coolant_films or {}
         self.n_cells_per_layer = stack.n_rows * stack.n_cols
         self.n_unknowns = stack.n_layers * self.n_cells_per_layer
-        self._rows: List[int] = []
-        self._cols: List[int] = []
-        self._values: List[float] = []
         self.rhs = np.zeros(self.n_unknowns)
         self.capacitances = np.zeros(self.n_unknowns)
-        self._pattern: Optional[StackPattern] = None
-        self._raw_values: Optional[np.ndarray] = None
-        if method == "vectorized":
-            self._assemble_vectorized()
-        else:
-            self._assemble_loop()
-
-    # -- indexing ----------------------------------------------------------------
+        self._assemble()
 
     def index(self, layer: int, row: int, col: int) -> int:
         """Flat unknown index of cell ``(row, col)`` of ``layer``."""
         return (layer * self.stack.n_rows + row) * self.stack.n_cols + col
 
-    def _add(self, row: int, col: int, value: float) -> None:
-        if value != 0.0:
-            self._rows.append(row)
-            self._cols.append(col)
-            self._values.append(value)
+    # -- assembly --------------------------------------------------------------
 
-    # -- conductance helpers ---------------------------------------------------------
-
-    def _vertical_conductance_between(
-        self, lower: Union[SolidLayer, CavityLayer], upper: Union[SolidLayer, CavityLayer]
-    ) -> float:
-        """Solid-solid vertical conductance per cell between adjacent layers (W/K)."""
-        area = self.stack.cell_area
-        resistance = 0.0
-        for layer in (lower, upper):
-            if layer.is_cavity:
-                raise ValueError("use the cavity coupling for cavity layers")
-            resistance += layer.thickness / (
-                2.0 * layer.material.thermal_conductivity * area
-            )
-        return 1.0 / resistance
-
-    def _lateral_conductances(self, layer: SolidLayer) -> Tuple[float, float]:
-        """(x-direction, y-direction) lateral conductances per cell face (W/K)."""
-        k = layer.material.thermal_conductivity
-        t = layer.thickness
-        g_x = k * t * self.stack.cell_width / self.stack.cell_length
-        g_y = k * t * self.stack.cell_length / self.stack.cell_width
-        return g_x, g_y
-
-    def _cavity_row_widths(
-        self, layer: CavityLayer, x_centers: np.ndarray
-    ) -> Tuple[np.ndarray, float]:
-        """Average channel width per cell and channels crossing each row.
-
-        Channels are grouped uniformly onto the rows of the cell grid; each
-        cell sees the mean width of the channels assigned to its row.
-        """
-        stack = self.stack
-        n_rows, n_cols = stack.n_rows, stack.n_cols
-        n_channels = stack.channels_per_cavity()
-        channels_per_row = n_channels / n_rows
-        widths = layer.widths_for_channels(n_channels, stack.die_length, x_centers)
-        row_of_channel = np.minimum(
-            (np.arange(n_channels) * n_rows) // max(n_channels, 1), n_rows - 1
-        )
-        row_widths = np.zeros((n_rows, n_cols))
-        counts = np.zeros(n_rows)
-        for channel in range(n_channels):
-            row_widths[row_of_channel[channel]] += widths[channel]
-            counts[row_of_channel[channel]] += 1
-        counts[counts == 0] = 1.0
-        row_widths /= counts[:, None]
-        return row_widths, channels_per_row
-
-    # -- vectorized assembly -----------------------------------------------------
-
-    def _assemble_vectorized(self) -> None:
-        """Whole-array triplet construction in the loop's emission order.
+    def _assemble(self) -> None:
+        """Whole-array triplet construction in the loop oracle's emission order.
 
         Every layer contributes a ``(n_rows, n_cols, n_slots)`` block of
         row/column/value candidates whose C-order ravel reproduces the
         per-cell emission order of the reference loop exactly; structurally
         absent entries (last-column/last-row neighbours, the inlet upstream
         slot, zero wall fractions) are removed by a boolean mask, as is any
-        exactly-zero coefficient (matching ``_add``'s skip).  The surviving
-        entries are therefore element-for-element identical to the loop's
-        triplet stream, which makes the folded matrix bit-identical to the
-        loop-assembled one.
+        exactly-zero coefficient (which the loop never emits).  The
+        surviving entries are therefore element-for-element identical to the
+        loop's triplet stream, which makes the folded matrix bit-identical to
+        the loop-assembled one.
         """
         stack = self.stack
         x_centers = stack.x_centers()
@@ -311,7 +276,7 @@ class AssembledSystem:
         """Lateral-conduction triplet block of one solid layer (8 slots/cell)."""
         stack = self.stack
         n_rows, n_cols = stack.n_rows, stack.n_cols
-        g_x, g_y = self._lateral_conductances(layer)
+        g_x, g_y = _lateral_conductances(stack, layer)
         heat = layer.heat_map(n_rows, n_cols) * 1e4 * stack.cell_area  # W per cell
         capacitance = (
             layer.material.volumetric_heat_capacity
@@ -360,7 +325,7 @@ class AssembledSystem:
         if lower.is_cavity or upper.is_cavity:
             raise ValueError("a cavity layer must sit between two solid layers")
 
-        row_widths, channels_per_row = self._cavity_row_widths(layer, x_centers)
+        row_widths, channels_per_row = _cavity_row_widths(stack, layer, x_centers)
         capacity_rate_cell = (
             layer.coolant.volumetric_heat_capacity
             * layer.flow_rate_per_channel
@@ -463,7 +428,7 @@ class AssembledSystem:
     ):
         """Solid-solid vertical coupling triplet block (4 slots/cell)."""
         stack = self.stack
-        g_vertical = self._vertical_conductance_between(lower, upper)
+        g_vertical = _vertical_conductance_between(stack, lower, upper)
         a = self._cell_indices(lower_idx)
         b = a + self.n_cells_per_layer
         rows = np.stack([a, a, b, b], axis=-1)
@@ -476,172 +441,21 @@ class AssembledSystem:
         mask = np.ones((stack.n_rows, stack.n_cols, 4), dtype=bool)
         return rows, cols, vals, mask
 
-    # -- reference loop assembly --------------------------------------------------
-
-    def _assemble_loop(self) -> None:
-        stack = self.stack
-        n_rows, n_cols = stack.n_rows, stack.n_cols
-        x_centers = stack.x_centers()
-
-        for layer_idx, layer in enumerate(stack.layers):
-            if layer.is_cavity:
-                self._assemble_cavity_layer(layer_idx, layer, x_centers)
-            else:
-                self._assemble_solid_layer(layer_idx, layer)
-
-        # Vertical coupling between directly adjacent solid layers (no cavity
-        # in between).
-        for lower_idx in range(stack.n_layers - 1):
-            lower = stack.layers[lower_idx]
-            upper = stack.layers[lower_idx + 1]
-            if lower.is_cavity or upper.is_cavity:
-                continue
-            g_vertical = self._vertical_conductance_between(lower, upper)
-            for row in range(n_rows):
-                for col in range(n_cols):
-                    a = self.index(lower_idx, row, col)
-                    b = self.index(lower_idx + 1, row, col)
-                    self._add(a, a, g_vertical)
-                    self._add(a, b, -g_vertical)
-                    self._add(b, b, g_vertical)
-                    self._add(b, a, -g_vertical)
-
-    def _assemble_solid_layer(self, layer_idx: int, layer: SolidLayer) -> None:
-        stack = self.stack
-        n_rows, n_cols = stack.n_rows, stack.n_cols
-        g_x, g_y = self._lateral_conductances(layer)
-        heat = layer.heat_map(n_rows, n_cols) * 1e4 * stack.cell_area  # W per cell
-        capacitance = (
-            layer.material.volumetric_heat_capacity
-            * layer.thickness
-            * stack.cell_area
-        )
-        for row in range(n_rows):
-            for col in range(n_cols):
-                here = self.index(layer_idx, row, col)
-                self.rhs[here] += heat[row, col]
-                self.capacitances[here] = capacitance
-                if col + 1 < n_cols:
-                    neighbour = self.index(layer_idx, row, col + 1)
-                    self._add(here, here, g_x)
-                    self._add(here, neighbour, -g_x)
-                    self._add(neighbour, neighbour, g_x)
-                    self._add(neighbour, here, -g_x)
-                if row + 1 < n_rows:
-                    neighbour = self.index(layer_idx, row + 1, col)
-                    self._add(here, here, g_y)
-                    self._add(here, neighbour, -g_y)
-                    self._add(neighbour, neighbour, g_y)
-                    self._add(neighbour, here, -g_y)
-
-    def _assemble_cavity_layer(
-        self, layer_idx: int, layer: CavityLayer, x_centers: np.ndarray
-    ) -> None:
-        stack = self.stack
-        n_rows, n_cols = stack.n_rows, stack.n_cols
-        lower_idx, upper_idx = layer_idx - 1, layer_idx + 1
-        lower = stack.layers[lower_idx]
-        upper = stack.layers[upper_idx]
-        if lower.is_cavity or upper.is_cavity:
-            raise ValueError("a cavity layer must sit between two solid layers")
-
-        row_widths, channels_per_row = self._cavity_row_widths(layer, x_centers)
-        capacity_rate_cell = (
-            layer.coolant.volumetric_heat_capacity
-            * layer.flow_rate_per_channel
-            * channels_per_row
-        )
-        fluid_capacitance = (
-            layer.coolant.volumetric_heat_capacity
-            * layer.channel_height
-            * stack.cell_area
-        )
-
-        for row in range(n_rows):
-            for col in range(n_cols):
-                width = float(row_widths[row, col])
-                coolant_node = self.index(layer_idx, row, col)
-                below_node = self.index(lower_idx, row, col)
-                above_node = self.index(upper_idx, row, col)
-                self.capacitances[coolant_node] = fluid_capacitance
-
-                # Convective conductance channel->coolant for the channels
-                # crossing this cell, per adjacent die (half of the wetted
-                # perimeter each), in series with the half-thickness
-                # conduction of the adjacent solid layer.
-                h = correlations.heat_transfer_coefficient(
-                    width, layer.channel_height, layer.coolant
-                )
-                wetted_per_layer = (width + layer.channel_height) * (
-                    stack.cell_length * channels_per_row
-                )
-                g_convection = h * wetted_per_layer
-                for solid_idx, solid_node in (
-                    (lower_idx, below_node),
-                    (upper_idx, above_node),
-                ):
-                    solid = stack.layers[solid_idx]
-                    half_resistance = solid.thickness / (
-                        2.0
-                        * solid.material.thermal_conductivity
-                        * stack.cell_area
-                    )
-                    g_total = 1.0 / (half_resistance + 1.0 / g_convection)
-                    self._add(solid_node, solid_node, g_total)
-                    self._add(solid_node, coolant_node, -g_total)
-                    self._add(coolant_node, coolant_node, g_total)
-                    self._add(coolant_node, solid_node, -g_total)
-
-                # Vertical conduction through the solid channel walls
-                # (fraction 1 - w/W of the cell footprint), connecting the
-                # two dies directly.
-                wall_fraction = max(1.0 - width / layer.channel_pitch, 0.0)
-                if wall_fraction > 0.0:
-                    wall_area = wall_fraction * stack.cell_area
-                    resistance = (
-                        lower.thickness
-                        / (2.0 * lower.material.thermal_conductivity * wall_area)
-                        + layer.channel_height
-                        / (layer.wall_material.thermal_conductivity * wall_area)
-                        + upper.thickness
-                        / (2.0 * upper.material.thermal_conductivity * wall_area)
-                    )
-                    g_wall = 1.0 / resistance
-                    self._add(below_node, below_node, g_wall)
-                    self._add(below_node, above_node, -g_wall)
-                    self._add(above_node, above_node, g_wall)
-                    self._add(above_node, below_node, -g_wall)
-
-                # Coolant advection (upwind along +x).
-                self._add(coolant_node, coolant_node, capacity_rate_cell)
-                if col == 0:
-                    self.rhs[coolant_node] += (
-                        capacity_rate_cell * layer.inlet_temperature
-                    )
-                else:
-                    upstream = self.index(layer_idx, row, col - 1)
-                    self._add(coolant_node, upstream, -capacity_rate_cell)
-
     # -- matrix access -----------------------------------------------------------------------
 
     @property
-    def pattern_token(self) -> Optional[tuple]:
-        """Identity of the sparsity structure (None for loop assembly)."""
-        return None if self._pattern is None else self._pattern.token
+    def pattern_token(self) -> tuple:
+        """Identity of the sparsity structure."""
+        return self._pattern.token
 
     @property
-    def pattern(self) -> Optional[StackPattern]:
-        """The cached sparsity fold (None for loop assembly)."""
+    def pattern(self) -> StackPattern:
+        """The cached sparsity fold."""
         return self._pattern
 
     def matrix(self) -> sparse.csr_matrix:
         """The assembled steady-state matrix ``A`` (CSR, canonical form)."""
-        if self._pattern is not None:
-            return self._pattern.matrix(self._raw_values)
-        return sparse.csr_matrix(
-            (self._values, (self._rows, self._cols)),
-            shape=(self.n_unknowns, self.n_unknowns),
-        )
+        return self._pattern.matrix(self._raw_values)
 
     def split_solution(self, vector: np.ndarray) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
         """Split a flat solution vector into per-layer maps."""
@@ -660,17 +474,8 @@ class AssembledSystem:
 
 
 def assemble_system(stack: LayerStack) -> AssembledSystem:
-    """Vectorized assembly of the finite-volume system (the production path)."""
-    return AssembledSystem(stack, method="vectorized")
-
-
-def assemble_system_loop(stack: LayerStack) -> AssembledSystem:
-    """Reference triple-nested-loop assembly (the original implementation).
-
-    Kept verbatim for the equivalence tests and as the baseline of the
-    scaling benchmark; production code uses :func:`assemble_system`.
-    """
-    return AssembledSystem(stack, method="loop")
+    """Vectorized assembly of the finite-volume system."""
+    return AssembledSystem(stack)
 
 
 class SteadyStateSolver:
@@ -686,16 +491,13 @@ class SteadyStateSolver:
         ``"sparse-iterative"``, ``"dense"``), a backend instance, or None
         for the default (``"auto"``).  The sparse-LU backend reuses its
         cached factorization across repeated solves of an unchanged stack.
-    assembly_mode:
-        ``"vectorized"`` (default) or ``"loop"`` (the reference assembly,
-        retained for equivalence testing and benchmarks).
     coolant_model:
         Optional :class:`~repro.thermal.properties.CoolantModel`.  None or
         a constant-mode model leaves the solve bit-identical to the
         constant-property path; a polynomial model wraps it in a Picard
         outer iteration (:mod:`repro.core.picard`) that refreshes the
         convective conductances from film properties at the per-cell bulk
-        coolant temperatures.  Requires the vectorized assembly.
+        coolant temperatures.
     picard:
         Optional :class:`~repro.core.picard.PicardSettings` convergence
         knobs (defaults apply when omitted).  Ignored for constant models.
@@ -705,21 +507,15 @@ class SteadyStateSolver:
         self,
         stack: LayerStack,
         backend: Union[None, str, SolverBackend] = None,
-        assembly_mode: str = "vectorized",
         coolant_model=None,
         picard=None,
     ) -> None:
         self.stack = stack
-        self.system = AssembledSystem(stack, method=assembly_mode)
+        self.system = AssembledSystem(stack)
         self.backend = resolve_backend(backend)
         temperature_dependent = (
             coolant_model is not None and not coolant_model.is_constant
         )
-        if temperature_dependent and assembly_mode != "vectorized":
-            raise ValueError(
-                "temperature-dependent coolant models require the vectorized "
-                "assembly (the Picard refresh reuses the cached pattern)"
-            )
         self.coolant_model = coolant_model if temperature_dependent else None
         self.picard = picard
 
@@ -758,7 +554,6 @@ class SteadyStateSolver:
         metadata = {
             "solver": "ice-steady",
             "backend": self.backend.name,
-            "assembly": self.system.method,
             "n_unknowns": self.system.n_unknowns,
             "grid": (self.stack.n_rows, self.stack.n_cols),
         }
@@ -811,9 +606,7 @@ class SteadyStateSolver:
                 cells = field[offset : offset + (stop - start)]
                 films[layer_idx] = model.film(cells.reshape(shape))
                 offset += stop - start
-            refreshed = AssembledSystem(
-                stack, method=self.system.method, coolant_films=films
-            )
+            refreshed = AssembledSystem(stack, coolant_films=films)
             matrix = refreshed.matrix()
             last["matrix"] = matrix
             vector = self.backend.solve(

@@ -91,9 +91,6 @@ class TransientSolver:
         Linear-solver backend for the implicit steps (a registry name from
         :mod:`repro.thermal.backends`, a backend instance, or None for the
         default ``"auto"``).
-    assembly_mode:
-        ``"vectorized"`` (default) or ``"loop"`` (the reference assembly,
-        retained for equivalence testing and benchmarks).
     """
 
     def __init__(
@@ -101,10 +98,9 @@ class TransientSolver:
         stack: LayerStack,
         power_schedule: Optional[PowerSchedule] = None,
         backend: Union[None, str, SolverBackend] = None,
-        assembly_mode: str = "vectorized",
     ) -> None:
         self.stack = stack
-        self.system = AssembledSystem(stack, method=assembly_mode)
+        self.system = AssembledSystem(stack)
         self.power_schedule = power_schedule
         self.backend = resolve_backend(backend)
         self._matrix = self.system.matrix().tocsr()
@@ -165,10 +161,7 @@ class TransientSolver:
         )
         c_over_dt = sparse.diags(capacitances / time_step)
         implicit = (c_over_dt + self._matrix).tocsr()
-        base_token = self.system.pattern_token
-        implicit_token = (
-            None if base_token is None else ("ice-implicit",) + base_token
-        )
+        implicit_token = ("ice-implicit",) + self.system.pattern_token
         cached = (implicit, c_over_dt, implicit_token)
         self._implicit[time_step] = cached
         return cached
@@ -265,7 +258,6 @@ class TransientSolver:
             metadata={
                 "solver": "ice-transient-backward-euler",
                 "backend": self.backend.name,
-                "assembly": self.system.method,
                 "time_step": time_step,
                 "n_steps": n_steps,
                 "store_every": store_every,

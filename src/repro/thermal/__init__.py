@@ -64,7 +64,6 @@ from .assembly import (
     AssembledSystem,
     SparsityPattern,
     assemble_system,
-    assemble_system_loop,
     clear_pattern_cache,
     pattern_cache_info,
 )
@@ -133,7 +132,6 @@ __all__ = [
     "AssembledSystem",
     "SparsityPattern",
     "assemble_system",
-    "assemble_system_loop",
     "clear_pattern_cache",
     "pattern_cache_info",
     "DEFAULT_BACKEND",

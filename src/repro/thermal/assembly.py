@@ -1,24 +1,20 @@
 """Sparse assembly of the multi-channel finite-difference system.
 
 This module builds the linear system solved by
-:func:`repro.thermal.fdm.solve_finite_difference`.  Two assembly routes are
-provided:
+:func:`repro.thermal.fdm.solve_finite_difference`.  All coefficient (COO)
+triplets of :func:`assemble_system` are produced with vectorized NumPy
+operations, and the *static* sparsity structure of the system -- which
+depends only on the problem shape ``(n_lanes, n_points)``, the
+lateral-coupling flag and the per-lane flow directions -- is computed once
+per shape and cached as a :class:`SparsityPattern`.  Repeated solves of the
+same shape (the optimizer evaluates hundreds of candidate designs on one
+grid) only refresh the ``values`` array and reuse the precomputed CSR
+structure.
 
-* :func:`assemble_system` -- the production path.  All coefficient (COO)
-  triplets are produced with vectorized NumPy operations, and the *static*
-  sparsity structure of the system -- which depends only on the problem
-  shape ``(n_lanes, n_points)``, the lateral-coupling flag and the per-lane
-  flow directions -- is computed once per shape and cached as a
-  :class:`SparsityPattern`.  Repeated solves of the same shape (the
-  optimizer evaluates hundreds of candidate designs on one grid) only
-  refresh the ``values`` array and reuse the precomputed CSR structure.
-* :func:`assemble_system_loop` -- the original per-grid-point Python-loop
-  assembly, kept as the reference implementation for the equivalence test
-  suite and the scaling benchmark.
-
-Both routes discretize the identical equations (see the module docstring of
-:mod:`repro.thermal.fdm`) and produce the same matrix up to floating-point
-round-off.
+The original per-grid-point Python-loop assembly lives on as the reference
+oracle ``tests/oracles/assembly.py``; the equivalence suite checks that both
+discretize the identical equations (see the module docstring of
+:mod:`repro.thermal.fdm`) to floating-point round-off.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ __all__ = [
     "LaneParameters",
     "SparsityPattern",
     "assemble_system",
-    "assemble_system_loop",
     "clear_pattern_cache",
     "get_pattern",
     "lane_conductance_rows",
@@ -416,15 +411,15 @@ class AssembledSystem:
     z_grid: np.ndarray
     params: LaneParameters
     lateral_conductance: float
-    pattern: Optional[SparsityPattern] = None
-    #: Raw COO coefficient values in the pattern's entry order (None for
-    #: loop assembly).  The adjoint path differentiates these directly.
-    values: Optional[np.ndarray] = None
+    pattern: SparsityPattern
+    #: Raw COO coefficient values in the pattern's entry order.  The adjoint
+    #: path differentiates these directly.
+    values: np.ndarray
 
     @property
-    def pattern_token(self) -> Optional[tuple]:
-        """Identity of the sparsity structure (None for loop assembly)."""
-        return None if self.pattern is None else self.pattern.token
+    def pattern_token(self) -> tuple:
+        """Identity of the sparsity structure."""
+        return self.pattern.token
 
 
 def assemble_system(
@@ -434,10 +429,9 @@ def assemble_system(
 ) -> AssembledSystem:
     """Vectorized assembly of the finite-difference system.
 
-    Equivalent to :func:`assemble_system_loop` up to floating-point
-    round-off, but with no per-grid-point Python work: the sparsity
-    structure comes from the per-shape :class:`SparsityPattern` cache and
-    only the coefficient values are recomputed.
+    There is no per-grid-point Python work: the sparsity structure comes
+    from the per-shape :class:`SparsityPattern` cache and only the
+    coefficient values are recomputed.
     """
     if n_points < 3:
         raise ValueError("n_points must be at least 3")
@@ -459,101 +453,4 @@ def assemble_system(
         lateral_conductance=g_lat,
         pattern=pattern,
         values=values,
-    )
-
-
-def assemble_system_loop(
-    structure: MultiChannelStructure,
-    n_points: int = 201,
-    lane_pitch: Optional[float] = None,
-) -> AssembledSystem:
-    """Reference per-grid-point loop assembly (the original implementation).
-
-    Kept verbatim for the equivalence tests and as the baseline of the
-    solver-scaling benchmark; production code uses :func:`assemble_system`.
-    """
-    if n_points < 3:
-        raise ValueError("n_points must be at least 3")
-    n_lanes = structure.n_lanes
-    z_grid = np.linspace(0.0, structure.length, n_points)
-    dz = z_grid[1] - z_grid[0]
-    g_lat = lateral_conductance_of(structure, lane_pitch)
-    params = lane_parameters(structure, z_grid)
-
-    def index(variable: int, lane: int, point: int) -> int:
-        return (variable * n_lanes + lane) * n_points + point
-
-    n_unknowns = 3 * n_lanes * n_points
-    rows, cols, values = [], [], []
-    rhs = np.zeros(n_unknowns)
-
-    def add(row: int, col: int, value: float) -> None:
-        rows.append(row)
-        cols.append(col)
-        values.append(value)
-
-    for lane_idx in range(n_lanes):
-        g_v = params.g_v[lane_idx]
-        g_w = params.g_w[lane_idx]
-        heat = (params.q_top[lane_idx], params.q_bottom[lane_idx])
-        conduction = params.g_l[lane_idx] / dz**2
-        cap = params.cap[lane_idx]
-        for layer in range(2):
-            other_layer = 1 - layer
-            for k in range(n_points):
-                row = index(layer, lane_idx, k)
-                diagonal = 0.0
-                # Longitudinal conduction with zero-flux (adiabatic) ends.
-                if k > 0:
-                    add(row, index(layer, lane_idx, k - 1), conduction)
-                    diagonal -= conduction
-                if k < n_points - 1:
-                    add(row, index(layer, lane_idx, k + 1), conduction)
-                    diagonal -= conduction
-                # Layer to coolant.
-                diagonal -= g_v[k]
-                add(row, index(2, lane_idx, k), g_v[k])
-                # Inter-layer sidewall conduction.
-                diagonal -= g_w[k]
-                add(row, index(other_layer, lane_idx, k), g_w[k])
-                # Lateral conduction to the neighbouring lanes.
-                if g_lat > 0.0:
-                    if lane_idx > 0:
-                        add(row, index(layer, lane_idx - 1, k), g_lat)
-                        diagonal -= g_lat
-                    if lane_idx < n_lanes - 1:
-                        add(row, index(layer, lane_idx + 1, k), g_lat)
-                        diagonal -= g_lat
-                add(row, row, diagonal)
-                rhs[row] = -heat[layer][k]
-
-        # Coolant advection, first-order upwind.  For a reversed lane the
-        # coolant enters at z = d and flows toward z = 0, so the inlet
-        # Dirichlet condition and the upwind neighbour are mirrored.
-        reversed_flow = structure.lanes[lane_idx].flow_reversed
-        inlet_point = n_points - 1 if reversed_flow else 0
-        upstream_offset = 1 if reversed_flow else -1
-        for k in range(n_points):
-            row = index(2, lane_idx, k)
-            if k == inlet_point:
-                add(row, row, 1.0)
-                rhs[row] = structure.inlet_temperature
-                continue
-            advection = cap / dz
-            add(row, row, -(advection + 2.0 * g_v[k]))
-            add(row, index(2, lane_idx, k + upstream_offset), advection)
-            add(row, index(0, lane_idx, k), g_v[k])
-            add(row, index(1, lane_idx, k), g_v[k])
-            rhs[row] = 0.0
-
-    matrix = sparse.csr_matrix(
-        (values, (rows, cols)), shape=(n_unknowns, n_unknowns)
-    )
-    return AssembledSystem(
-        matrix=matrix,
-        rhs=rhs,
-        z_grid=z_grid,
-        params=params,
-        lateral_conductance=g_lat,
-        pattern=None,
     )

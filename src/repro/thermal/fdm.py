@@ -59,7 +59,6 @@ def solve_finite_difference(
     n_points: int = 201,
     lane_pitch: Optional[float] = None,
     backend: Union[None, str, SolverBackend] = None,
-    assembly_mode: str = "vectorized",
     coolant_model: Optional[CoolantModel] = None,
     picard=None,
 ) -> ThermalSolution:
@@ -81,16 +80,13 @@ def solve_finite_difference(
         :mod:`repro.thermal.backends` (``"auto"``, ``"sparse-lu"``,
         ``"sparse-iterative"``, ``"dense"``), a backend instance, or None
         for the default (``"auto"``).
-    assembly_mode:
-        ``"vectorized"`` (default) or ``"loop"`` (the reference Python-loop
-        assembly, retained for equivalence testing and benchmarks).
     coolant_model:
         Optional :class:`~repro.thermal.properties.CoolantModel`.  None or
         a constant-mode model leaves this function bit-identical to the
         constant-property path; a polynomial model wraps the solve in a
         Picard outer iteration (:mod:`repro.core.picard`) that refreshes
         the layer-to-coolant conductances from film properties at the bulk
-        coolant temperatures.  Requires the vectorized assembly.
+        coolant temperatures.
     picard:
         Optional :class:`~repro.core.picard.PicardSettings` convergence
         knobs (defaults apply when omitted).  Ignored for constant models.
@@ -98,17 +94,7 @@ def solve_finite_difference(
     if n_points < 3:
         raise ValueError("n_points must be at least 3")
     temperature_dependent = coolant_model is not None and not coolant_model.is_constant
-    if temperature_dependent and assembly_mode != "vectorized":
-        raise ValueError(
-            "temperature-dependent coolant models require the vectorized "
-            "assembly (the Picard refresh reuses the cached sparsity pattern)"
-        )
-    if assembly_mode == "vectorized":
-        system = assembly.assemble_system(structure, n_points, lane_pitch)
-    elif assembly_mode == "loop":
-        system = assembly.assemble_system_loop(structure, n_points, lane_pitch)
-    else:
-        raise ValueError("assembly_mode must be 'vectorized' or 'loop'")
+    system = assembly.assemble_system(structure, n_points, lane_pitch)
 
     solver = resolve_backend(backend)
     solution_vector = solver.solve(system.matrix, system.rhs, system.pattern_token)
@@ -170,7 +156,6 @@ def solve_finite_difference(
         "cluster_size": structure.cluster_size,
         "lateral_conductance": float(system.lateral_conductance),
         "backend": solver.name,
-        "assembly": assembly_mode,
     }
     if picard_info is not None:
         metadata["picard"] = picard_info

@@ -304,7 +304,6 @@ def _finalize(
         metadata={
             "solver": "ice-transient-backward-euler",
             "backend": backend.name,
-            "assembly": system.method,
             "time_step": transient.time_step_s,
             "n_steps": transient.n_steps,
             "store_every": transient.store_every,

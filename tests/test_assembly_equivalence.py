@@ -1,11 +1,11 @@
-"""Equivalence of the vectorized and the reference loop assembly.
+"""Equivalence of the vectorized assembly and the loop oracle.
 
 The vectorized assembly (cached sparsity pattern + NumPy triplet
 construction) must produce the same sparse matrix and the same
 :class:`ThermalSolution` as the original per-grid-point Python-loop
-assembly on every structure class the solver supports: single lane,
-multi-lane with lateral coupling, lateral coupling disabled, channel
-clustering, and reversed (counterflow) lanes.
+assembly kept in ``tests/oracles/assembly.py``, on every structure class
+the solver supports: single lane, multi-lane with lateral coupling, lateral
+coupling disabled, channel clustering, and reversed (counterflow) lanes.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import assembly as oracle
 from repro.thermal import assembly
 from repro.thermal.fdm import solve_finite_difference
 from repro.thermal.geometry import HeatInputProfile, WidthProfile
@@ -73,17 +74,17 @@ class TestMatrixEquivalence:
     def test_same_matrix_and_rhs(self, geometry, params, n_points):
         for name, cavity in _cases(geometry, params).items():
             vectorized = assembly.assemble_system(cavity, n_points=n_points)
-            loop = assembly.assemble_system_loop(cavity, n_points=n_points)
+            matrix, rhs = oracle.assemble_system_loop(cavity, n_points=n_points)
             np.testing.assert_allclose(
-                vectorized.matrix.todense(),
-                loop.matrix.todense(),
+                vectorized.matrix.toarray(),
+                matrix.toarray(),
                 rtol=1e-13,
                 atol=0.0,
                 err_msg=f"matrix mismatch for case {name!r}",
             )
             np.testing.assert_allclose(
                 vectorized.rhs,
-                loop.rhs,
+                rhs,
                 rtol=1e-13,
                 atol=0.0,
                 err_msg=f"rhs mismatch for case {name!r}",
@@ -96,18 +97,18 @@ class TestMatrixEquivalence:
         )
         modulated = cavity.with_width_profiles([narrowing, narrowing])
         vectorized = assembly.assemble_system(modulated, n_points=31)
-        loop = assembly.assemble_system_loop(modulated, n_points=31)
+        matrix, _ = oracle.assemble_system_loop(modulated, n_points=31)
         np.testing.assert_allclose(
-            vectorized.matrix.todense(), loop.matrix.todense(), rtol=1e-13
+            vectorized.matrix.toarray(), matrix.toarray(), rtol=1e-13
         )
 
     def test_explicit_lane_pitch(self, geometry, params):
         cavity = _cavity(geometry, params, n_lanes=3)
         pitch = 4.0 * geometry.pitch
         vectorized = assembly.assemble_system(cavity, n_points=21, lane_pitch=pitch)
-        loop = assembly.assemble_system_loop(cavity, n_points=21, lane_pitch=pitch)
+        matrix, _ = oracle.assemble_system_loop(cavity, n_points=21, lane_pitch=pitch)
         np.testing.assert_allclose(
-            vectorized.matrix.todense(), loop.matrix.todense(), rtol=1e-13
+            vectorized.matrix.toarray(), matrix.toarray(), rtol=1e-13
         )
 
 
@@ -116,9 +117,7 @@ class TestSolutionEquivalence:
     def test_same_thermal_solution(self, geometry, params, n_points):
         for name, cavity in _cases(geometry, params).items():
             vectorized = solve_finite_difference(cavity, n_points=n_points)
-            loop = solve_finite_difference(
-                cavity, n_points=n_points, assembly_mode="loop"
-            )
+            loop = oracle.solve_loop(cavity, n_points=n_points)
             np.testing.assert_allclose(
                 vectorized.temperatures,
                 loop.temperatures,
@@ -140,18 +139,6 @@ class TestSolutionEquivalence:
                 atol=1e-9,
                 err_msg=f"heat-flow mismatch for case {name!r}",
             )
-
-    def test_metadata_records_assembly_mode(self, geometry, params):
-        cavity = _cavity(geometry, params, n_lanes=2)
-        vectorized = solve_finite_difference(cavity, n_points=21)
-        loop = solve_finite_difference(cavity, n_points=21, assembly_mode="loop")
-        assert vectorized.metadata["assembly"] == "vectorized"
-        assert loop.metadata["assembly"] == "loop"
-
-    def test_rejects_unknown_assembly_mode(self, geometry, params):
-        cavity = _cavity(geometry, params, n_lanes=1)
-        with pytest.raises(ValueError):
-            solve_finite_difference(cavity, n_points=21, assembly_mode="magic")
 
 
 class TestSparsityPatternCache:

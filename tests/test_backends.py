@@ -1,7 +1,8 @@
 """Tests of the pluggable linear-solver backend registry.
 
-Every registered backend must reproduce the reference (loop-assembled,
-direct-solved) temperature fields within 1e-8 on representative fixtures,
+Every registered backend must reproduce the reference temperature fields
+(loop-assembled by ``tests/oracles/assembly.py``, direct-solved) within
+1e-8 on representative fixtures,
 and the registry must reject unknown names and duplicate registrations.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import assembly as oracle
 from repro.thermal import assembly, backends
 from repro.thermal.fdm import solve_finite_difference, solve_structure
 from repro.thermal.geometry import HeatInputProfile
@@ -47,9 +49,7 @@ class TestBackendEquivalence:
     )
     def test_matches_reference_solution(self, cavities, backend):
         for name, cavity in cavities.items():
-            reference = solve_finite_difference(
-                cavity, n_points=61, assembly_mode="loop", backend="sparse-lu"
-            )
+            reference = oracle.solve_loop(cavity, n_points=61)
             solution = solve_finite_difference(cavity, n_points=61, backend=backend)
             np.testing.assert_allclose(
                 solution.temperatures,

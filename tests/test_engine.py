@@ -83,8 +83,8 @@ class TestEngineCache:
         assert not np.allclose(first.temperatures, second.temperatures)
 
     def test_solver_options_are_part_of_the_key(self, test_a):
-        """Regression: lane_pitch/assembly_mode change the answer, so they
-        must not collide in the cache."""
+        """Regression: solver options such as lane_pitch change the answer,
+        so they must not collide in the cache."""
         from dataclasses import replace
 
         from repro.thermal.geometry import HeatInputProfile, MultiChannelStructure

@@ -1,12 +1,13 @@
-"""Bit-identical equivalence of the vectorized and loop ICE assembly.
+"""Bit-identical equivalence of the vectorized ICE assembly and its oracle.
 
 The vectorized finite-volume assembly (NumPy triplet construction over the
-cached :class:`~repro.ice.solver.StackPattern`) must reproduce the retained
-reference loop *exactly* -- same matrix coefficients bit for bit, same
-right-hand side, same capacitances -- across every stack class the solver
-supports: solid-only stacks, the single-cavity strip and 2D two-die stacks,
-modulated and per-channel width profiles, and the 4-die / 3-cavity Niagara
-stackings.  A transient run must likewise produce identical histories.
+cached :class:`~repro.ice.solver.StackPattern`) must reproduce the
+triple-loop oracle of ``tests/oracles/ice_assembly.py`` *exactly* -- same
+matrix coefficients bit for bit, same right-hand side, same capacitances --
+across every stack class the solver supports: solid-only stacks, the
+single-cavity strip and 2D two-die stacks, modulated and per-channel width
+profiles, and the 4-die / 3-cavity Niagara stackings.  A transient run must
+likewise produce identical histories.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import ice_assembly as oracle
 from repro.floorplan import get_architecture
 from repro.ice import (
     LayerStack,
@@ -21,13 +23,13 @@ from repro.ice import (
     SteadyStateSolver,
     TransientSolver,
     assemble_system,
-    assemble_system_loop,
     clear_stack_pattern_cache,
     multi_die_stack_from_architecture,
     multi_die_stack_from_maps,
     stack_pattern_cache_info,
     two_die_stack_from_maps,
 )
+from repro.ice.transient import result_from_snapshots
 from repro.thermal.backends import SparseLUBackend
 from repro.thermal.geometry import WidthProfile
 from repro.thermal.properties import SILICON, TABLE_I
@@ -44,15 +46,15 @@ def _canonical(matrix):
 def assert_bit_identical(stack, label):
     """The vectorized system must equal the loop system exactly."""
     vectorized = assemble_system(stack)
-    loop = assemble_system_loop(stack)
+    matrix, rhs, capacitances = oracle.assemble_system_loop(stack)
     a = _canonical(vectorized.matrix())
-    b = _canonical(loop.matrix())
+    b = _canonical(matrix)
     assert np.array_equal(a.indptr, b.indptr), f"{label}: indptr differs"
     assert np.array_equal(a.indices, b.indices), f"{label}: sparsity differs"
     assert np.array_equal(a.data, b.data), f"{label}: coefficients differ"
-    assert np.array_equal(vectorized.rhs, loop.rhs), f"{label}: rhs differs"
+    assert np.array_equal(vectorized.rhs, rhs), f"{label}: rhs differs"
     assert np.array_equal(
-        vectorized.capacitances, loop.capacitances
+        vectorized.capacitances, capacitances
     ), f"{label}: capacitances differ"
 
 
@@ -136,12 +138,6 @@ class TestBitIdenticalAssembly:
         with pytest.raises(ValueError):
             multi_die_stack_from_maps([50.0], die_length=0.01, die_width=0.001)
 
-    def test_rejects_unknown_assembly_method(self):
-        from repro.ice import AssembledSystem
-
-        with pytest.raises(ValueError):
-            AssembledSystem(_strip_stack(), method="magic")
-
 
 class TestStackPatternCache:
     def test_pattern_reused_across_same_shape(self):
@@ -169,25 +165,18 @@ class TestStackPatternCache:
         np.testing.assert_array_equal(first.indptr, second.indptr)
         assert np.any(first.data != second.data)
 
-    def test_loop_assembly_has_no_pattern(self):
-        system = assemble_system_loop(_strip_stack())
-        assert system.pattern is None
-        assert system.pattern_token is None
-
 
 class TestSolverEquivalence:
     def test_steady_solutions_identical(self):
         stack = _strip_stack(n_cols=20)
         backend = SparseLUBackend()
-        vectorized = SteadyStateSolver(stack, backend=backend).solve()
-        loop = SteadyStateSolver(
-            stack, backend=backend, assembly_mode="loop"
-        ).solve()
+        solver = SteadyStateSolver(stack, backend=backend)
+        vectorized = solver.solve()
+        matrix, rhs, _ = oracle.assemble_system_loop(stack)
+        layer_maps, _ = solver.system.split_solution(backend.solve(matrix, rhs))
         for name in vectorized.layer_names():
-            np.testing.assert_array_equal(
-                vectorized.layer(name), loop.layer(name)
-            )
-        # The two assemblies are factorized independently (the loop path
+            np.testing.assert_array_equal(vectorized.layer(name), layer_maps[name])
+        # The two assemblies are factorized independently (the oracle
         # carries no pattern token), yet bit-identical matrices make even
         # the factorized solves agree exactly.
         assert backend.stats()["n_factorizations"] == 2
@@ -195,12 +184,21 @@ class TestSolverEquivalence:
     def test_transient_histories_identical(self):
         stack = _strip_stack(n_cols=16)
         backend = SparseLUBackend()
-        vectorized = TransientSolver(stack, backend=backend).run(
-            duration=0.05, time_step=0.005
+        solver = TransientSolver(stack, backend=backend)
+        vectorized = solver.run(duration=0.05, time_step=0.005)
+        matrix, rhs, capacitances = oracle.assemble_system_loop(stack)
+        states = oracle.backward_euler_states(
+            matrix,
+            rhs,
+            capacitances,
+            np.full(matrix.shape[0], stack.ambient_temperature),
+            time_step=0.005,
+            n_steps=10,
+            backend=backend,
         )
-        loop = TransientSolver(
-            stack, backend=backend, assembly_mode="loop"
-        ).run(duration=0.05, time_step=0.005)
+        loop = result_from_snapshots(
+            solver.system, stack, 0.005 * np.arange(11), states, metadata={}
+        )
         assert set(vectorized.layer_histories) == set(loop.layer_histories)
         np.testing.assert_array_equal(vectorized.times, loop.times)
         for name, history in vectorized.layer_histories.items():
@@ -221,7 +219,6 @@ class TestBackendRouting:
     def test_backend_name_in_metadata(self):
         result = SteadyStateSolver(_strip_stack(), backend="sparse-lu").solve()
         assert result.metadata["backend"] == "sparse-lu"
-        assert result.metadata["assembly"] == "vectorized"
 
     def test_residual_is_opt_in(self):
         solver = SteadyStateSolver(_strip_stack())

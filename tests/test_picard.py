@@ -261,16 +261,6 @@ class TestFDMWaterMode:
         assert picard["fell_back"] and not picard["converged"]
         assert np.array_equal(forced.temperatures, base.temperatures)
 
-    def test_loop_assembly_rejected_for_water(self):
-        spec = get_scenario("test-a")
-        with pytest.raises(ValueError, match="vectorized"):
-            solve_structure(
-                spec.build_structure(),
-                n_points=81,
-                assembly_mode="loop",
-                coolant_model=WATER_COOLANT_MODEL,
-            )
-
 
 class TestICECoolantModel:
     @staticmethod
