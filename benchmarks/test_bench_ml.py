@@ -16,8 +16,11 @@ Run with::
         | grep '^BENCH '
 
 Setting ``REPRO_BENCH_SMOKE=1`` shrinks the query sweep to smoke-test
-size (the CI benchmark job).  The surrogate path must involve zero
-solver activity -- that assertion holds even in smoke mode.
+size (the CI benchmark job).  The asserts are deterministic and hold in
+both modes: the surrogate path performs zero direct solves (read from the
+``sparse-lu`` backend's lookup counter, which the exact path moves), and
+the far out-of-distribution query falls back to an exact job.  The speed
+ratios live in the BENCH records only.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from repro.ml import build_dataset, make_surrogate
 from repro.scenarios import GridSpec, OptimizerSpec, get_scenario
 from repro.serve import CampaignServer, CampaignService, ServiceClient
 from repro.sweeps import SweepAxis, SweepSpec, apply_field_overrides
+from repro.thermal.backends import get_backend
 
 #: Smoke mode: tiny query sweep, no throughput assertions (CI runs this).
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip() not in ("", "0")
@@ -92,10 +96,16 @@ def test_surrogate_throughput_records(tmp_path):
     campaign = Session().run_many(sweep, out=store_path)
     assert campaign.n_failed == 0
 
+    def direct_solves():
+        return get_backend("sparse-lu").stats()["n_content_hashes"]
+
+    before = direct_solves()
     start = time.perf_counter()
     exact = Session().run_many(queries)
     exact_wall = time.perf_counter() - start
     assert exact.n_failed == 0
+    assert exact.provenance["counters"]["n_solves"] > 0
+    assert direct_solves() > before
     rows.append(("exact", exact_wall, exact.provenance["counters"]["n_solves"], 0))
 
     start = time.perf_counter()
@@ -103,9 +113,12 @@ def test_surrogate_throughput_records(tmp_path):
     model = make_surrogate("gp").fit(dataset)
     fit_wall = time.perf_counter() - start
 
+    before = direct_solves()
     start = time.perf_counter()
     mean, std = model.predict_specs(queries)
     surrogate_wall = time.perf_counter() - start
+    # Answering from the surrogate solves nothing.
+    assert direct_solves() == before
     assert mean.shape == (len(queries), len(model.targets))
     index = list(model.targets).index("peak_temperature_K")
     # In-distribution queries are confident, the OOD tail point is not.
@@ -121,16 +134,19 @@ def test_surrogate_throughput_records(tmp_path):
         client.fit()
 
         start = time.perf_counter()
-        n_fallbacks = 0
+        sources = []
         for query in queries:
             answer = client.predict(
                 query.to_dict(), exact_if_std_above=THRESHOLD
             )
+            sources.append(answer["source"])
             if answer["source"] == "exact":
-                n_fallbacks += 1
                 client.wait(answer["job"]["job_id"], timeout=600, poll_s=0.05)
         gated_wall = time.perf_counter() - start
+        n_fallbacks = sources.count("exact")
         assert 1 <= n_fallbacks < len(queries)
+        # The far out-of-distribution query (the last) is solved exactly.
+        assert sources[-1] == "exact"
         rows.append(("gated", gated_wall, n_fallbacks, n_fallbacks))
     finally:
         server.stop()
@@ -151,10 +167,6 @@ def test_surrogate_throughput_records(tmp_path):
                 "speedup_vs_exact": exact_wall / wall if wall else float("inf"),
             }
         )
-    if not SMOKE:
-        # The whole point of the surrogate: answering must beat solving.
-        assert surrogate_wall < exact_wall
-
     print()
     print(f"surrogate throughput ({len(queries)} queries)")
     for path, wall, n_solves, _ in rows:

@@ -35,7 +35,7 @@ differencing step acts on an O(1) normalized variable, so the O(step^2)
 linearization error sits far below the 1e-6 agreement the test suite
 demands.
 
-The adjoint transpose solve reuses the *forward* SuperLU factorization
+The adjoint transpose solve reuses the *forward* LU factorization
 (``trans='T'`` via :meth:`~repro.thermal.backends.SolverBackend.solve_transpose`),
 so after the cached forward solve of the current iterate the whole
 gradient costs one triangular solve plus the stencil dot products.

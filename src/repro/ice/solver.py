@@ -34,8 +34,11 @@ triple-nested Python-loop assembly, which lives on as the reference oracle
 this module and produce bit-identical matrices, right-hand sides and
 capacitance vectors (the equivalence suite asserts exact equality).  The
 linear systems are solved through the pluggable backends of
-:mod:`repro.thermal.backends` (SuperLU with factorization reuse by
-default), selected per solver via the ``backend`` argument.
+:mod:`repro.thermal.backends`, selected per solver via the ``backend``
+argument.  The default ``sparse-lu`` backend picks its kernel from the
+stack's bandwidth -- LAPACK's banded LU for single-row strips, SuperLU
+under an ``A + A^T`` minimum-degree ordering for 2D grids -- and reuses
+each factorization.
 """
 
 from __future__ import annotations
@@ -489,8 +492,9 @@ class SteadyStateSolver:
         Linear-solver backend: a registry name from
         :mod:`repro.thermal.backends` (``"auto"``, ``"sparse-lu"``,
         ``"sparse-iterative"``, ``"dense"``), a backend instance, or None
-        for the default (``"auto"``).  The sparse-LU backend reuses its
-        cached factorization across repeated solves of an unchanged stack.
+        for the default (``"auto"``, which hands out ``"sparse-lu"``).
+        The sparse-LU backend reuses its cached factorization across
+        repeated solves of an unchanged stack.
     coolant_model:
         Optional :class:`~repro.thermal.properties.CoolantModel`.  None or
         a constant-mode model leaves the solve bit-identical to the

@@ -6,11 +6,19 @@ through a small registry so experiments, benchmarks and the evaluation
 engine can swap solvers without touching the assembly:
 
 ``sparse-lu`` (default workhorse)
-    SuperLU factorization via :func:`scipy.sparse.linalg.splu`.  A small
-    LRU of factorizations keyed on the (static) sparsity-pattern token and
-    a content hash of the coefficient values lets repeated solves of an
-    unchanged matrix reuse the factorization and pay only a triangular
-    solve (~30x cheaper at Fig. 8/9 problem sizes).
+    Direct LU with a factorization plan per sparsity structure.  The plan
+    is computed once per structure (keyed on the pattern token, or on a
+    hash of the structure when there is none) and holds a reverse
+    Cuthill--McKee ordering of ``|A| + |A^T|`` (Cuthill & McKee, 1969) with
+    its bandwidth.  Narrow structures -- every FDM cavity system, whose
+    variable-major unknowns have bandwidth ~1000 before and ~15 after the
+    ordering -- factorize with LAPACK's banded LU (``gbtrf``/``gbtrs``);
+    wide ones -- the finite-volume stacks -- with SuperLU under an
+    ``A + A^T`` minimum-degree ordering (Amestoy, Davis & Duff, 1996).  The
+    kernel depends on the structure alone, never on whether the caller
+    passed a token.  A small LRU of factorizations keyed on the structure
+    plus a content hash of the coefficient values lets repeated solves of
+    an unchanged matrix pay only a triangular solve.
 
 ``sparse-iterative``
     ILU-preconditioned GMRES on a row-equilibrated system, for cavities
@@ -20,12 +28,12 @@ engine can swap solvers without touching the assembly:
     direct solve.
 
 ``dense``
-    LAPACK dense solve, fastest for tiny systems (one lane on a coarse
-    grid) where sparse bookkeeping dominates.
+    LAPACK dense solve on the densified matrix; a reference for small
+    systems.
 
 ``auto``
-    Picks ``dense`` below :data:`AutoBackend.dense_cutoff` unknowns and
-    ``sparse-lu`` above it.
+    Hands out ``sparse-lu`` at every size: its banded kernel is faster
+    than the dense solve even at the smallest (120-unknown) cavities.
 
 Factorization handles
 ---------------------
@@ -56,7 +64,11 @@ from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import get_lapack_funcs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
+
+from ..core.linear_system import PatternCache
 
 __all__ = [
     "AutoBackend",
@@ -238,7 +250,7 @@ class _HandleBackend(SolverBackend):
 
 
 class DenseBackend(_HandleBackend):
-    """LAPACK dense solve; the fastest option for tiny systems.
+    """LAPACK dense solve on the densified matrix; a reference for small systems.
 
     The handle holds the densified matrix; every solve is a fresh
     ``np.linalg.solve`` on it, one column at a time (LAPACK's blocked
@@ -255,14 +267,129 @@ class DenseBackend(_HandleBackend):
         return _columnwise(partial(np.linalg.solve, dense), rhs)
 
 
-class SparseLUBackend(_HandleBackend):
-    """SuperLU direct solve with factorization reuse.
+#: Structures whose reverse Cuthill--McKee bandwidth ``kl + ku`` is at most
+#: this factorize with LAPACK's banded LU; wider ones with SuperLU.  Set
+#: from the FDM cavities (1-64 lanes) and finite-volume stacks (1-4 dies)
+#: on a 2-CPU x86 host: up to ``kl + ku = 96`` the banded LU factorizes
+#: 2-9x faster than SuperLU and solves within 1.2x of it; from 132 on its
+#: solves are 1.5-5x slower, a loss the many-solve transient and ROM paths
+#: would pay on every step.
+BANDED_MAX_BANDWIDTH = 100
 
-    Factorizations are cached in a bounded LRU keyed on the sparsity
-    pattern token plus a content hash of the coefficient values, so solving
-    the same matrix again (same design, same grid) skips the numeric
-    factorization entirely.  Acquiring a handle is one such lookup (counted
-    in ``n_content_hashes``); each handle solve after the first counts as a
+#: Structures whose factorization plan is kept (plans are small).
+_PLAN_CACHE_SIZE = 32
+
+#: SuperLU settings for wide structures.  Their matrices are (weakly)
+#: diagonally dominant conduction/advection systems whose structure is
+#: symmetric, so the ``A + A^T`` minimum-degree ordering runs in symmetric
+#: mode, which prefers diagonal pivots; without it SuperLU's row
+#: interchanges spoil the ordering (up to 15x slower than COLAMD on 4-die
+#: stacks).
+_SUPERLU_OPTIONS = {
+    "permc_spec": "MMD_AT_PLUS_A",
+    "diag_pivot_thresh": 0.1,
+    "options": {"SymmetricMode": True},
+}
+
+_GBTRF, _GBTRS = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
+_LAPACK_TRANS = {"N": 0, "T": 1, "H": 2}
+
+
+class _FactorPlan:
+    """How one sparsity structure is factorized.
+
+    ``perm`` is the reverse Cuthill--McKee ordering of ``|A| + |A^T|`` and
+    ``kl``/``ku`` the lower/upper bandwidth of ``A[perm][:, perm]``.  For a
+    narrow structure ``scatter`` maps each CSR ``data`` slot to its place in
+    the column-major LAPACK band storage of ``2 kl + ku + 1`` rows, so the
+    band is filled in one call per factorization; wide structures have no
+    scatter and go to SuperLU.
+    """
+
+    __slots__ = ("perm", "kl", "ku", "scatter")
+
+    def __init__(self, matrix) -> None:
+        n = matrix.shape[0]
+        pattern = sparse.csr_matrix(
+            (np.ones(matrix.nnz), matrix.indices, matrix.indptr), shape=matrix.shape
+        )
+        symmetric = (pattern + pattern.T).tocsr()
+        # Canonical form, so the ordering depends on the nonzero set alone,
+        # not on how the CSR arrays store it (duplicates, index order).
+        symmetric.sum_duplicates()
+        self.perm = reverse_cuthill_mckee(symmetric, symmetric_mode=True).astype(np.intp)
+        position = np.empty(n, dtype=np.intp)
+        position[self.perm] = np.arange(n)
+        rows = position[np.repeat(np.arange(n), np.diff(matrix.indptr))]
+        cols = position[matrix.indices]
+        self.kl = int((rows - cols).max(initial=0))
+        self.ku = int((cols - rows).max(initial=0))
+        self.scatter = None
+        if self.kl + self.ku <= BANDED_MAX_BANDWIDTH:
+            ldab = 2 * self.kl + self.ku + 1
+            self.scatter = (self.kl + self.ku + rows - cols) + ldab * cols
+
+    def factorize(self, matrix):
+        """The banded LU or SuperLU factor of ``matrix`` (this structure)."""
+        if self.scatter is None:
+            return splu(matrix.tocsc(), **_SUPERLU_OPTIONS)
+        return _BandedLU(self, matrix)
+
+
+class _BandedLU:
+    """LAPACK banded LU of ``A[perm][:, perm]``, solving like a SuperLU factor."""
+
+    __slots__ = ("plan", "lu", "ipiv")
+
+    def __init__(self, plan: _FactorPlan, matrix) -> None:
+        n = matrix.shape[0]
+        ldab = 2 * plan.kl + plan.ku + 1
+        # bincount folds duplicate CSR entries, as SuperLU does.
+        band = np.bincount(
+            plan.scatter, weights=matrix.data, minlength=ldab * n
+        ).reshape((ldab, n), order="F")
+        self.lu, self.ipiv, info = _GBTRF(band, plan.kl, plan.ku, overwrite_ab=1)
+        if info > 0:
+            raise RuntimeError("Factor is exactly singular")
+        if info < 0:
+            raise ValueError(f"gbtrf rejected argument {-info}")
+        self.plan = plan
+
+    @property
+    def nnz(self) -> int:
+        """Stored factor entries: the size of the band storage."""
+        return self.lu.size
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """Solve ``A x = rhs`` (``trans="T"``: ``A^T x = rhs``)."""
+        plan = self.plan
+        permuted, info = _GBTRS(
+            self.lu,
+            plan.kl,
+            plan.ku,
+            np.asarray(rhs)[plan.perm],
+            self.ipiv,
+            trans=_LAPACK_TRANS[trans],
+            overwrite_b=1,
+        )
+        if info != 0:
+            raise ValueError(f"gbtrs rejected argument {-info}")
+        solution = np.empty_like(permuted)
+        solution[plan.perm] = permuted
+        return solution
+
+
+class SparseLUBackend(_HandleBackend):
+    """Direct LU solve with per-structure plans and factorization reuse.
+
+    Each sparsity structure gets a :class:`_FactorPlan` once (kept in a
+    bounded :class:`~repro.core.linear_system.PatternCache`), which picks
+    the banded LAPACK kernel or SuperLU from the structure's bandwidth.
+    Factorizations are cached in a bounded LRU keyed on the structure plus
+    a content hash of the coefficient values, so solving the same matrix
+    again (same design, same grid) skips the numeric factorization
+    entirely.  Acquiring a handle is one such lookup (counted in
+    ``n_content_hashes``); each handle solve after the first counts as a
     factorization reuse, exactly as a fresh lookup hit would.
     """
 
@@ -273,23 +400,26 @@ class SparseLUBackend(_HandleBackend):
             raise ValueError("factorization_cache_size must be non-negative")
         self.factorization_cache_size = int(factorization_cache_size)
         self._factorizations: "OrderedDict[tuple, object]" = OrderedDict()
+        self._plans = PatternCache(_PLAN_CACHE_SIZE)
         self._lock = threading.Lock()
         self.n_factorizations = 0
         self.n_factorization_reuses = 0
         self.n_content_hashes = 0
 
     def _matrix_key(self, matrix, pattern_token):
-        digest = hashlib.blake2b(matrix.data.tobytes(), digest_size=16)
-        if pattern_token is None:
+        """``(structure key, content key)`` of ``matrix``."""
+        structure = pattern_token
+        if structure is None:
             # Without a pattern token the structure itself must be hashed.
-            digest.update(matrix.indices.tobytes())
+            digest = hashlib.blake2b(matrix.indices.tobytes(), digest_size=16)
             digest.update(matrix.indptr.tobytes())
-            return (matrix.shape, matrix.nnz, digest.hexdigest())
-        return (pattern_token, digest.hexdigest())
+            structure = ("structure", matrix.shape, matrix.nnz, digest.hexdigest())
+        content = hashlib.blake2b(matrix.data.tobytes(), digest_size=16)
+        return structure, (structure, content.hexdigest())
 
     def _factorization_for(self, matrix, pattern_token):
-        """The (possibly cached) SuperLU factorization of ``matrix``."""
-        key = self._matrix_key(matrix, pattern_token)
+        """The (possibly cached) factorization of ``matrix``."""
+        structure, key = self._matrix_key(matrix, pattern_token)
         with self._lock:
             self.n_content_hashes += 1
             factorization = self._factorizations.get(key)
@@ -297,7 +427,8 @@ class SparseLUBackend(_HandleBackend):
                 self._factorizations.move_to_end(key)
                 self.n_factorization_reuses += 1
         if factorization is None:
-            factorization = splu(matrix.tocsc())
+            plan = self._plans.get_or_build(structure, partial(_FactorPlan, matrix))
+            factorization = plan.factorize(matrix)
             with self._lock:
                 self.n_factorizations += 1
                 if self.factorization_cache_size > 0:
@@ -307,14 +438,15 @@ class SparseLUBackend(_HandleBackend):
         return factorization
 
     def solver_for(self, matrix, pattern_token=None):
-        if not sparse.issparse(matrix):
+        # Plans and content keys read the CSR arrays (indptr over rows).
+        if not sparse.issparse(matrix) or matrix.format != "csr":
             matrix = sparse.csr_matrix(matrix)
         return FactorizationHandle(
             self, matrix, pattern_token, self._factorization_for(matrix, pattern_token)
         )
 
     def solve_with(self, handle, rhs, trans="N"):
-        # SuperLU solves A^T x = b from the *forward* decomposition
+        # Both kernels solve A^T x = b from the *forward* decomposition
         # (``trans='T'``), so the adjoint after a forward solve of the same
         # matrix -- the optimizer's hot path -- costs one triangular solve.
         if handle.used:
@@ -326,18 +458,30 @@ class SparseLUBackend(_HandleBackend):
     def reset(self):
         with self._lock:
             self._factorizations.clear()
+            self._plans.clear()
             self.n_factorizations = 0
             self.n_factorization_reuses = 0
             self.n_content_hashes = 0
 
     def stats(self):
+        """Counters, plus the kernel mix and fill of the cached factors.
+
+        ``cached_fill`` sums each cached factor's stored entries: the band
+        storage of a banded LU, SuperLU's own ``nnz`` of its factors.
+        """
         with self._lock:
-            return {
+            factors = list(self._factorizations.values())
+            stats = {
                 "n_factorizations": self.n_factorizations,
                 "n_factorization_reuses": self.n_factorization_reuses,
                 "n_content_hashes": self.n_content_hashes,
-                "cached_factorizations": len(self._factorizations),
+                "cached_factorizations": len(factors),
             }
+        n_banded = sum(isinstance(factor, _BandedLU) for factor in factors)
+        stats["cached_banded"] = n_banded
+        stats["cached_superlu"] = len(factors) - n_banded
+        stats["cached_fill"] = sum(int(factor.nnz) for factor in factors)
+        return stats
 
 
 class SparseIterativeBackend(SolverBackend):
@@ -432,26 +576,19 @@ class SparseIterativeBackend(SolverBackend):
 
 
 class AutoBackend(_HandleBackend):
-    """Size-based dispatch: dense for tiny systems, sparse LU otherwise.
+    """The default: hands out ``sparse-lu`` handles at every size.
 
-    Handles come from the chosen backend and solve through it.
+    ``sparse-lu``'s banded kernel beats the dense solve even on the
+    smallest cavity systems (120 unknowns), so it needs no size cutoff.
     """
 
     name = "auto"
 
-    #: Systems with at most this many unknowns go to the dense backend
-    #: (measured crossover vs SuperLU on the FDM systems is ~120 unknowns).
-    dense_cutoff = 120
-
     def solver_for(self, matrix, pattern_token=None):
-        chosen = "dense" if matrix.shape[0] <= self.dense_cutoff else "sparse-lu"
-        return get_backend(chosen).solver_for(matrix, pattern_token)
+        return get_backend("sparse-lu").solver_for(matrix, pattern_token)
 
     def solve_with(self, handle, rhs, trans="N"):
         return handle.backend.solve_with(handle, rhs, trans)
-
-    def stats(self):
-        return {"dense_cutoff": self.dense_cutoff}
 
 
 _REGISTRY: Dict[str, SolverBackend] = {}

@@ -34,8 +34,11 @@ of Sec. III of the paper.
 
 The sparse system is produced by :mod:`repro.thermal.assembly` (vectorized
 triplet construction over a cached per-shape sparsity pattern) and solved by
-a pluggable backend from :mod:`repro.thermal.backends` (``sparse-lu`` with
-factorization reuse, ``sparse-iterative``, ``dense``, or ``auto``).
+a pluggable backend from :mod:`repro.thermal.backends`: by default
+``sparse-lu``, which orders the unknowns by reverse Cuthill--McKee once per
+pattern and factorizes the resulting narrow band with LAPACK's banded LU,
+reusing factorizations of unchanged matrices; or ``sparse-iterative`` or
+``dense``.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ def solve_finite_difference(
         Linear-solver backend: a registry name from
         :mod:`repro.thermal.backends` (``"auto"``, ``"sparse-lu"``,
         ``"sparse-iterative"``, ``"dense"``), a backend instance, or None
-        for the default (``"auto"``).
+        for the default (``"auto"``, which hands out ``"sparse-lu"``).
     coolant_model:
         Optional :class:`~repro.thermal.properties.CoolantModel`.  None or
         a constant-mode model leaves this function bit-identical to the

@@ -15,4 +15,7 @@ ratio:
 * :mod:`oracles.pressure` -- sampled-trapezoid Eq. (9) pressure drops and
   per-column constraint Jacobians (:mod:`repro.hydraulics.pressure`,
   :mod:`repro.core.constraints`).
+* :mod:`oracles.superlu` -- the default-ordering SuperLU solve of the
+  banded and minimum-degree direct-solve kernels
+  (:mod:`repro.thermal.backends`).
 """

@@ -47,7 +47,7 @@ def fresh_rom_cache():
 
 @pytest.fixture(scope="module")
 def systems(geometry, params):
-    """A dense-sized (<= 120 unknowns) and a sparse-sized FDM system."""
+    """A small (at most the 120-unknown Test A/B size) and a larger FDM system."""
 
     def make(n_lanes, n_points):
         heat = [
@@ -66,8 +66,7 @@ def systems(geometry, params):
         return assembly.assemble_system(cavity, n_points=n_points)
 
     small, large = make(1, 31), make(4, 41)
-    assert small.matrix.shape[0] <= backends.AutoBackend.dense_cutoff
-    assert large.matrix.shape[0] > backends.AutoBackend.dense_cutoff
+    assert small.matrix.shape[0] <= 120 < large.matrix.shape[0]
     return {"small": small, "large": large}
 
 
@@ -120,11 +119,10 @@ class TestHandleEquivalence:
             handle.solve(block), backend.solve_matrix(matrix, block, token)
         )
 
-    def test_auto_hands_out_the_size_matched_backend(self, systems):
+    def test_auto_hands_out_sparse_lu_at_every_size(self, systems):
         auto = backends.get_backend("auto")
-        small, large = systems["small"], systems["large"]
-        assert auto.solver_for(small.matrix).backend.name == "dense"
-        assert auto.solver_for(large.matrix).backend.name == "sparse-lu"
+        for system in systems.values():
+            assert auto.solver_for(system.matrix).backend.name == "sparse-lu"
 
 
 class TestSparseLUCounters:
