@@ -1,4 +1,4 @@
-"""Adjoint vs batched-FD gradient cost, and the value-refresh kernels.
+"""Adjoint vs batched-FD gradient cost, and the value-refresh fold.
 
 Times one full objective gradient of the Test A modulation problem
 through both strategies as the design dimension grows (n = 6, 12, 24
@@ -16,10 +16,9 @@ its cost grows linearly with the number of design variables, while the
 adjoint needs one forward and one transpose solve regardless of ``n`` --
 the per-gradient cost stays flat.  The asserts check that structure
 (solve, transpose-solve and batch counts per gradient); the speedups are
-reported in the BENCH record only.  When Numba is importable the record
-also times the compiled COO->CSR value-refresh kernel against the NumPy
-one.  Setting ``REPRO_BENCH_SMOKE=1`` shrinks the problem to smoke-test
-size.
+reported in the BENCH record only.  The record also times the COO->CSR
+value-refresh fold of the Test A pattern.  Setting ``REPRO_BENCH_SMOKE=1``
+shrinks the problem to smoke-test size.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import time
 import numpy as np
 
 from repro.core import ChannelModulationOptimizer, OptimizerSettings
-from repro.core.linear_system import available_refresh_kernels, get_refresh_kernel
 from repro.floorplan import test_a_structure as build_test_a
 from repro.thermal.assembly import assemble_system
 from repro.thermal.geometry import MultiChannelStructure
@@ -156,26 +154,17 @@ def test_adjoint_gradient_cost_is_flat(config, benchmark):
 
 
 def _refresh_record(repeats: int = 50) -> dict:
-    """Time the COO->CSR value-refresh kernels on the Test A pattern."""
+    """Time the COO->CSR value-refresh fold on the Test A pattern."""
     system = assemble_system(
         MultiChannelStructure.single(build_test_a()), n_points=N_GRID
     )
     fold = system.pattern.fold
     values = np.asarray(system.values)
 
-    kernels = {}
-    for name in available_refresh_kernels():
-        kernel = get_refresh_kernel(name)
-        kernel(fold.entry_to_slot, values, fold.nnz)  # warm (numba compiles)
-        start = time.perf_counter()
-        for _ in range(repeats):
-            kernel(fold.entry_to_slot, values, fold.nnz)
-        kernels[name] = (time.perf_counter() - start) / repeats
-    record = {"n_entries": int(fold.n_entries), "kernel_s": kernels}
-    if "numba" in kernels:
-        record["numba_speedup"] = kernels["numpy"] / kernels["numba"]
-        np.testing.assert_array_equal(
-            get_refresh_kernel("numba")(fold.entry_to_slot, values, fold.nnz),
-            get_refresh_kernel("numpy")(fold.entry_to_slot, values, fold.nnz),
-        )
-    return record
+    start = time.perf_counter()
+    for _ in range(repeats):
+        fold.fold(values)
+    return {
+        "n_entries": int(fold.n_entries),
+        "fold_s": (time.perf_counter() - start) / repeats,
+    }

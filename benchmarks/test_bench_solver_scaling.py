@@ -209,15 +209,11 @@ def test_backend_scaling_with_lane_count(benchmark, config):
         candidates = ["sparse-lu", "auto"]
         if n_unknowns <= 1500:
             candidates.append("dense")
-        if n_lanes >= 16:
-            candidates.append("sparse-iterative")
         for name in candidates:
             # Fresh instances so factorization caches do not flatter the
             # cold-solve numbers.
             if name == "sparse-lu":
                 backend = backends.SparseLUBackend(factorization_cache_size=0)
-            elif name == "sparse-iterative":
-                backend = backends.SparseIterativeBackend()
             else:
                 backend = name
             repeats = 3 if n_lanes <= 16 else 1

@@ -67,8 +67,8 @@ supported -- the scenario API is a facade over them, and
 The finite-difference hot path is split into a vectorized sparse assembly
 (:mod:`repro.thermal.assembly`, with per-shape sparsity-pattern caching)
 and pluggable linear-solver backends (:mod:`repro.thermal.backends`):
-``"sparse-lu"`` (SuperLU with factorization reuse), ``"sparse-iterative"``
-(ILU-preconditioned GMRES), ``"dense"`` and ``"auto"``.  Select a backend
+``"sparse-lu"`` (banded LAPACK or SuperLU LU with factorization reuse),
+``"dense"`` and ``"auto"``.  Select a backend
 via ``ScenarioSpec(solver=SolverSpec(backend=...))``,
 ``OptimizerSettings(solver_backend=...)`` or
 ``solve_structure(..., backend=...)``; list them with
@@ -167,7 +167,6 @@ from .thermal import (
     get_backend,
     register_backend,
     solve_finite_difference,
-    solve_single_channel,
     solve_structure,
 )
 
@@ -256,7 +255,6 @@ __all__ = [
     "get_backend",
     "register_backend",
     "solve_finite_difference",
-    "solve_single_channel",
     "solve_structure",
     "__version__",
 ]

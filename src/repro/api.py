@@ -42,7 +42,7 @@ import numpy as np
 from ._compat import import_attribute
 from .exec.base import Executor
 from .core.designer import ChannelModulationDesigner
-from .core.engine import EvaluationEngine
+from .core.engine import EvaluationEngine, picard_counts
 from .core.picard import PicardSettings
 from .core.results import ModulationResult
 from .hydraulics.network import FlowNetwork
@@ -334,11 +334,9 @@ class ICESimulator:
             # ROM activity counts once per actual integration (memo hits
             # replay the outcome without building or stepping anything).
             if self.engine is not None:
-                self.engine.n_rom_builds += int(
-                    result.metadata.get("n_rom_builds", 0)
-                )
-                self.engine.n_rom_steps += int(
-                    result.metadata.get("n_rom_steps", 0)
+                self.engine.count(
+                    n_rom_builds=int(result.metadata.get("n_rom_builds", 0)),
+                    n_rom_steps=int(result.metadata.get("n_rom_steps", 0)),
                 )
             return result
 
@@ -396,9 +394,8 @@ class ICESimulator:
         maps = solver.solve()
         wall_time = time.perf_counter() - start
         picard_info = maps.metadata.get("picard")
-        if picard_info is not None and self.engine is not None:
-            self.engine.n_picard_iterations += int(picard_info["n_iterations"])
-            self.engine.n_picard_fallbacks += int(bool(picard_info["fell_back"]))
+        if self.engine is not None:
+            self.engine.count(**picard_counts(maps.metadata))
         config = spec.experiment_config()
         # The cavity's pressure drop is a property of the channel design,
         # not of the thermal model, so both simulators report the same
@@ -785,6 +782,7 @@ class Session:
         from .exec.base import (
             COUNTER_KEYS,
             CampaignTask,
+            counter_delta,
             make_tasks,
             session_counters,
         )
@@ -880,13 +878,7 @@ class Session:
         # executors).  The default is shares_session=True -- a custom
         # executor that simply runs execute_task on the caller's session
         # must not have its activity counted twice.
-        counters_after = session_counters(self)
-        deltas = [
-            {
-                key: counters_after[key] - counters_before[key]
-                for key in counters_before
-            }
-        ]
+        deltas = [counter_delta(counters_before, session_counters(self))]
         if not getattr(executor_obj, "shares_session", True):
             deltas.extend(
                 record["counters"]

@@ -877,8 +877,7 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "linear-solver backend for both solve paths (auto, sparse-lu, "
-            "sparse-iterative, dense, or a custom registered name; default: "
-            "the scenario's own)"
+            "dense, or a custom registered name; default: the scenario's own)"
         ),
     )
 

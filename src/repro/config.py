@@ -90,8 +90,8 @@ class ExperimentConfig:
         reproducible.
     solver_backend:
         Linear-solver backend of the thermal solves (a registry name from
-        :mod:`repro.thermal.backends`: ``"auto"``, ``"sparse-lu"``,
-        ``"sparse-iterative"`` or ``"dense"``).
+        :mod:`repro.thermal.backends`: ``"auto"``, ``"sparse-lu"`` or
+        ``"dense"``).
     n_workers:
         Thread-pool width for batched candidate evaluation (multistart
         warm-up and design-space sweeps); 1 solves sequentially.

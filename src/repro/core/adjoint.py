@@ -320,5 +320,5 @@ class AdjointGradient:
             gradient[variables[safe]] += (
                 -inner[safe] / denominator[variables][safe]
             )
-        self.engine.count_adjoint_solve()
+        self.engine.count(n_adjoint_solves=1)
         return gradient

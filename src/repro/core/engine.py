@@ -26,22 +26,18 @@ The engine is thread-safe; the solver backend is selected by name from
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, Hashable, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence
 
 from ..thermal.fdm import solve_structure
 from ..thermal.geometry import MultiChannelStructure, TestStructure
 from ..thermal.solution import ThermalSolution
+from .lru import BoundedLRU
 
 __all__ = ["EvaluationEngine", "COUNTER_KEYS"]
 
 #: Sentinel meaning "derive the cache key from the structure fingerprint".
 _AUTO_KEY = object()
-
-#: Sentinel distinguishing "absent from the cache" from a cached None
-#: (memoized factories may legitimately return None).
-_MISSING = object()
 
 #: The engine's monotonically-increasing solve/cache counters -- the
 #: fields campaign aggregation sums across engines, sessions and worker
@@ -62,6 +58,24 @@ COUNTER_KEYS = (
     "n_picard_fallbacks",
 )
 
+#: Counters the engine's LRU keeps itself, with their LRU stats names.
+_LRU_COUNTERS = {
+    "n_cache_hits": "n_hits",
+    "n_cache_misses": "n_misses",
+    "n_evictions": "n_evictions",
+}
+
+
+def picard_counts(metadata: Dict[str, object]) -> Dict[str, int]:
+    """Counter deltas of the water-Picard record in a solution's metadata."""
+    picard = metadata.get("picard")
+    if picard is None:
+        return {}
+    return {
+        "n_picard_iterations": int(picard["n_iterations"]),
+        "n_picard_fallbacks": int(bool(picard["fell_back"])),
+    }
+
 
 class EvaluationEngine:
     """One solve path for optimizer candidates, baselines and sweeps.
@@ -71,7 +85,7 @@ class EvaluationEngine:
     solver_backend:
         Name of the linear-solver backend (see
         :func:`repro.thermal.backends.available_backends`) or a backend
-        instance; ``"auto"`` picks dense/sparse by system size.
+        instance; ``"auto"`` hands out ``"sparse-lu"`` at every size.
     cache_size:
         Maximum number of cached :class:`ThermalSolution` objects; the
         least recently used entry is evicted first.
@@ -93,21 +107,11 @@ class EvaluationEngine:
         self.solver_backend = solver_backend
         self.cache_size = int(cache_size)
         self.n_workers = int(n_workers)
-        self._cache: "OrderedDict[Hashable, ThermalSolution]" = OrderedDict()
-        self._lock = threading.RLock()
-        self.n_solves = 0
-        self.n_cache_hits = 0
-        self.n_cache_misses = 0
-        self.n_evictions = 0
-        self.n_uncacheable = 0
-        self.n_batches = 0
-        self.n_batch_items = 0
-        self.n_adjoint_solves = 0
-        self.n_transpose_solves = 0
-        self.n_rom_builds = 0
-        self.n_rom_steps = 0
-        self.n_picard_iterations = 0
-        self.n_picard_fallbacks = 0
+        self._cache = BoundedLRU(self.cache_size)
+        self._lock = threading.Lock()
+        self._counters = {
+            key: 0 for key in COUNTER_KEYS if key not in _LRU_COUNTERS
+        }
 
     # -- cache keys ---------------------------------------------------------
 
@@ -202,38 +206,21 @@ class EvaluationEngine:
                     "an explicit key is required when only a factory is given"
                 )
             key = self._derive_key(structure, n_points, solver_kwargs)
-        if key is not None:
-            with self._lock:
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._cache.move_to_end(key)
-                    self.n_cache_hits += 1
-                    return cached
-                self.n_cache_misses += 1
-        else:
-            with self._lock:
-                self.n_uncacheable += 1
-        if structure is None:
-            structure = structure_factory()
-        solution = solve_structure(
-            structure,
-            n_points=n_points,
-            backend=self.solver_backend,
-            **solver_kwargs,
-        )
-        picard_info = solution.metadata.get("picard")
-        with self._lock:
-            self.n_solves += 1
-            if picard_info is not None:
-                self.n_picard_iterations += int(picard_info["n_iterations"])
-                self.n_picard_fallbacks += int(bool(picard_info["fell_back"]))
-            if key is not None:
-                self._cache[key] = solution
-                self._cache.move_to_end(key)
-                while len(self._cache) > self.cache_size:
-                    self._cache.popitem(last=False)
-                    self.n_evictions += 1
-        return solution
+
+        def compute() -> ThermalSolution:
+            solution = solve_structure(
+                structure if structure is not None else structure_factory(),
+                n_points=n_points,
+                backend=self.solver_backend,
+                **solver_kwargs,
+            )
+            self.count(n_solves=1, **picard_counts(solution.metadata))
+            return solution
+
+        if key is None:
+            self.count(n_uncacheable=1)
+            return compute()
+        return self._cache.get_or_build(key, compute)[0]
 
     def solve_many(
         self,
@@ -261,21 +248,15 @@ class EvaluationEngine:
         results: List[Optional[ThermalSolution]] = [None] * len(structures)
         pending: "Dict[Hashable, List[int]]" = {}
         uncacheable: List[int] = []
-        with self._lock:
-            self.n_batches += 1
-            self.n_batch_items += len(structures)
+        self.count(n_batches=1, n_batch_items=len(structures))
         for index, key in enumerate(keys):
             if key is None:
                 uncacheable.append(index)
                 continue
-            with self._lock:
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._cache.move_to_end(key)
-                    self.n_cache_hits += 1
-                    results[index] = cached
-                    continue
-            pending.setdefault(key, []).append(index)
+            # Structure keys only ever map to solutions, never to None.
+            results[index] = self._cache.get(key)
+            if results[index] is None:
+                pending.setdefault(key, []).append(index)
 
         def solve_pending(item):
             key, indices = item
@@ -313,14 +294,20 @@ class EvaluationEngine:
         from ..thermal.backends import resolve_backend
 
         backend = resolve_backend(self.solver_backend)
-        with self._lock:
-            self.n_transpose_solves += 1
+        self.count(n_transpose_solves=1)
         return backend.solve_transpose(matrix, rhs, pattern_token)
 
-    def count_adjoint_solve(self) -> None:
-        """Record one completed adjoint gradient evaluation."""
+    def count(self, **deltas: int) -> None:
+        """Add ``deltas`` to the named counters, atomically.
+
+        Every counter update -- the engine's own and those of callers that
+        share it (adjoint gradients, Picard passes and ROM activity of the
+        finite-volume simulator) -- goes through here, under the engine
+        lock.  The cache counters are the LRU's and cannot be counted.
+        """
         with self._lock:
-            self.n_adjoint_solves += 1
+            for name, delta in deltas.items():
+                self._counters[name] += delta
 
     def memo(self, key: Hashable, factory: Callable[[], object]) -> object:
         """Explicitly-keyed memoization sharing the engine's LRU cache.
@@ -329,85 +316,50 @@ class EvaluationEngine:
         the finite-volume transient engine, which keys whole transient
         outcomes on scenario content hashes -- use this to get the same
         bounded cache, eviction policy and hit/miss accounting as
-        :meth:`solve`.  ``factory`` is invoked only on a miss.  Callers
-        own key hygiene: prefix keys with a producer tag so they can never
-        collide with structure fingerprints.
+        :meth:`solve`.  ``factory`` is invoked only on a miss, and ``None``
+        results are cached too.  Callers own key hygiene: prefix keys with
+        a producer tag so they can never collide with structure
+        fingerprints.
         """
-        with self._lock:
-            cached = self._cache.get(key, _MISSING)
-            if cached is not _MISSING:
-                self._cache.move_to_end(key)
-                self.n_cache_hits += 1
-                return cached
-            self.n_cache_misses += 1
-        value = factory()
-        with self._lock:
-            self._cache[key] = value
-            self._cache.move_to_end(key)
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
-                self.n_evictions += 1
-        return value
+        return self._cache.get_or_build(key, factory)[0]
 
     # -- management ---------------------------------------------------------
 
     def clear_cache(self) -> None:
         """Drop every cached solution (counters are kept)."""
-        with self._lock:
-            self._cache.clear()
+        self._cache.clear()
 
     def reset_stats(self) -> None:
         """Zero the solve/cache counters (the cache itself is kept)."""
         with self._lock:
-            self.n_solves = 0
-            self.n_cache_hits = 0
-            self.n_cache_misses = 0
-            self.n_evictions = 0
-            self.n_uncacheable = 0
-            self.n_batches = 0
-            self.n_batch_items = 0
-            self.n_adjoint_solves = 0
-            self.n_transpose_solves = 0
-            self.n_rom_builds = 0
-            self.n_rom_steps = 0
-            self.n_picard_iterations = 0
-            self.n_picard_fallbacks = 0
+            self._counters = dict.fromkeys(self._counters, 0)
+            self._cache.reset_stats()
 
     @property
     def cache_len(self) -> int:
         """Number of solutions currently cached."""
-        with self._lock:
-            return len(self._cache)
+        return self._cache.stats()["size"]
 
     def stats(self) -> Dict[str, object]:
         """Solve and cache counters for benchmarks and reports."""
         with self._lock:
-            lookups = self.n_cache_hits + self.n_cache_misses
-            return {
-                "backend": getattr(
-                    self.solver_backend, "name", self.solver_backend
-                ),
-                "n_workers": self.n_workers,
-                "cache_size": self.cache_size,
-                "cache_len": len(self._cache),
-                "n_solves": self.n_solves,
-                "n_cache_hits": self.n_cache_hits,
-                "n_cache_misses": self.n_cache_misses,
-                "n_evictions": self.n_evictions,
-                "n_uncacheable": self.n_uncacheable,
-                "n_batches": self.n_batches,
-                "n_batch_items": self.n_batch_items,
-                "n_adjoint_solves": self.n_adjoint_solves,
-                "n_transpose_solves": self.n_transpose_solves,
-                "n_rom_builds": self.n_rom_builds,
-                "n_rom_steps": self.n_rom_steps,
-                "n_picard_iterations": self.n_picard_iterations,
-                "n_picard_fallbacks": self.n_picard_fallbacks,
-                "hit_rate": (self.n_cache_hits / lookups) if lookups else 0.0,
-            }
+            counters = dict(self._counters)
+            cache = self._cache.stats()
+        counters.update(
+            (name, cache[lru_name]) for name, lru_name in _LRU_COUNTERS.items()
+        )
+        lookups = counters["n_cache_hits"] + counters["n_cache_misses"]
+        return {
+            "backend": getattr(self.solver_backend, "name", self.solver_backend),
+            "n_workers": self.n_workers,
+            "cache_size": cache["capacity"],
+            "cache_len": cache["size"],
+            **{key: counters[key] for key in COUNTER_KEYS},
+            "hit_rate": (counters["n_cache_hits"] / lookups) if lookups else 0.0,
+        }
 
     @staticmethod
-    def merge_stats(stats_list: Sequence[Dict[str, object]]) -> Dict[str, object]:
+    def merge_stats(stats_list: Iterable[Dict[str, object]]) -> Dict[str, object]:
         """Sum counter fields across several :meth:`stats` payloads.
 
         Used by campaigns to aggregate solve/cache activity across the

@@ -14,132 +14,18 @@ cavity model) and :mod:`repro.ice.solver` (the finite-volume stack model):
     :mod:`repro.core.adjoint` evaluates ``lambda^T (dA) u`` directly over
     raw entries without ever folding the perturbed matrix).
 
-:class:`PatternCache`
-    The bounded, thread-safe LRU used by both per-shape pattern caches.
-
-Value-refresh kernels
-    Folding raw values into CSR data is an unbuffered in-order scatter
-    (``data[slot[i]] += values[i]``).  The default kernel is
-    :func:`numpy.add.at`; an optional compiled tier (Numba, selected with
-    ``REPRO_JIT=1`` when the package is importable) runs the same
-    sequential loop in machine code and is bit-identical by construction
-    -- ``np.add.at`` is an unbuffered in-order accumulation, and so is the
-    compiled loop.  Missing Numba silently degrades to NumPy, so the
-    environment flag is always safe to set.
+The per-shape folds are cached by their owners in a
+:class:`~repro.core.lru.BoundedLRU`.  Folding raw values into CSR data is
+an in-order scatter-accumulate (``np.bincount`` with weights), so a
+refresh is bit-identical to the unbuffered ``np.add.at`` reference.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from collections import OrderedDict
-from typing import Callable, Dict, Hashable, Optional, Tuple
-
 import numpy as np
 from scipy import sparse
 
-__all__ = [
-    "PatternCache",
-    "SparsityFold",
-    "active_refresh_kernel",
-    "available_refresh_kernels",
-    "get_refresh_kernel",
-]
-
-#: Environment variable enabling the compiled value-refresh tier.
-JIT_ENV_VAR = "REPRO_JIT"
-
-
-# -- value-refresh kernels ---------------------------------------------------
-
-
-def _numpy_refresh(
-    entry_to_slot: np.ndarray, values: np.ndarray, nnz: int
-) -> np.ndarray:
-    """Reference scatter-accumulate: unbuffered, in raw entry order."""
-    data = np.zeros(nnz)
-    np.add.at(data, entry_to_slot, values)
-    return data
-
-
-_KERNELS: Dict[str, Callable[[np.ndarray, np.ndarray, int], np.ndarray]] = {
-    "numpy": _numpy_refresh,
-}
-_KERNEL_LOCK = threading.Lock()
-_NUMBA_STATE = {"probed": False, "available": False}
-
-
-def _probe_numba() -> bool:
-    """Build (once) the Numba scatter kernel; False when unavailable.
-
-    The compiled loop accumulates ``data[slot[i]] += values[i]``
-    sequentially -- the same unbuffered in-order semantics as
-    ``np.add.at`` -- so the two kernels produce bit-identical data arrays
-    (asserted by the test suite whenever Numba is importable).
-    """
-    with _KERNEL_LOCK:
-        if _NUMBA_STATE["probed"]:
-            return _NUMBA_STATE["available"]
-        _NUMBA_STATE["probed"] = True
-        try:
-            import numba
-        except ImportError:
-            _NUMBA_STATE["available"] = False
-            return False
-
-        @numba.njit(cache=False)
-        def _scatter(slots, values, data):  # pragma: no cover - compiled
-            for index in range(slots.size):
-                data[slots[index]] += values[index]
-
-        def _numba_refresh(entry_to_slot, values, nnz):
-            data = np.zeros(nnz)
-            _scatter(
-                entry_to_slot,
-                np.ascontiguousarray(values, dtype=np.float64),
-                data,
-            )
-            return data
-
-        _KERNELS["numba"] = _numba_refresh
-        _NUMBA_STATE["available"] = True
-        return True
-
-
-def available_refresh_kernels() -> Tuple[str, ...]:
-    """Names of the value-refresh kernels usable in this environment."""
-    _probe_numba()
-    return tuple(sorted(_KERNELS))
-
-
-def get_refresh_kernel(
-    name: str,
-) -> Callable[[np.ndarray, np.ndarray, int], np.ndarray]:
-    """Look up a refresh kernel by name (probing the compiled tier)."""
-    _probe_numba()
-    try:
-        return _KERNELS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown refresh kernel {name!r}; available: "
-            f"{list(available_refresh_kernels())}"
-        ) from None
-
-
-def active_refresh_kernel() -> str:
-    """The refresh kernel the folds use right now.
-
-    ``"numba"`` when ``REPRO_JIT=1`` (or any truthy value) is set *and*
-    Numba imports; ``"numpy"`` otherwise.  Read per call, so tests and
-    benchmarks can flip the environment variable without reloading.
-    """
-    flag = os.environ.get(JIT_ENV_VAR, "").strip()
-    if flag not in ("", "0") and _probe_numba():
-        return "numba"
-    return "numpy"
-
-
-# -- the canonical fold ------------------------------------------------------
+__all__ = ["SparsityFold"]
 
 
 class SparsityFold:
@@ -195,9 +81,8 @@ class SparsityFold:
     def fold(self, values: np.ndarray) -> np.ndarray:
         """Fold raw COO values into the CSR data array.
 
-        Goes through the active refresh kernel (NumPy by default, the
-        compiled tier under ``REPRO_JIT=1``); both kernels are unbuffered
-        in-order accumulations, so the result is bit-identical either way.
+        ``np.bincount`` accumulates each slot's raw values in raw entry
+        order, bit for bit what an unbuffered ``np.add.at`` scatter gives.
         """
         values = np.asarray(values)
         if values.shape != (self.n_entries,):
@@ -205,8 +90,7 @@ class SparsityFold:
                 f"expected {self.n_entries} coefficient values, "
                 f"got {values.shape}"
             )
-        kernel = _KERNELS[active_refresh_kernel()]
-        return kernel(self.entry_to_slot, values, self.nnz)
+        return np.bincount(self.entry_to_slot, weights=values, minlength=self.nnz)
 
     def matrix(self, values: np.ndarray) -> sparse.csr_matrix:
         """Fold raw COO values into a CSR matrix with the static structure."""
@@ -214,61 +98,3 @@ class SparsityFold:
             (self.fold(values), self.indices, self.indptr),
             shape=(self.n_unknowns, self.n_unknowns),
         )
-
-
-# -- the shared pattern cache ------------------------------------------------
-
-
-class PatternCache:
-    """Bounded, thread-safe LRU of per-shape pattern objects.
-
-    One instance per pattern family (finite-difference cavity shapes,
-    finite-volume stack shapes).  ``get_or_build`` runs the factory
-    outside the lock -- concurrent builders of the same shape may race,
-    but patterns are immutable and the last writer simply wins.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self.capacity = int(capacity)
-        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get_or_build(
-        self, key: Hashable, factory: Callable[[], object]
-    ) -> object:
-        """The cached pattern for ``key``, building it on a miss."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                return entry
-        entry = factory()
-        with self._lock:
-            self._entries[key] = entry
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-        return entry
-
-    def get(self, key: Hashable) -> Optional[object]:
-        """The cached pattern for ``key`` (no build), refreshing recency."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-            return entry
-
-    def clear(self) -> None:
-        """Drop every cached pattern (used by tests and benchmarks)."""
-        with self._lock:
-            self._entries.clear()
-
-    def info(self) -> dict:
-        """Current size, capacity and keys of the cache."""
-        with self._lock:
-            return {
-                "size": len(self._entries),
-                "capacity": self.capacity,
-                "keys": list(self._entries.keys()),
-            }

@@ -13,7 +13,7 @@ the classic segregated-coupling pattern:
    (:meth:`repro.thermal.properties.CoolantModel.film`);
 3. refresh the conductance values -- the sparsity structure is fixed, so
    each iteration is a cheap value refresh through the cached
-   :class:`~repro.core.linear_system.PatternCache` fold plus one backend
+   :class:`~repro.core.linear_system.SparsityFold` plus one backend
    factorization -- and repeat until the coolant temperature field moves
    by less than ``tolerance_K`` in the infinity norm.
 

@@ -30,21 +30,22 @@ Because the Arnoldi solves go through the scenario's solver backend with
 the implicit system's pattern token, building a model warms the very
 factorization the full path (and the checkpoint error probes) would use.
 
-:func:`reduced_model_for` is a small bounded, thread-safe LRU over built
-models keyed by the same content identity the batched transient engine
-groups on (implicit-matrix digest + input digests + build settings), so
-quantized flow-scale levels, control chunks, repeated scenarios and
-MPC rollout contexts reuse bases instead of rebuilding them.
+:func:`reduced_model_for` keeps built models in a
+:class:`~repro.core.lru.BoundedLRU` keyed by the same content identity the
+batched transient engine groups on (implicit-matrix digest + input digests
++ build settings), so quantized flow-scale levels, control chunks,
+repeated scenarios and MPC rollout contexts reuse bases instead of
+rebuilding them.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
+
+from .lru import BoundedLRU
 
 __all__ = [
     "ReducedTransientModel",
@@ -312,9 +313,7 @@ def build_reduced_model(
 
 # -- bounded model cache -----------------------------------------------------
 
-_CACHE: "OrderedDict[tuple, ReducedTransientModel]" = OrderedDict()
-_CACHE_LOCK = threading.Lock()
-_CACHE_STATS = {"n_hits": 0, "n_misses": 0, "n_evictions": 0}
+_CACHE = BoundedLRU(_CACHE_MAX_ENTRIES)
 
 
 def reduced_model_for(
@@ -329,36 +328,21 @@ def reduced_model_for(
     lock; when two threads race, the first insertion wins and the loser's
     model is discarded (both are bit-identical by construction).
     """
-    with _CACHE_LOCK:
-        model = _CACHE.get(key)
-        if model is not None:
-            _CACHE.move_to_end(key)
-            _CACHE_STATS["n_hits"] += 1
-            return model, False
-        _CACHE_STATS["n_misses"] += 1
-    model = factory()
-    with _CACHE_LOCK:
-        existing = _CACHE.get(key)
-        if existing is not None:
-            return existing, False
-        _CACHE[key] = model
-        while len(_CACHE) > _CACHE_MAX_ENTRIES:
-            _CACHE.popitem(last=False)
-            _CACHE_STATS["n_evictions"] += 1
-    return model, True
+    return _CACHE.get_or_build(key, factory)
 
 
 def clear_rom_cache() -> None:
     """Empty the model cache and reset its statistics (tests, benchmarks)."""
-    with _CACHE_LOCK:
-        _CACHE.clear()
-        for counter in _CACHE_STATS:
-            _CACHE_STATS[counter] = 0
+    _CACHE.clear()
+    _CACHE.reset_stats()
 
 
 def rom_cache_stats() -> Dict[str, int]:
     """Snapshot of the cache counters plus its current size."""
-    with _CACHE_LOCK:
-        stats = dict(_CACHE_STATS)
-        stats["n_entries"] = len(_CACHE)
-    return stats
+    stats = _CACHE.stats()
+    return {
+        "n_hits": stats["n_hits"],
+        "n_misses": stats["n_misses"],
+        "n_evictions": stats["n_evictions"],
+        "n_entries": stats["size"],
+    }

@@ -42,7 +42,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Optional, Protocol, Sequence, runtime_checkable
 
-from ..core.engine import COUNTER_KEYS
+from ..core.engine import COUNTER_KEYS, EvaluationEngine
 from ..scenarios import ScenarioSpec
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "COUNTER_KEYS",
     "CampaignTask",
     "Executor",
+    "counter_delta",
     "execute_task",
     "session_counters",
 ]
@@ -129,16 +130,13 @@ class Executor(Protocol):
         ...
 
 
-def session_counters(session) -> Dict[str, int]:
+def session_counters(session) -> Dict[str, object]:
     """Solve/cache counters summed over a session's engines."""
-    totals = dict.fromkeys(COUNTER_KEYS, 0)
-    for stats in session.stats().values():
-        for key in COUNTER_KEYS:
-            totals[key] += int(stats.get(key, 0))
-    return totals
+    return EvaluationEngine.merge_stats(session.stats().values())
 
 
-def _counter_delta(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]:
+def counter_delta(before: Dict[str, object], after: Dict[str, object]) -> Dict[str, int]:
+    """Per-counter activity between two :func:`session_counters` snapshots."""
     return {key: after[key] - before[key] for key in COUNTER_KEYS}
 
 
@@ -181,7 +179,7 @@ def execute_task(
         record["error"] = f"{type(error).__name__}: {error}"
     record["wall_time_s"] = time.perf_counter() - start
     record["counters"] = (
-        _counter_delta(before, session_counters(session))
+        counter_delta(before, session_counters(session))
         if task_counters
         else None
     )

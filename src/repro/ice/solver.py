@@ -49,7 +49,8 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 from scipy import sparse
 
-from ..core.linear_system import PatternCache, SparsityFold
+from ..core.linear_system import SparsityFold
+from ..core.lru import BoundedLRU
 from ..thermal import correlations
 from ..thermal.backends import SolverBackend, resolve_backend
 from .results import ThermalMapResult
@@ -94,7 +95,7 @@ class StackPattern:
 
 
 _PATTERN_CACHE_SIZE = 32
-_PATTERN_CACHE = PatternCache(_PATTERN_CACHE_SIZE)
+_PATTERN_CACHE = BoundedLRU(_PATTERN_CACHE_SIZE)
 
 
 def _get_stack_pattern(
@@ -103,7 +104,7 @@ def _get_stack_pattern(
     """Fetch (or build and cache) the fold for one stack shape."""
     return _PATTERN_CACHE.get_or_build(
         token, lambda: StackPattern(token, rows, cols, n_unknowns)
-    )
+    )[0]
 
 
 def clear_stack_pattern_cache() -> None:
@@ -112,8 +113,8 @@ def clear_stack_pattern_cache() -> None:
 
 
 def stack_pattern_cache_info() -> dict:
-    """Current size and keys of the stack-pattern cache."""
-    return _PATTERN_CACHE.info()
+    """Size, capacity and hit/miss/eviction counts of the stack-pattern cache."""
+    return _PATTERN_CACHE.stats()
 
 
 # -- conductance helpers ---------------------------------------------------------
@@ -491,7 +492,7 @@ class SteadyStateSolver:
     backend:
         Linear-solver backend: a registry name from
         :mod:`repro.thermal.backends` (``"auto"``, ``"sparse-lu"``,
-        ``"sparse-iterative"``, ``"dense"``), a backend instance, or None
+        ``"dense"``), a backend instance, or None
         for the default (``"auto"``, which hands out ``"sparse-lu"``).
         The sparse-LU backend reuses its cached factorization across
         repeated solves of an unchanged stack.

@@ -72,14 +72,13 @@ from .backends import (
     AutoBackend,
     DenseBackend,
     SolverBackend,
-    SparseIterativeBackend,
     SparseLUBackend,
     available_backends,
     get_backend,
     register_backend,
     resolve_backend,
 )
-from .bvp import solve_collocation, solve_single_channel, solve_trapezoidal
+from .bvp import solve_trapezoidal
 from .fdm import solve_finite_difference, solve_structure
 from .multichannel import build_cavity, cavity_from_flux_maps, cluster_line_densities
 
@@ -138,7 +137,6 @@ __all__ = [
     "AutoBackend",
     "DenseBackend",
     "SolverBackend",
-    "SparseIterativeBackend",
     "SparseLUBackend",
     "available_backends",
     "get_backend",
@@ -149,8 +147,6 @@ __all__ = [
     "REDUCED_STATE_NAMES",
     "SingleChannelStateSpace",
     "ThermalSolution",
-    "solve_collocation",
-    "solve_single_channel",
     "solve_trapezoidal",
     "solve_finite_difference",
     "solve_structure",

@@ -25,7 +25,8 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy import sparse
 
-from ..core.linear_system import PatternCache, SparsityFold
+from ..core.linear_system import SparsityFold
+from ..core.lru import BoundedLRU
 from . import conductances
 from .geometry import MultiChannelStructure
 
@@ -368,7 +369,7 @@ class SparsityPattern:
 # -- pattern cache ---------------------------------------------------------
 
 _PATTERN_CACHE_SIZE = 64
-_PATTERN_CACHE = PatternCache(_PATTERN_CACHE_SIZE)
+_PATTERN_CACHE = BoundedLRU(_PATTERN_CACHE_SIZE)
 
 
 def get_pattern(
@@ -389,7 +390,7 @@ def get_pattern(
         lambda: SparsityPattern(
             n_lanes, n_points, lateral_coupling, reversed_flags
         ),
-    )
+    )[0]
 
 
 def clear_pattern_cache() -> None:
@@ -398,8 +399,8 @@ def clear_pattern_cache() -> None:
 
 
 def pattern_cache_info() -> dict:
-    """Current size and keys of the pattern cache."""
-    return _PATTERN_CACHE.info()
+    """Size, capacity and hit/miss/eviction counts of the pattern cache."""
+    return _PATTERN_CACHE.stats()
 
 
 @dataclass

@@ -20,13 +20,6 @@ engine can swap solvers without touching the assembly:
     plus a content hash of the coefficient values lets repeated solves of
     an unchanged matrix pay only a triangular solve.
 
-``sparse-iterative``
-    ILU-preconditioned GMRES on a row-equilibrated system, for cavities
-    with large lane counts where direct factorization fill grows.  Falls
-    back to ``sparse-lu`` whenever the iteration does not reach the direct
-    solver's accuracy, so results are always within round-off of the
-    direct solve.
-
 ``dense``
     LAPACK dense solve on the densified matrix; a reference for small
     systems.
@@ -58,7 +51,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
 from functools import partial
 from typing import Callable, Dict, Optional, Union
 
@@ -66,9 +58,9 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import get_lapack_funcs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
+from scipy.sparse.linalg import splu
 
-from ..core.linear_system import PatternCache
+from ..core.lru import BoundedLRU
 
 __all__ = [
     "AutoBackend",
@@ -76,7 +68,6 @@ __all__ = [
     "DenseBackend",
     "FactorizationHandle",
     "SolverBackend",
-    "SparseIterativeBackend",
     "SparseLUBackend",
     "available_backends",
     "get_backend",
@@ -383,14 +374,14 @@ class SparseLUBackend(_HandleBackend):
     """Direct LU solve with per-structure plans and factorization reuse.
 
     Each sparsity structure gets a :class:`_FactorPlan` once (kept in a
-    bounded :class:`~repro.core.linear_system.PatternCache`), which picks
-    the banded LAPACK kernel or SuperLU from the structure's bandwidth.
-    Factorizations are cached in a bounded LRU keyed on the structure plus
-    a content hash of the coefficient values, so solving the same matrix
-    again (same design, same grid) skips the numeric factorization
-    entirely.  Acquiring a handle is one such lookup (counted in
-    ``n_content_hashes``); each handle solve after the first counts as a
-    factorization reuse, exactly as a fresh lookup hit would.
+    :class:`~repro.core.lru.BoundedLRU`), which picks the banded LAPACK
+    kernel or SuperLU from the structure's bandwidth.  Factorizations are
+    cached in a second ``BoundedLRU`` keyed on the structure plus a content
+    hash of the coefficient values, so solving the same matrix again (same
+    design, same grid) skips the numeric factorization entirely.  Acquiring
+    a handle is one such lookup (counted in ``n_content_hashes``); each
+    handle solve after the first counts as a factorization reuse, exactly
+    as a fresh lookup hit would.
     """
 
     name = "sparse-lu"
@@ -399,8 +390,8 @@ class SparseLUBackend(_HandleBackend):
         if factorization_cache_size < 0:
             raise ValueError("factorization_cache_size must be non-negative")
         self.factorization_cache_size = int(factorization_cache_size)
-        self._factorizations: "OrderedDict[tuple, object]" = OrderedDict()
-        self._plans = PatternCache(_PLAN_CACHE_SIZE)
+        self._factorizations = BoundedLRU(self.factorization_cache_size)
+        self._plans = BoundedLRU(_PLAN_CACHE_SIZE)
         self._lock = threading.Lock()
         self.n_factorizations = 0
         self.n_factorization_reuses = 0
@@ -422,19 +413,19 @@ class SparseLUBackend(_HandleBackend):
         structure, key = self._matrix_key(matrix, pattern_token)
         with self._lock:
             self.n_content_hashes += 1
-            factorization = self._factorizations.get(key)
-            if factorization is not None:
-                self._factorizations.move_to_end(key)
-                self.n_factorization_reuses += 1
-        if factorization is None:
-            plan = self._plans.get_or_build(structure, partial(_FactorPlan, matrix))
-            factorization = plan.factorize(matrix)
-            with self._lock:
+        factorized = []
+
+        def factorize():
+            plan, _ = self._plans.get_or_build(structure, partial(_FactorPlan, matrix))
+            factorized.append(plan.factorize(matrix))
+            return factorized[0]
+
+        factorization, _ = self._factorizations.get_or_build(key, factorize)
+        with self._lock:
+            if factorized:
                 self.n_factorizations += 1
-                if self.factorization_cache_size > 0:
-                    self._factorizations[key] = factorization
-                    while len(self._factorizations) > self.factorization_cache_size:
-                        self._factorizations.popitem(last=False)
+            else:
+                self.n_factorization_reuses += 1
         return factorization
 
     def solver_for(self, matrix, pattern_token=None):
@@ -470,109 +461,18 @@ class SparseLUBackend(_HandleBackend):
         storage of a banded LU, SuperLU's own ``nnz`` of its factors.
         """
         with self._lock:
-            factors = list(self._factorizations.values())
             stats = {
                 "n_factorizations": self.n_factorizations,
                 "n_factorization_reuses": self.n_factorization_reuses,
                 "n_content_hashes": self.n_content_hashes,
-                "cached_factorizations": len(factors),
             }
+        factors = self._factorizations.values()
+        stats["cached_factorizations"] = len(factors)
         n_banded = sum(isinstance(factor, _BandedLU) for factor in factors)
         stats["cached_banded"] = n_banded
         stats["cached_superlu"] = len(factors) - n_banded
         stats["cached_fill"] = sum(int(factor.nnz) for factor in factors)
         return stats
-
-
-class SparseIterativeBackend(SolverBackend):
-    """Row-equilibrated ILU + GMRES with a direct-solve safety net.
-
-    The FDM matrix mixes O(1) Dirichlet rows with O(1e4) conduction rows,
-    so the system is equilibrated by its row sums before the incomplete
-    factorization.  If GMRES does not reach a residual consistent with
-    direct-solve accuracy the backend transparently falls back to
-    :class:`SparseLUBackend`, keeping the 1e-8 temperature-equivalence
-    guarantee of the test suite.
-    """
-
-    name = "sparse-iterative"
-
-    def __init__(
-        self,
-        drop_tol: float = 1e-5,
-        fill_factor: float = 15.0,
-        rtol: float = 1e-12,
-        restart: int = 60,
-        maxiter: int = 300,
-    ) -> None:
-        self.drop_tol = float(drop_tol)
-        self.fill_factor = float(fill_factor)
-        self.rtol = float(rtol)
-        self.restart = int(restart)
-        self.maxiter = int(maxiter)
-        self._fallback = SparseLUBackend()
-        self.n_iterative_solves = 0
-        self.n_fallbacks = 0
-
-    def solve(self, matrix, rhs, pattern_token=None):
-        try:
-            row_scale = np.asarray(abs(matrix).sum(axis=1)).ravel()
-            row_scale[row_scale == 0.0] = 1.0
-            scaled = sparse.diags(1.0 / row_scale) @ matrix
-            scaled_rhs = rhs / row_scale
-            preconditioner = spilu(
-                scaled.tocsc(),
-                drop_tol=self.drop_tol,
-                fill_factor=self.fill_factor,
-            )
-            operator = LinearOperator(matrix.shape, preconditioner.solve)
-            solution, info = gmres(
-                scaled.tocsr(),
-                scaled_rhs,
-                M=operator,
-                rtol=self.rtol,
-                atol=0.0,
-                restart=self.restart,
-                maxiter=self.maxiter,
-            )
-        except RuntimeError:
-            # Singular incomplete factorization; use the direct solver.
-            self.n_fallbacks += 1
-            return self._fallback.solve(matrix, rhs, pattern_token)
-        if info != 0 or not np.all(np.isfinite(solution)):
-            self.n_fallbacks += 1
-            return self._fallback.solve(matrix, rhs, pattern_token)
-        residual = np.linalg.norm(scaled @ solution - scaled_rhs)
-        reference = np.linalg.norm(scaled_rhs)
-        if reference > 0.0 and residual > 1e-9 * reference:
-            self.n_fallbacks += 1
-            return self._fallback.solve(matrix, rhs, pattern_token)
-        self.n_iterative_solves += 1
-        return solution
-
-    def solve_transpose(self, matrix, rhs, pattern_token=None):
-        # Run the same iterative machinery on the transposed system; the
-        # quality gates inside :meth:`solve` already fall back to the
-        # direct solver (which handles the transpose via ``trans='T'``)
-        # whenever the iteration misses direct-solve accuracy.
-        try:
-            transposed, token = _transposed(matrix, pattern_token)
-            return self.solve(transposed, rhs, token)
-        except RuntimeError:  # pragma: no cover - defensive
-            self.n_fallbacks += 1
-            return self._fallback.solve_transpose(matrix, rhs, pattern_token)
-
-    def reset(self):
-        self._fallback.reset()
-        self.n_iterative_solves = 0
-        self.n_fallbacks = 0
-
-    def stats(self):
-        return {
-            "n_iterative_solves": self.n_iterative_solves,
-            "n_fallbacks": self.n_fallbacks,
-            "fallback": self._fallback.stats(),
-        }
 
 
 class AutoBackend(_HandleBackend):
@@ -666,5 +566,4 @@ def solver_for(
 
 register_backend(DenseBackend())
 register_backend(SparseLUBackend())
-register_backend(SparseIterativeBackend())
 register_backend(AutoBackend())

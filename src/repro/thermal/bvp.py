@@ -9,37 +9,28 @@ The problem is *stiff*: longitudinal conduction in the thin silicon layers
 gives the homogeneous solutions growth rates of order
 ``sqrt(g_v / g_l) ~ 1e4 1/m``, i.e. boundary layers a few hundred microns
 wide next to growth factors around ``exp(80)`` over a 1 cm channel.  Single
-shooting is therefore numerically useless and only *global* methods are
-provided:
-
-* :func:`solve_trapezoidal` -- exploits the linearity of the ODE.  The
-  augmented 5-state system ``dX/dz = A(z) X + b(z)`` is discretized with the
-  (A-stable) trapezoidal rule on a uniform grid, the boundary conditions are
-  appended, and the resulting banded sparse linear system is solved in one
-  shot.  Second-order accurate, unconditionally stable, and fast; this is
-  the default.
-* :func:`solve_collocation` -- a thin wrapper around
-  :func:`scipy.integrate.solve_bvp` (adaptive collocation), used for
-  cross-validation in the test-suite.
-
-Both return a :class:`~repro.thermal.solution.ThermalSolution` sampled on a
-uniform grid.
+shooting is therefore numerically useless, so :func:`solve_trapezoidal`
+uses a *global* method that exploits the linearity of the ODE: the
+augmented 5-state system ``dX/dz = A(z) X + b(z)`` is discretized with the
+(A-stable) trapezoidal rule on a uniform grid, the boundary conditions are
+appended, and the resulting banded sparse linear system is solved in one
+shot.  Second-order accurate, unconditionally stable, and fast; it returns
+a :class:`~repro.thermal.solution.ThermalSolution` sampled on a uniform
+grid.  The test suite cross-checks it against SciPy's adaptive collocation
+solver (``tests/oracles/bvp.py``).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_bvp
 from scipy.sparse.linalg import spsolve
 
 from .geometry import TestStructure
 from .solution import ThermalSolution
 from .state_space import SingleChannelStateSpace
 
-__all__ = ["solve_trapezoidal", "solve_collocation", "solve_single_channel"]
+__all__ = ["solve_trapezoidal"]
 
 _N_STATES = 5  # T1, T2, q1, q2, TC
 
@@ -133,79 +124,3 @@ def solve_trapezoidal(
             "linear_residual": float(np.max(np.abs(residual))),
         },
     )
-
-
-def solve_collocation(
-    structure: TestStructure,
-    n_points: int = 201,
-    tol: float = 1e-6,
-    max_nodes: int = 500_000,
-    initial_guess: Optional[np.ndarray] = None,
-) -> ThermalSolution:
-    """Solve the single-channel BVP with SciPy's adaptive collocation solver.
-
-    Slower than :func:`solve_trapezoidal` but fully independent of our
-    discretization choices, which makes it a good cross-check (the test
-    suite asserts the two agree).
-    """
-    model = SingleChannelStateSpace(structure)
-    z_grid = np.linspace(0.0, structure.length, n_points)
-
-    def rhs(z, state):
-        return model.augmented_rhs(z, state)
-
-    def boundary(inlet_state, outlet_state):
-        return model.boundary_residual(inlet_state, outlet_state)
-
-    if initial_guess is None:
-        initial_guess = np.zeros((_N_STATES, z_grid.size))
-        initial_guess[0:2, :] = structure.inlet_temperature + 10.0
-        initial_guess[4, :] = structure.inlet_temperature
-    result = solve_bvp(
-        rhs, boundary, z_grid, initial_guess, tol=tol, max_nodes=max_nodes
-    )
-    if not result.success:
-        raise RuntimeError(f"collocation BVP solve failed: {result.message}")
-
-    evaluated = result.sol(z_grid)
-    temperatures = evaluated[0:2, :][:, np.newaxis, :]
-    heat_flows = evaluated[2:4, :][:, np.newaxis, :]
-    coolant = evaluated[4, :][np.newaxis, :]
-    return ThermalSolution(
-        z=z_grid,
-        temperatures=temperatures,
-        heat_flows=heat_flows,
-        coolant_temperatures=coolant,
-        inlet_temperature=structure.inlet_temperature,
-        metadata={
-            "solver": "collocation",
-            "n_points": n_points,
-            "rms_residuals": float(np.max(result.rms_residuals)),
-        },
-    )
-
-
-def solve_single_channel(
-    structure: TestStructure,
-    n_points: int = 401,
-    method: str = "trapezoidal",
-    **kwargs,
-) -> ThermalSolution:
-    """Solve a single-channel structure with the requested method.
-
-    ``method`` is ``"trapezoidal"`` (default), ``"collocation"`` or
-    ``"fdm"`` (the finite-difference workhorse from
-    :mod:`repro.thermal.fdm`, which also handles multi-channel cavities).
-    """
-    if method == "trapezoidal":
-        return solve_trapezoidal(structure, n_points=n_points, **kwargs)
-    if method == "collocation":
-        return solve_collocation(structure, n_points=n_points, **kwargs)
-    if method == "fdm":
-        from .fdm import solve_finite_difference
-        from .geometry import MultiChannelStructure
-
-        return solve_finite_difference(
-            MultiChannelStructure.single(structure), n_points=n_points, **kwargs
-        )
-    raise ValueError(f"unknown solver method: {method!r}")

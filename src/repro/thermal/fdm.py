@@ -8,7 +8,7 @@ coolant advection) on a uniform z-grid, adds lateral conduction between
 adjacent channel lanes, and solves the resulting sparse linear system.
 
 For a single lane the solver reproduces the analytical BVP solution (the
-tests check agreement with :func:`repro.thermal.bvp.solve_superposition`),
+tests check agreement with :func:`repro.thermal.bvp.solve_trapezoidal`),
 but it is much faster for cavities with many lanes because all lanes are
 solved simultaneously in one sparse solve instead of a high-dimensional
 shooting problem.
@@ -37,8 +37,7 @@ triplet construction over a cached per-shape sparsity pattern) and solved by
 a pluggable backend from :mod:`repro.thermal.backends`: by default
 ``sparse-lu``, which orders the unknowns by reverse Cuthill--McKee once per
 pattern and factorizes the resulting narrow band with LAPACK's banded LU,
-reusing factorizations of unchanged matrices; or ``sparse-iterative`` or
-``dense``.
+reusing factorizations of unchanged matrices; or ``dense``.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ def solve_finite_difference(
     backend:
         Linear-solver backend: a registry name from
         :mod:`repro.thermal.backends` (``"auto"``, ``"sparse-lu"``,
-        ``"sparse-iterative"``, ``"dense"``), a backend instance, or None
+        ``"dense"``), a backend instance, or None
         for the default (``"auto"``, which hands out ``"sparse-lu"``).
     coolant_model:
         Optional :class:`~repro.thermal.properties.CoolantModel`.  None or

@@ -14,8 +14,10 @@ ratio:
   flux-map rasterizer (:mod:`repro.thermal.multichannel`);
 * :mod:`oracles.pressure` -- sampled-trapezoid Eq. (9) pressure drops and
   per-column constraint Jacobians (:mod:`repro.hydraulics.pressure`,
-  :mod:`repro.core.constraints`).
+  :mod:`repro.core.constraints`);
 * :mod:`oracles.superlu` -- the default-ordering SuperLU solve of the
   banded and minimum-degree direct-solve kernels
-  (:mod:`repro.thermal.backends`).
+  (:mod:`repro.thermal.backends`);
+* :mod:`oracles.bvp` -- SciPy adaptive collocation of the single-channel
+  boundary-value problem (:mod:`repro.thermal.bvp`).
 """

@@ -45,7 +45,7 @@ def cavities(geometry, params):
 
 class TestBackendEquivalence:
     @pytest.mark.parametrize(
-        "backend", ["dense", "sparse-lu", "sparse-iterative", "auto"]
+        "backend", ["dense", "sparse-lu", "auto"]
     )
     def test_matches_reference_solution(self, cavities, backend):
         for name, cavity in cavities.items():
@@ -154,22 +154,10 @@ class TestSolveMatrix:
             )
 
 
-class TestIterativeBackend:
-    def test_solves_or_falls_back(self, cavities):
-        backend = backends.SparseIterativeBackend()
-        system = assembly.assemble_system(cavities["multi"], n_points=61)
-        solution = backend.solve(system.matrix, system.rhs, system.pattern_token)
-        residual = np.linalg.norm(system.matrix @ solution - system.rhs)
-        assert np.all(np.isfinite(solution))
-        stats = backend.stats()
-        assert stats["n_iterative_solves"] + stats["n_fallbacks"] == 1
-        assert residual <= 1e-6 * np.linalg.norm(system.rhs) + 1e-12
-
-
 class TestRegistry:
     def test_available_backends(self):
         names = backends.available_backends()
-        for expected in ("auto", "dense", "sparse-iterative", "sparse-lu"):
+        for expected in ("auto", "dense", "sparse-lu"):
             assert expected in names
 
     def test_unknown_backend_rejected(self):

@@ -5,11 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.thermal.bvp import (
-    solve_collocation,
-    solve_single_channel,
-    solve_trapezoidal,
-)
+from oracles.bvp import solve_collocation, solve_single_channel
+from repro.thermal.bvp import solve_trapezoidal
 from repro.thermal.conductances import capacity_rate
 from repro.thermal.geometry import WidthProfile
 

@@ -3,15 +3,34 @@
 Covers the two cache bugs this engine replaced (the clear-all eviction at
 4096 entries and ``evaluate_design`` bypassing the cache), the LRU
 bound/eviction order, batched evaluation with and without worker threads,
-and the solve/cache counters the benchmarks rely on.
+the solve/cache counters the benchmarks rely on, and counter totals when
+threads share one engine.
 """
 
 from __future__ import annotations
 
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from repro.api import ICESimulator
 from repro.core import ChannelModulationOptimizer, EvaluationEngine, OptimizerSettings
+from repro.core.engine import COUNTER_KEYS
+from repro.core.rom import clear_rom_cache
+from repro.scenarios import (
+    GridSpec,
+    PolicySpec,
+    RomSpec,
+    ScenarioSpec,
+    SolverSpec,
+    TraceSpec,
+    TransientSpec,
+    WorkloadSpec,
+    get_scenario,
+)
 from repro.thermal.geometry import WidthProfile
 
 
@@ -359,3 +378,97 @@ class TestStatsManagement:
         assert engine.cache_len == 1
         engine.solve(test_a, n_points=41)
         assert engine.stats()["n_cache_hits"] == 1
+
+
+def _rom_transient_spec(high: float) -> ScenarioSpec:
+    """A small ROM-integrated Test A burst; ``high`` makes each spec distinct."""
+    return ScenarioSpec(
+        name=f"rom-burst-{high:g}",
+        workload=WorkloadSpec(kind="test-a"),
+        grid=GridSpec(n_grid_points=61, n_lanes=1, n_rows=1, n_cols=16),
+        solver=SolverSpec(simulator="ice"),
+        transient=TransientSpec(
+            duration_s=0.2,
+            time_step_s=0.01,
+            traces=(
+                TraceSpec(
+                    layer="top_die",
+                    kind="periodic",
+                    period_s=0.08,
+                    duty=0.5,
+                    high=high,
+                    low=20.0,
+                ),
+            ),
+            policy=PolicySpec(kind="constant", control_interval_s=0.05),
+            store_every=2,
+            threshold_K=320.0,
+            rom=RomSpec(mode="rom", order=30),
+        ),
+    )
+
+
+class _YieldingCounters(dict):
+    """Counter table that yields the GIL between reading and writing a count."""
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        time.sleep(0)
+        return value
+
+
+class TestConcurrentCounters:
+    """Threads sharing one engine (the thread executor) lose no counts."""
+
+    def test_count_is_atomic(self):
+        engine = EvaluationEngine()
+        # A read-modify-write outside the engine lock loses updates here.
+        engine._counters = _YieldingCounters(engine._counters)
+
+        def work(_):
+            for _ in range(200):
+                engine.count(n_rom_steps=1, n_picard_iterations=2)
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(work, range(4)))
+        stats = engine.stats()
+        assert stats["n_rom_steps"] == 800
+        assert stats["n_picard_iterations"] == 1600
+
+    def test_count_rejects_cache_counters(self):
+        # The cache counters are the LRU's; nothing else may move them.
+        with pytest.raises(KeyError):
+            EvaluationEngine().count(n_cache_hits=1)
+
+    def _counters(self, specs, n_threads):
+        clear_rom_cache()
+        engine = EvaluationEngine()
+        simulator = ICESimulator(engine)
+        if n_threads == 1:
+            for spec in specs:
+                simulator.run(spec)
+        else:
+            with ThreadPoolExecutor(max_workers=n_threads) as pool:
+                list(pool.map(simulator.run, specs))
+        clear_rom_cache()
+        stats = engine.stats()
+        return {key: stats[key] for key in COUNTER_KEYS}
+
+    def test_threaded_totals_equal_serial_totals(self):
+        water = get_scenario("test-a").with_overrides(coolant_model="water")
+        specs = [water] * 8 + [
+            _rom_transient_spec(high) for high in (80.0, 100.0, 120.0, 140.0)
+        ]
+        serial = self._counters(specs, n_threads=1)
+        assert serial["n_picard_iterations"] >= 8
+        assert serial["n_rom_builds"] >= 1
+        assert serial["n_rom_steps"] >= 4
+        assert serial["n_cache_misses"] == 4
+        interval = sys.getswitchinterval()
+        # Switch threads as often as possible to provoke interleavings.
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = self._counters(specs, n_threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial

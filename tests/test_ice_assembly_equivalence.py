@@ -228,7 +228,7 @@ class TestBackendRouting:
         assert "residual_norm" not in without.metadata
         assert with_residual.metadata["residual_norm"] < 1e-6
 
-    def test_iterative_backend_matches_direct(self):
+    def test_dense_backend_matches_sparse_lu(self):
         stack = two_die_stack_from_maps(
             np.linspace(20.0, 150.0, 10 * 16).reshape(10, 16),
             60.0,
@@ -238,8 +238,8 @@ class TestBackendRouting:
             n_rows=10,
         )
         direct = SteadyStateSolver(stack, backend="sparse-lu").solve()
-        iterative = SteadyStateSolver(stack, backend="sparse-iterative").solve()
+        dense = SteadyStateSolver(stack, backend="dense").solve()
         for name in direct.layer_names():
             np.testing.assert_allclose(
-                iterative.layer(name), direct.layer(name), rtol=0.0, atol=1e-8
+                dense.layer(name), direct.layer(name), rtol=0.0, atol=1e-8
             )

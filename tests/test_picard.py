@@ -355,18 +355,18 @@ class TestCountersAndSession:
             coolant_model=WATER_COOLANT_MODEL,
             picard=PicardSettings(),
         )
-        assert engine.n_picard_iterations >= 1
-        assert engine.n_picard_fallbacks == 0
+        assert engine.stats()["n_picard_iterations"] >= 1
+        assert engine.stats()["n_picard_fallbacks"] == 0
         engine.solve(
             spec.build_structure(),
             n_points=spec.grid.n_grid_points,
             coolant_model=WATER_COOLANT_MODEL,
             picard=PicardSettings(tolerance_K=1e-12, max_iterations=1),
         )
-        assert engine.n_picard_fallbacks == 1
+        assert engine.stats()["n_picard_fallbacks"] == 1
         engine.reset_stats()
-        assert engine.n_picard_iterations == 0
-        assert engine.n_picard_fallbacks == 0
+        assert engine.stats()["n_picard_iterations"] == 0
+        assert engine.stats()["n_picard_fallbacks"] == 0
 
     def test_default_path_engine_cache_key_unchanged(self):
         # A constant-model session run must hit the cache entry a plain

@@ -85,7 +85,7 @@ grids = st.builds(
 solvers = st.builds(
     SolverSpec,
     simulator=st.sampled_from(["fdm", "ice"]),
-    backend=st.sampled_from(["auto", "sparse-lu", "sparse-iterative", "dense"]),
+    backend=st.sampled_from(["auto", "sparse-lu", "dense"]),
     n_workers=st.integers(min_value=1, max_value=4),
     cache_size=st.integers(min_value=1, max_value=8192),
 )

@@ -509,10 +509,10 @@ class TestTransientAPI:
         spec = tiny_transient_spec()
         first = session.run(spec)
         engine = session.engine_for(spec)
-        misses = engine.n_cache_misses
+        misses = engine.stats()["n_cache_misses"]
         second = session.run(spec)
-        assert engine.n_cache_hits >= 1
-        assert engine.n_cache_misses == misses
+        assert engine.stats()["n_cache_hits"] >= 1
+        assert engine.stats()["n_cache_misses"] == misses
         assert second.transient == first.transient
         assert second.provenance["memoized"]
 
@@ -648,10 +648,10 @@ class TestEngineMemo:
         assert engine.memo(("t", 1), build(1)) == 1
         assert engine.memo(("t", 1), build(1)) == 1  # hit
         assert calls == [1]
-        assert engine.n_cache_hits == 1
+        assert engine.stats()["n_cache_hits"] == 1
         engine.memo(("t", 2), build(2))
         engine.memo(("t", 3), build(3))  # evicts ("t", 1)
-        assert engine.n_evictions == 1
+        assert engine.stats()["n_evictions"] == 1
         engine.memo(("t", 1), build(1))
         assert calls == [1, 2, 3, 1]
 
