@@ -71,7 +71,6 @@ def _check_shape(result):
 
 def test_fig5a_test_a_profiles(benchmark, test_a_design):
     _check_shape(test_a_design)
-    structure = test_a_design.optimal.width_profiles
     # Benchmark one steady-state solve of the optimal design (the unit of
     # work the optimizer repeats).
     candidate = test_a_design.optimal

@@ -1,9 +1,9 @@
-"""Transient engine throughput: batched multi-RHS stepping vs the reference.
+"""Transient engine throughput on a batch of scenarios sharing one stack.
 
 Times a batch of trace-driven transient scenarios that share one stack
-(so one factorization serves every step of every scenario) against the
-step-by-step reference path, asserts bit-identical trajectories, and
-emits the ``transient_throughput`` ``BENCH {json}`` record.  A second
+and one solver backend (so one factorization serves every step of every
+scenario), asserts that single factorization, and emits the
+``transient_throughput`` ``BENCH {json}`` record.  A second
 record, ``factorization_handles``, compares stepping through one
 factorization handle with the per-step lookup path it replaced (every
 step handing the matrix to ``backend.solve``, which content-hashes it):
@@ -31,7 +31,7 @@ from repro.ice.transient import TransientSolver
 from repro.scenarios import GridSpec, ScenarioSpec, SolverSpec, WorkloadSpec
 from repro.thermal.backends import SparseLUBackend
 from repro.transient import PolicySpec, TraceSpec, TransientSpec
-from repro.transient_engine import simulate_transient, simulate_transient_many
+from repro.transient_engine import simulate_transient
 
 #: Smoke mode: tiny problem, no throughput assertions (CI runs this).
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip() not in ("", "0")
@@ -94,36 +94,22 @@ def make_batch():
     return specs
 
 
-def test_transient_throughput_batched_vs_reference(benchmark):
-    """Batched stepping: one factorization, bit-identical, faster stepping."""
+def test_transient_throughput_shared_stack(benchmark):
+    """Serial stepping of a shared-stack batch through one factorization."""
     specs = make_batch()
     n_steps = specs[0].transient.n_steps
+    backend = SparseLUBackend()
 
-    reference_backend = SparseLUBackend()
-    reference_s = _time_once(
-        lambda: [simulate_transient(s, backend=reference_backend)
-                 for s in specs]
-    )
-    references = [
-        simulate_transient(s, backend=reference_backend) for s in specs
-    ]
+    def run_batch():
+        return [simulate_transient(s, backend=backend) for s in specs]
 
-    batched_backend = SparseLUBackend()
-    batched_s = _time_once(
-        lambda: simulate_transient_many(specs, backend=batched_backend)
-    )
+    start = time.perf_counter()
+    outcomes = run_batch()
+    serial_s = time.perf_counter() - start
     # Acceptance: ONE factorization serves all steps and scenarios.
-    assert batched_backend.n_factorizations == 1
-    batched = simulate_transient_many(specs, backend=batched_backend)
-    for outcome, reference in zip(batched, references):
-        assert outcome.metadata["batched"]
-        assert np.array_equal(outcome.peak_history_K, reference.peak_history_K)
-        for name, history in reference.result.layer_histories.items():
-            assert np.array_equal(
-                outcome.result.layer_histories[name], history
-            )
+    assert backend.n_factorizations == 1
 
-    benchmark(lambda: simulate_transient_many(specs, backend=batched_backend))
+    benchmark(run_batch)
 
     total_steps = N_SCENARIOS * n_steps
     record = {
@@ -131,23 +117,18 @@ def test_transient_throughput_batched_vs_reference(benchmark):
         "n_scenarios": N_SCENARIOS,
         "n_steps": n_steps,
         "grid": [N_ROWS, N_COLS],
-        "n_unknowns": batched[0].metadata["n_unknowns"],
-        "reference_s": reference_s,
-        "batched_s": batched_s,
-        "reference_steps_per_s": total_steps / reference_s,
-        "batched_steps_per_s": total_steps / batched_s,
-        "speedup": reference_s / batched_s,
-        "factorizations": batched_backend.n_factorizations,
-        "bit_identical": True,
+        "n_unknowns": outcomes[0].metadata["n_unknowns"],
+        "serial_s": serial_s,
+        "steps_per_s": total_steps / serial_s,
+        "factorizations": backend.n_factorizations,
         "smoke": SMOKE,
     }
     emit_bench(record)
     print()
     print(
         f"transient {N_SCENARIOS} scenarios x {n_steps} steps "
-        f"({record['n_unknowns']} unknowns): reference "
-        f"{reference_s * 1e3:.1f} ms, batched {batched_s * 1e3:.1f} ms "
-        f"({record['speedup']:.2f}x, one factorization)"
+        f"({record['n_unknowns']} unknowns): {serial_s * 1e3:.1f} ms, "
+        f"{record['steps_per_s']:.0f} steps/s, one factorization"
     )
 
 

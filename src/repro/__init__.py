@@ -113,11 +113,7 @@ from .scenarios import (
     scenario_names,
 )
 from .transient import PolicySpec, TraceSpec, TransientSpec
-from .transient_engine import (
-    TransientOutcome,
-    simulate_transient,
-    simulate_transient_many,
-)
+from .transient_engine import TransientOutcome, simulate_transient
 from .policies import (
     BangBangFlowPolicy,
     ConstantFlowPolicy,
@@ -210,7 +206,6 @@ __all__ = [
     "TransientSpec",
     "TransientOutcome",
     "simulate_transient",
-    "simulate_transient_many",
     "BangBangFlowPolicy",
     "ConstantFlowPolicy",
     "FlowPolicy",

@@ -48,12 +48,7 @@ from .core.results import ModulationResult
 from .hydraulics.network import FlowNetwork
 from .ice.solver import SteadyStateSolver
 from .scenarios import ScenarioSpec, resolve_scenario
-from .thermal.geometry import (
-    ChannelGeometry,
-    MultiChannelStructure,
-    TestStructure,
-    WidthProfile,
-)
+from .thermal.geometry import MultiChannelStructure, TestStructure
 from .thermal.properties import get_coolant_model
 
 
@@ -174,31 +169,6 @@ def _lane_pressure_drops(structure: MultiChannelStructure) -> np.ndarray:
         structure.width_profiles(),
         flow_rate_per_channel=structure.lanes[0].flow_rate,
         coolant=structure.coolant,
-    )
-    return network.pressure_drops
-
-
-def _scenario_pressure_drops(spec: ScenarioSpec, config) -> np.ndarray:
-    """Per-lane Eq. (9) pressure drops of a scenario's channel design.
-
-    Derives the hydraulic inputs (geometry with the scenario's channel
-    length, per-lane width profiles, per-channel flow rate) straight from
-    the spec, reproducing exactly what :func:`_lane_pressure_drops`
-    computes on the built cavity -- without paying for the flux-map
-    rasterization the cavity build performs.
-    """
-    params = config.params.with_overrides(channel_length=spec.channel_length())
-    geometry = ChannelGeometry.from_parameters(params)
-    profiles = spec.width_profiles()
-    if profiles is None:
-        profiles = [
-            WidthProfile.uniform(geometry.max_width, geometry.length)
-        ] * spec.n_lanes
-    network = FlowNetwork(
-        geometry,
-        profiles,
-        flow_rate_per_channel=params.flow_rate_per_channel,
-        coolant=params.coolant,
     )
     return network.pressure_drops
 
@@ -347,8 +317,7 @@ class ICESimulator:
             outcome = compute()
         wall_time = time.perf_counter() - start
         memoized = self.engine is not None and not computed
-        config = spec.experiment_config()
-        drops = _scenario_pressure_drops(spec, config)
+        drops = spec.flow_network().pressure_drops
         final = outcome.result.final_maps()
         transient_payload: Dict[str, object] = dict(outcome.metrics)
         transient_payload.update(
@@ -400,7 +369,7 @@ class ICESimulator:
         # The cavity's pressure drop is a property of the channel design,
         # not of the thermal model, so both simulators report the same
         # Eq. (9) values for the same scenario.
-        drops = _scenario_pressure_drops(spec, config)
+        drops = spec.flow_network().pressure_drops
         inlet = config.params.inlet_temperature
         coolant_rise = 0.0
         if maps.coolant_maps:

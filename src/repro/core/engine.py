@@ -183,33 +183,24 @@ class EvaluationEngine:
 
     def solve(
         self,
-        structure=None,
+        structure,
         *,
         n_points: int,
         key=_AUTO_KEY,
-        structure_factory: Optional[Callable[[], object]] = None,
         **solver_kwargs,
     ) -> ThermalSolution:
         """Cached steady-state solve of one structure.
 
-        Either ``structure`` or ``structure_factory`` must be given; the
-        factory is only invoked on a cache miss (callers that would build a
-        candidate structure from a decision vector can skip that work when
-        the solution is already cached -- in that case pass an explicit
-        ``key``).  ``key=None`` disables caching for this call.
+        ``key`` defaults to the structure's fingerprint; :meth:`solve_many`
+        passes the key it already derived.  ``key=None`` disables caching
+        for this call.
         """
-        if structure is None and structure_factory is None:
-            raise ValueError("either structure or structure_factory is required")
         if key is _AUTO_KEY:
-            if structure is None:
-                raise ValueError(
-                    "an explicit key is required when only a factory is given"
-                )
             key = self._derive_key(structure, n_points, solver_kwargs)
 
         def compute() -> ThermalSolution:
             solution = solve_structure(
-                structure if structure is not None else structure_factory(),
+                structure,
                 n_points=n_points,
                 backend=self.solver_backend,
                 **solver_kwargs,

@@ -31,11 +31,10 @@ the implicit system's pattern token, building a model warms the very
 factorization the full path (and the checkpoint error probes) would use.
 
 :func:`reduced_model_for` keeps built models in a
-:class:`~repro.core.lru.BoundedLRU` keyed by the same content identity the
-batched transient engine groups on (implicit-matrix digest + input digests
-+ build settings), so quantized flow-scale levels, control chunks,
-repeated scenarios and MPC rollout contexts reuse bases instead of
-rebuilding them.
+:class:`~repro.core.lru.BoundedLRU` keyed by content identity
+(implicit-matrix digest + input digests + build settings), so quantized
+flow-scale levels, control chunks, repeated scenarios and MPC rollout
+contexts reuse bases instead of rebuilding them.
 """
 
 from __future__ import annotations
@@ -322,9 +321,9 @@ def reduced_model_for(
     """``(model, built)`` for a content key, through the bounded cache.
 
     ``key`` must capture everything the build depends on (implicit-matrix
-    content, input content, order, tolerance, backend); callers in the
-    transient engine derive it from the same digests
-    ``simulate_transient_many`` groups on.  The factory runs outside the
+    content, input content, order, tolerance, backend); the transient
+    engine derives it from the implicit matrix's pattern token and byte
+    digest plus the input digests.  The factory runs outside the
     lock; when two threads race, the first insertion wins and the loser's
     model is discarded (both are bit-identical by construction).
     """

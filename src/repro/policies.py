@@ -30,10 +30,9 @@ Three built-in policies cover the classic control shapes:
 
 Policies are deliberately *stateless* pure functions of the observation:
 the same temperature history always produces the same flow trajectory, so
-transient campaigns comparing policies are reproducible and the batched
-transient engine can treat constant-flow scenarios as one group.  (The
-MPC policy keeps this determinism: its planner is a deterministic
-function of the simulation state.)
+transient campaigns comparing policies are reproducible.  (The MPC policy
+keeps this determinism: its planner is a deterministic function of the
+simulation state.)
 
 Custom policies register with :func:`register_policy`; anything exposing
 ``initial_scale()`` and ``update(time_s, peak_temperature_K) -> float``

@@ -50,6 +50,7 @@ from .floorplan.workloads import (
     test_b_fluxes,
     test_b_structure,
 )
+from .hydraulics.network import FlowNetwork
 from .ice.builders import two_die_stack_from_architecture, two_die_stack_from_maps
 from .ice.stack import LayerStack
 from .thermal.geometry import (
@@ -592,6 +593,32 @@ class ScenarioSpec:
                     WidthProfile.piecewise_constant(list(segments), length)
                 )
         return profiles
+
+    def flow_network(self, flow_scale: float = 1.0) -> FlowNetwork:
+        """The cavity's Eq. (9) flow network at ``flow_scale`` x nominal flow.
+
+        The hydraulic inputs -- geometry with the scenario's channel
+        length, the per-lane width profiles (uniform at the maximum width
+        without a design) and the per-channel flow rate -- come straight
+        from the spec, so hydraulics never pay for the flux-map
+        rasterization a cavity build performs.  At ``flow_scale=1.0`` the
+        pressure drops equal those of the built cavity bit for bit.
+        """
+        params = self._parameters().with_overrides(
+            channel_length=self.channel_length()
+        )
+        geometry = ChannelGeometry.from_parameters(params)
+        profiles = self.width_profiles()
+        if profiles is None:
+            profiles = [
+                WidthProfile.uniform(geometry.max_width, geometry.length)
+            ] * self.n_lanes
+        return FlowNetwork(
+            geometry,
+            profiles,
+            flow_rate_per_channel=params.flow_rate_per_channel * flow_scale,
+            coolant=params.coolant,
+        )
 
     # -- model builders ---------------------------------------------------
 

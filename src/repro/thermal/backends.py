@@ -31,8 +31,7 @@ engine can swap solvers without touching the assembly:
 Factorization handles
 ---------------------
 A caller that solves one fixed matrix many times -- a backward-Euler
-control chunk, a Krylov ROM build, a lockstep group of transient
-scenarios -- acquires a :class:`FactorizationHandle` once with
+control chunk, a Krylov ROM build -- acquires a :class:`FactorizationHandle` once with
 :meth:`SolverBackend.solver_for` (one content lookup, which factorizes on
 a miss) and then solves through it with :meth:`FactorizationHandle.solve`
 (``trans="N"`` or ``"T"``), a bare triangular solve that never re-hashes

@@ -1,4 +1,4 @@
-"""Trace-driven transient simulation: the policy-aware, batchable engine.
+"""Trace-driven transient simulation: the policy-aware engine.
 
 This module turns a transient scenario (a
 :class:`~repro.scenarios.ScenarioSpec` carrying a
@@ -9,30 +9,20 @@ schedule the runtime policy produced, and the transient metrics campaigns
 record (peak transient temperature, time above threshold, thermal-cycling
 amplitude, pumping energy).
 
-Two solve paths share one stepping core
-(:meth:`repro.ice.transient.TransientSolver.integrate`):
-
-:func:`simulate_transient`
-    The reference path: one scenario, stepped chunk by chunk.  At every
-    control interval the flow policy observes the peak temperature and may
-    change the flow scale; a scale change rebuilds the stack at the scaled
-    flow (the assembly's cached sparsity pattern makes this cheap) and the
-    solver backend's keyed factorization cache makes revisited scales --
-    e.g. the two levels of a bang-bang controller -- pay only triangular
-    solves.  Each chunk acquires one factorization handle, so the matrix
-    is content-hashed once per chunk, not once per step.
-
-:func:`simulate_transient_many`
-    The vectorized path: scenarios whose implicit systems are
-    content-identical (same stack geometry, widths, flow and time step --
-    they may differ arbitrarily in traces and static heat maps) are
-    *grouped* and stepped together: the group acquires one
-    :class:`~repro.thermal.backends.FactorizationHandle` and every time
-    step back-substitutes all members' right-hand sides through it.
-    Every trajectory is bit-identical to what :func:`simulate_transient`
-    produces for the same scenario (the backend tests and the transient
-    test suite assert exact equality), so batching is purely a throughput
-    optimization.
+:func:`simulate_transient` steps one scenario chunk by chunk, one chunk
+per control interval.  Each chunk advances through either the full
+backward-Euler integrator
+(:meth:`repro.ice.transient.TransientSolver.integrate`) or the reduced
+Krylov model, as the spec's ``rom`` block selects; between chunks the flow
+policy observes the peak temperature and may change the flow scale.  A
+scale change rebuilds the stack at the scaled flow (the assembly's cached
+sparsity pattern makes this cheap) and the solver backend's keyed
+factorization cache makes revisited scales -- e.g. the two levels of a
+bang-bang controller -- pay only triangular solves.  Each chunk acquires
+one factorization handle, so the matrix is content-hashed once per chunk,
+not once per step; scenarios run through one shared backend instance
+with content-identical implicit systems (traces and static heat maps may
+differ) share one factorization.
 
 Long traces do not blow memory: full-field snapshots are kept every
 ``store_every`` steps only, while the scalar observables driving metrics
@@ -45,7 +35,7 @@ import hashlib
 import json
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Union
 
 import numpy as np
 
@@ -55,19 +45,16 @@ from .analysis.metrics import (
     time_above_threshold,
 )
 from .core.rom import ReducedTransientModel, build_reduced_model, reduced_model_for
-from .hydraulics.network import FlowNetwork
 from .ice.results import TransientResult
 from .ice.transient import TransientSolver, result_from_snapshots
 from .policies import FlowPolicy, policy_from_spec
 from .scenarios import ScenarioSpec, resolve_scenario
 from .thermal.backends import SolverBackend, resolve_backend, solver_for
 from .thermal.correlations import LAMINAR_REYNOLDS_LIMIT, reynolds_number
-from .thermal.geometry import ChannelGeometry, WidthProfile
 
 __all__ = [
     "TransientOutcome",
     "simulate_transient",
-    "simulate_transient_many",
 ]
 
 #: Flow scales are quantized to this many decimals before a stack is built
@@ -101,7 +88,7 @@ class TransientOutcome:
         temperature, time above threshold, cycling amplitude, pumping
         energy, ...).
     metadata:
-        Provenance: backend, grouping, integration settings.
+        Provenance: backend, policy, integration settings.
     """
 
     scenario: str
@@ -186,7 +173,7 @@ class _Context:
 
 
 class _Recorder:
-    """Per-scenario history bookkeeping shared by both solve paths."""
+    """Per-scenario history bookkeeping of one run."""
 
     def __init__(self, ctx: _Context, n_steps: int, store_every: int) -> None:
         self.ctx = ctx
@@ -224,37 +211,6 @@ def _quantize(scale: float) -> float:
     return round(float(scale), _SCALE_DECIMALS)
 
 
-def _hydraulics_at(
-    spec: ScenarioSpec, ctx: _Context, scale: float
-) -> tuple:
-    """``(pumping power W, max pressure drop Pa)`` at one flow scale.
-
-    Per-lane Eq. (9) pressure drops at the scaled per-channel flow feed
-    the per-channel pumping power ``dP * V_dot``; the mean over the
-    modeled lanes is scaled up to every physical channel of every cavity
-    (the lanes are the cavity's symmetric manifold clusters).
-    """
-    params = spec.experiment_config().params.with_overrides(
-        channel_length=spec.channel_length()
-    )
-    geometry = ChannelGeometry.from_parameters(params)
-    profiles = spec.width_profiles()
-    if profiles is None:
-        profiles = [
-            WidthProfile.uniform(geometry.max_width, geometry.length)
-        ] * spec.n_lanes
-    network = FlowNetwork(
-        geometry,
-        profiles,
-        flow_rate_per_channel=params.flow_rate_per_channel * scale,
-        coolant=params.coolant,
-    )
-    per_lane = network.total_pumping_power / network.n_channels
-    n_cavities = len(ctx.stack.cavity_layer_names())
-    n_physical = ctx.stack.channels_per_cavity() * max(n_cavities, 1)
-    return per_lane * n_physical, network.max_pressure_drop
-
-
 def _max_reynolds(spec: ScenarioSpec, flow_scales: np.ndarray) -> float:
     """Worst-case channel Reynolds number over the applied flow scales.
 
@@ -265,19 +221,14 @@ def _max_reynolds(spec: ScenarioSpec, flow_scales: np.ndarray) -> float:
     ``w + h`` maximizes ``Re = 2 rho V_dot / (mu (w + h))``) and at the
     largest applied flow scale.
     """
-    params = spec.experiment_config().params.with_overrides(
-        channel_length=spec.channel_length()
-    )
-    geometry = ChannelGeometry.from_parameters(params)
-    profiles = spec.width_profiles()
-    if profiles is None:
-        min_width = geometry.max_width
-    else:
-        min_width = min(min(p.segment_widths) for p in profiles)
-    peak_flow = params.flow_rate_per_channel * float(np.max(flow_scales))
+    network = spec.flow_network(float(np.max(flow_scales)))
+    min_width = min(min(p.segment_widths) for p in network.width_profiles)
     return float(
         reynolds_number(
-            peak_flow, min_width, params.channel_height, params.coolant
+            network.flow_rate_per_channel,
+            min_width,
+            network.geometry.channel_height,
+            network.coolant,
         )
     )
 
@@ -287,10 +238,8 @@ def _finalize(
     recorder: _Recorder,
     backend: SolverBackend,
     *,
-    batched: bool,
-    group_size: int,
     wall_time_s: float,
-    rom_stats: Optional[Dict[str, object]] = None,
+    rom_stats: Dict[str, object],
 ) -> TransientOutcome:
     """Assemble histories, metrics and provenance into the outcome."""
     transient = spec.transient
@@ -314,8 +263,19 @@ def _finalize(
     rises = np.asarray(recorder.rises)
     flow_times = np.asarray(recorder.flow_times)
     flow_scales = np.asarray(recorder.flow_scales)
-    hydraulics = [_hydraulics_at(spec, ctx, scale) for scale in flow_scales]
-    pumping_powers = np.array([power for power, _ in hydraulics])
+    # Per-lane Eq. (9) pressure drops at each applied flow scale feed the
+    # per-channel pumping power ``dP * V_dot``; the mean over the modeled
+    # lanes is scaled up to every physical channel of every cavity (the
+    # lanes are the cavity's symmetric manifold clusters).
+    networks = [spec.flow_network(scale) for scale in flow_scales]
+    n_cavities = len(ctx.stack.cavity_layer_names())
+    n_physical = ctx.stack.channels_per_cavity() * max(n_cavities, 1)
+    pumping_powers = np.array(
+        [
+            network.total_pumping_power / network.n_channels * n_physical
+            for network in networks
+        ]
+    )
     # Time integrals run over the time actually simulated: when duration_s
     # is not a whole multiple of the step, round(duration/dt) steps were
     # taken and the final recorded time -- not the requested duration --
@@ -343,7 +303,7 @@ def _finalize(
         # at *nominal* flow; this is the Eq. (9) worst-case drop at the
         # largest flow scale the policy actually applied.
         "max_pressure_drop_at_peak_flow_Pa": float(
-            max(drop for _, drop in hydraulics)
+            max(network.max_pressure_drop for network in networks)
         ),
         "n_flow_changes": int(np.count_nonzero(np.diff(flow_scales))),
     }
@@ -357,8 +317,6 @@ def _finalize(
     metadata: Dict[str, object] = {
         "backend": backend.name,
         "policy": transient.policy.kind,
-        "batched": batched,
-        "group_size": group_size,
         "n_steps": transient.n_steps,
         "time_step_s": transient.time_step_s,
         "duration_s": transient.duration_s,
@@ -367,7 +325,7 @@ def _finalize(
         "n_unknowns": system.n_unknowns,
         "wall_time_s": wall_time_s,
     }
-    if rom_stats is not None and (
+    if (
         rom_stats.get("rom")
         or rom_stats.get("n_rom_builds")
         or rom_stats.get("n_rom_steps")
@@ -398,20 +356,11 @@ def _finalize(
     )
 
 
-def _require_transient(spec: ScenarioSpec) -> None:
-    if spec.transient is None:
-        raise ValueError(
-            f"scenario {spec.name!r} has no transient section; the transient "
-            "engine runs transient scenarios only (use the steady simulators "
-            "for steady specs)"
-        )
-
-
 def simulate_transient(
     scenario,
     backend: Union[None, str, SolverBackend] = None,
 ) -> TransientOutcome:
-    """Run one transient scenario step by step (the reference path).
+    """Run one transient scenario step by step.
 
     ``backend`` overrides the spec's solver backend (a registry name from
     :mod:`repro.thermal.backends`, a backend instance, or None for the
@@ -421,21 +370,23 @@ def simulate_transient(
     engine and the plain transient solver agree bit for bit.
     """
     spec = resolve_scenario(scenario)
-    _require_transient(spec)
+    if spec.transient is None:
+        raise ValueError(
+            f"scenario {spec.name!r} has no transient section; the transient "
+            "engine runs transient scenarios only (use the steady simulators "
+            "for steady specs)"
+        )
     backend = resolve_backend(
         backend if backend is not None else spec.solver.backend
     )
     start_wall = _time.perf_counter()
-    transient = spec.transient
-    policy = policy_from_spec(transient.policy)
+    policy = policy_from_spec(spec.transient.policy)
     recorder, rom_stats = _integrate_controlled(spec, policy, backend)
     wall_time = _time.perf_counter() - start_wall
     return _finalize(
         spec,
         recorder,
         backend,
-        batched=False,
-        group_size=1,
         wall_time_s=wall_time,
         rom_stats=rom_stats,
     )
@@ -446,11 +397,10 @@ def _reduced_model_for(
 ) -> tuple:
     """``(model, built)`` for one context, through the bounded ROM cache.
 
-    The cache key is derived from the same content the batched engine
-    groups on -- the implicit matrix's byte digest -- extended with the
-    input content (static-load digest, trace specs, duration) and the
-    build settings, so any two scenarios that would build bit-identical
-    bases share one.
+    The cache key is the implicit matrix's content (pattern token and
+    byte digest) extended with the input content (static-load digest,
+    trace specs, duration) and the build settings, so any two scenarios
+    that would build bit-identical bases share one.
     """
     solver = ctx.solver
     rom = transient.rom
@@ -528,16 +478,16 @@ def _integrate_controlled(
 ) -> tuple:
     """Step one scenario to the end, consulting the policy each interval.
 
-    Returns ``(recorder, rom_stats)``.  The trajectory advances through
-    the full integrator or the reduced one depending on the spec's
-    ``rom`` block; either way, a planning policy (one exposing
-    ``bind_planner``) is handed a reduced-rollout planner, so MPC control
-    is affordable even over full trajectories.
+    Returns ``(recorder, rom_stats)``.  The trajectory advances one
+    control interval (chunk) at a time through the full integrator or the
+    reduced one, as the spec's ``rom`` block selects; after each chunk the
+    policy may switch the flow scale.  Either way, a planning policy (one
+    exposing ``bind_planner``) is handed a reduced-rollout planner, so MPC
+    control is affordable even over full trajectories.
     """
     transient = spec.transient
     n_steps = transient.n_steps
     dt = transient.time_step_s
-    control_steps = transient.control_steps
     contexts: Dict[float, _Context] = {}
     models: Dict[float, ReducedTransientModel] = {}
     rom_stats: Dict[str, object] = {"n_rom_builds": 0, "n_rom_steps": 0}
@@ -580,289 +530,126 @@ def _integrate_controlled(
         policy.bind_planner(plan)
 
     if transient.rom_active:
-        _advance_reduced(spec, policy, recorder, context_for, model_for, rom_stats)
-    else:
-        _advance_full(spec, policy, recorder, context_for)
+        rom_stats.update(
+            rom=True,
+            rom_order=0,
+            rom_peak_abs_err_K=0.0,
+            rom_check_stride=transient.rom.check_every or max(1, n_steps // 4),
+        )
+    global_step = 0
+    while global_step < n_steps:
+        chunk = min(transient.control_steps, n_steps - global_step)
+        if transient.rom_active:
+            model = model_for(recorder.ctx)
+            _advance_reduced(
+                transient, recorder, model, global_step, chunk, rom_stats
+            )
+        else:
+            _advance_full(transient, recorder, global_step, chunk)
+        global_step += chunk
+        if global_step < n_steps and transient.policy.control_interval_s > 0.0:
+            scale = _quantize(
+                policy.update(recorder.step_times[-1], recorder.peaks[-1])
+            )
+            if scale != recorder.ctx.scale:
+                recorder.change_flow(recorder.step_times[-1], context_for(scale))
     return recorder, rom_stats
 
 
 def _advance_full(
-    spec: ScenarioSpec,
-    policy: FlowPolicy,
-    recorder: _Recorder,
-    context_for: Callable[[float], _Context],
+    transient, recorder: _Recorder, first_step: int, chunk: int
 ) -> None:
-    """The reference path: full-state backward-Euler stepping."""
-    transient = spec.transient
-    n_steps = transient.n_steps
-    dt = transient.time_step_s
-    control_steps = transient.control_steps
-    global_step = 0
-    while global_step < n_steps:
-        chunk = min(control_steps, n_steps - global_step)
-        offset = global_step
+    """One chunk of full-state backward-Euler steps."""
 
-        def on_step(step: int, time: float, state: np.ndarray) -> None:
-            recorder.observe(offset + step, time, state)
+    def on_step(step: int, time: float, state: np.ndarray) -> None:
+        recorder.observe(first_step + step, time, state)
 
-        recorder.state = recorder.ctx.solver.integrate(
-            recorder.state,
-            step_offset=offset,
-            n_steps=chunk,
-            time_step=dt,
-            on_step=on_step,
-        )
-        global_step += chunk
-        if global_step < n_steps and transient.policy.control_interval_s > 0.0:
-            scale = _quantize(
-                policy.update(recorder.step_times[-1], recorder.peaks[-1])
-            )
-            if scale != recorder.ctx.scale:
-                recorder.change_flow(recorder.step_times[-1], context_for(scale))
+    recorder.state = recorder.ctx.solver.integrate(
+        recorder.state,
+        step_offset=first_step,
+        n_steps=chunk,
+        time_step=transient.time_step_s,
+        on_step=on_step,
+    )
 
 
 def _advance_reduced(
-    spec: ScenarioSpec,
-    policy: FlowPolicy,
+    transient,
     recorder: _Recorder,
-    context_for: Callable[[float], _Context],
-    model_for: Callable[[_Context], ReducedTransientModel],
+    model: ReducedTransientModel,
+    first_step: int,
+    chunk: int,
     rom_stats: Dict[str, object],
 ) -> None:
-    """The reduced path: project, step in the Krylov subspace, lift on demand.
+    """One chunk of reduced steps: project, step in the subspace, lift.
 
     Scalar observables (peak temperature, coolant rise) come from the
     model's output maps every step; full states are reconstructed only at
-    stored-snapshot steps and control-interval boundaries.  At every
-    ``check_stride`` steps (and at the final step) one *full* implicit
+    stored-snapshot steps and at the chunk's end.  At every
+    ``rom_check_stride`` steps (and at the final step) one *full* implicit
     step is taken from the lifted reduced state and its peak is compared
-    to the reduced prediction -- the maximum discrepancy is reported as
-    ``rom_peak_abs_err_K``.
+    to the reduced prediction -- the running maximum discrepancy is
+    ``rom_stats["rom_peak_abs_err_K"]``.
     """
-    transient = spec.transient
     n_steps = transient.n_steps
     dt = transient.time_step_s
-    control_steps = transient.control_steps
     store_every = transient.store_every
-    check_stride = transient.rom.check_every or max(1, n_steps // 4)
-    max_abs_err = 0.0
-    orders: List[int] = []
-    global_step = 0
-    while global_step < n_steps:
-        chunk = min(control_steps, n_steps - global_step)
-        ctx = recorder.ctx
-        model = model_for(ctx)
-        orders.append(model.order)
-        implicit, c_over_dt, token = ctx.solver.implicit_system(dt)
-        x = model.project(recorder.state)
-        # Acquired at the chunk's first checkpoint, if it has one.
-        reference_solver = None
-        # The chunk advances through the factored recurrence
-        # ``x_{k+1} = P x_k + M^{-1} Vᵀ b_k``: all rhs projections solve
-        # in one dense call, each step is one order-sized matvec, and the
-        # scalar observables of the whole chunk come from two BLAS-3
-        # products over the stacked reduced states.
-        times = (global_step + np.arange(1, chunk + 1)) * dt
-        projected = np.empty((model.order, chunk))
-        for column, time in enumerate(times):
-            projected[:, column] = model.project_rhs(float(time))
-        forced = model.solve_projected(projected)
-        propagation = model.propagation
-        states = np.empty((model.order, chunk))
-        x_start = x
-        for column in range(chunk):
-            x = propagation @ x + forced[:, column]
-            states[:, column] = x
-        rom_stats["n_rom_steps"] = int(rom_stats["n_rom_steps"]) + chunk
-        peaks = model.output_max_many("solid", states)
-        if ctx.coolant_cells.size == 0:
-            rises = np.zeros(chunk)
-        else:
-            rises = (
-                model.output_max_many("coolant", states)
-                - ctx.inlet_temperature
-            )
-        recorder.step_times.extend(float(time) for time in times)
-        recorder.peaks.extend(float(peak) for peak in peaks)
-        recorder.rises.extend(float(rise) for rise in rises)
-        for column in range(chunk):
-            global_index = global_step + column + 1
-            checkpoint = (
-                global_index % check_stride == 0 or global_index == n_steps
-            )
-            if checkpoint:
-                x_prev = states[:, column - 1] if column else x_start
-                if reference_solver is None:
-                    reference_solver = solver_for(
-                        ctx.solver.backend, implicit, token
-                    )
-                reference = reference_solver.solve(
-                    ctx.solver.rhs_at(float(times[column]))
-                    + c_over_dt @ model.lift(x_prev)
+    check_stride = rom_stats["rom_check_stride"]
+    ctx = recorder.ctx
+    rom_stats["rom_order"] = max(rom_stats["rom_order"], model.order)
+    max_abs_err = rom_stats["rom_peak_abs_err_K"]
+    implicit, c_over_dt, token = ctx.solver.implicit_system(dt)
+    x = model.project(recorder.state)
+    # Acquired at the chunk's first checkpoint, if it has one.
+    reference_solver = None
+    # The chunk advances through the factored recurrence
+    # ``x_{k+1} = P x_k + M^{-1} Vᵀ b_k``: all rhs projections solve
+    # in one dense call, each step is one order-sized matvec, and the
+    # scalar observables of the whole chunk come from two BLAS-3
+    # products over the stacked reduced states.
+    times = (first_step + np.arange(1, chunk + 1)) * dt
+    projected = np.empty((model.order, chunk))
+    for column, time in enumerate(times):
+        projected[:, column] = model.project_rhs(float(time))
+    forced = model.solve_projected(projected)
+    propagation = model.propagation
+    states = np.empty((model.order, chunk))
+    x_start = x
+    for column in range(chunk):
+        x = propagation @ x + forced[:, column]
+        states[:, column] = x
+    rom_stats["n_rom_steps"] = int(rom_stats["n_rom_steps"]) + chunk
+    peaks = model.output_max_many("solid", states)
+    if ctx.coolant_cells.size == 0:
+        rises = np.zeros(chunk)
+    else:
+        rises = (
+            model.output_max_many("coolant", states) - ctx.inlet_temperature
+        )
+    recorder.step_times.extend(float(time) for time in times)
+    recorder.peaks.extend(float(peak) for peak in peaks)
+    recorder.rises.extend(float(rise) for rise in rises)
+    for column in range(chunk):
+        global_index = first_step + column + 1
+        checkpoint = (
+            global_index % check_stride == 0 or global_index == n_steps
+        )
+        if checkpoint:
+            x_prev = states[:, column - 1] if column else x_start
+            if reference_solver is None:
+                reference_solver = solver_for(
+                    ctx.solver.backend, implicit, token
                 )
-                max_abs_err = max(
-                    max_abs_err,
-                    abs(ctx.peak(reference) - float(peaks[column])),
-                )
-            if global_index % store_every == 0 or global_index == n_steps:
-                recorder.times.append(float(times[column]))
-                recorder.snapshots.append(model.lift(states[:, column]))
-        recorder.state = model.lift(states[:, -1])
-        global_step += chunk
-        if global_step < n_steps and transient.policy.control_interval_s > 0.0:
-            scale = _quantize(
-                policy.update(recorder.step_times[-1], recorder.peaks[-1])
+            reference = reference_solver.solve(
+                ctx.solver.rhs_at(float(times[column]))
+                + c_over_dt @ model.lift(x_prev)
             )
-            if scale != recorder.ctx.scale:
-                recorder.change_flow(recorder.step_times[-1], context_for(scale))
-    rom_stats["rom"] = True
-    rom_stats["rom_order"] = max(orders)
+            max_abs_err = max(
+                max_abs_err,
+                abs(ctx.peak(reference) - float(peaks[column])),
+            )
+        if global_index % store_every == 0 or global_index == n_steps:
+            recorder.times.append(float(times[column]))
+            recorder.snapshots.append(model.lift(states[:, column]))
+    recorder.state = model.lift(states[:, -1])
     rom_stats["rom_peak_abs_err_K"] = float(max_abs_err)
-    rom_stats["rom_check_stride"] = int(check_stride)
-
-
-# -- batched path -----------------------------------------------------------
-
-
-def _group_token(ctx: _Context, transient) -> tuple:
-    """Hashable identity of a scenario's implicit system and time axis.
-
-    Scenarios grouped under one token share the implicit matrix bit for
-    bit (same sparsity pattern and coefficient values -- geometry, widths,
-    flow and time step all agree), the same step count and the same
-    initial temperature, so their trajectories can advance through one
-    factorization; traces, static heat maps and thresholds may differ
-    freely (they only shape the right-hand sides and the metrics).
-    """
-    implicit, c_over_dt, token = ctx.solver.implicit_system(
-        transient.time_step_s
-    )
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(implicit.data.tobytes())
-    digest.update(implicit.indices.tobytes())
-    digest.update(implicit.indptr.tobytes())
-    return (
-        token,
-        digest.hexdigest(),
-        implicit.shape,
-        transient.time_step_s,
-        transient.n_steps,
-        transient.store_every,
-        ctx.start_temperature(),
-    )
-
-
-def simulate_transient_many(
-    scenarios: Sequence,
-    backend: Union[None, str, SolverBackend] = None,
-) -> List[TransientOutcome]:
-    """Run many transient scenarios, batching compatible ones per step.
-
-    Scenarios with an inactive (constant-flow) policy whose implicit
-    systems are content-identical advance together: one factorization
-    handle per group, and each time step back-substitutes every member
-    through it.  Scenarios with reactive policies -- whose flow (and
-    hence matrix) can diverge mid-run -- and singleton groups fall back to
-    :func:`simulate_transient`.  Results are returned in input order and
-    are bit-identical to the per-scenario reference path.
-    """
-    specs = [resolve_scenario(scenario) for scenario in scenarios]
-    for spec in specs:
-        _require_transient(spec)
-    outcomes: List[Optional[TransientOutcome]] = [None] * len(specs)
-    groups: Dict[tuple, List[int]] = {}
-    contexts: Dict[int, _Context] = {}
-    for index, spec in enumerate(specs):
-        spec_backend = resolve_backend(
-            backend if backend is not None else spec.solver.backend
-        )
-        if spec.transient.rom_active or spec.transient.policy.is_reactive:
-            # ROM scenarios route through the reference path: the global
-            # model cache already amortizes basis builds across members,
-            # and reusing one code path keeps serial/batched trajectories
-            # bit-identical by construction.
-            outcomes[index] = simulate_transient(spec, backend=spec_backend)
-            continue
-        policy = policy_from_spec(spec.transient.policy)
-        ctx = _Context(spec, _quantize(policy.initial_scale()), spec_backend)
-        contexts[index] = ctx
-        key = (id(spec_backend),) + _group_token(ctx, spec.transient)
-        groups.setdefault(key, []).append(index)
-    for members in groups.values():
-        if len(members) == 1:
-            index = members[0]
-            ctx = contexts[index]
-            start_wall = _time.perf_counter()
-            recorder = _Recorder(
-                ctx, specs[index].transient.n_steps,
-                specs[index].transient.store_every,
-            )
-            recorder.state = ctx.solver.integrate(
-                recorder.state,
-                step_offset=0,
-                n_steps=specs[index].transient.n_steps,
-                time_step=specs[index].transient.time_step_s,
-                on_step=lambda step, time, state: recorder.observe(
-                    step, time, state
-                ),
-            )
-            outcomes[index] = _finalize(
-                specs[index],
-                recorder,
-                ctx.solver.backend,
-                batched=False,
-                group_size=1,
-                wall_time_s=_time.perf_counter() - start_wall,
-            )
-            continue
-        outcomes_for = _integrate_group(
-            [specs[index] for index in members],
-            [contexts[index] for index in members],
-        )
-        for index, outcome in zip(members, outcomes_for):
-            outcomes[index] = outcome
-    return outcomes
-
-
-def _integrate_group(
-    specs: List[ScenarioSpec], contexts: List[_Context]
-) -> List[TransientOutcome]:
-    """Advance one group of matrix-compatible scenarios in lockstep."""
-    start_wall = _time.perf_counter()
-    transient = specs[0].transient
-    n_steps = transient.n_steps
-    dt = transient.time_step_s
-    lead = contexts[0].solver
-    implicit, c_over_dt, token = lead.implicit_system(dt)
-    backend = lead.backend
-    recorders = [
-        _Recorder(ctx, spec.transient.n_steps, spec.transient.store_every)
-        for spec, ctx in zip(specs, contexts)
-    ]
-    states = np.column_stack([recorder.state for recorder in recorders])
-    factorization = solver_for(backend, implicit, token)
-    for step in range(1, n_steps + 1):
-        time = step * dt
-        rhs = np.column_stack(
-            [ctx.solver.rhs_at(time) for ctx in contexts]
-        ) + c_over_dt @ states
-        states = factorization.solve(rhs)
-        for column, recorder in enumerate(recorders):
-            recorder.observe(step, time, states[:, column])
-    wall_time = _time.perf_counter() - start_wall
-    # One lockstep loop served the whole group: each member's wall time is
-    # its amortized share, so summing member times (what campaign
-    # summaries do) reports the real cost, not group_size times it.
-    outcomes = []
-    for spec, recorder in zip(specs, recorders):
-        outcome = _finalize(
-            spec,
-            recorder,
-            backend,
-            batched=True,
-            group_size=len(specs),
-            wall_time_s=wall_time / len(specs),
-        )
-        outcome.metadata["group_wall_time_s"] = wall_time
-        outcomes.append(outcome)
-    return outcomes

@@ -8,6 +8,7 @@ it replaces to within 1e-9.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import ChannelModulationDesigner
@@ -18,6 +19,7 @@ from repro.api import (
     Session,
     SimulationResult,
     Simulator,
+    _lane_pressure_drops,
     available_simulators,
     cross_validate,
     get_simulator,
@@ -25,7 +27,9 @@ from repro.api import (
     register_simulator,
     run,
 )
-from repro.scenarios import GridSpec, OptimizerSpec, get_scenario
+from repro.scenarios import GridSpec, OptimizerSpec, get_scenario, scenario_names
+from repro.thermal.geometry import MultiChannelStructure
+from repro.thermal.geometry import TestStructure as SingleChannelStructure
 
 
 @pytest.fixture()
@@ -179,6 +183,28 @@ class TestSimulators:
             assert stats["n_solves"] == 0
             assert stats["n_cache_hits"] == 0
             assert stats["n_cache_misses"] == 0
+
+
+class TestSpecFlowNetwork:
+    """``ScenarioSpec.flow_network`` is the one spec -> hydraulics path."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [get_scenario(name) for name in scenario_names()]
+        + [
+            get_scenario("niagara-arch1").with_overrides(
+                grid=GridSpec(n_grid_points=61, n_lanes=3, n_rows=12, n_cols=12)
+            ).with_design([(40e-6,), (25e-6, 35e-6), (15e-6,)])
+        ],
+        ids=lambda spec: spec.name if spec.design is None else "designed",
+    )
+    def test_matches_the_built_cavity_bitwise(self, spec):
+        structure = spec.build_structure()
+        if isinstance(structure, SingleChannelStructure):
+            structure = MultiChannelStructure.single(structure)
+        assert np.array_equal(
+            spec.flow_network().pressure_drops, _lane_pressure_drops(structure)
+        )
 
 
 class TestSession:

@@ -132,24 +132,9 @@ class TestEngineCache:
         engine.solve(test_a, n_points=41, key=None)
         assert engine.cache_len == 0
 
-    def test_factory_only_requires_key(self, test_a):
+    def test_requires_structure(self):
         engine = EvaluationEngine()
-        with pytest.raises(ValueError):
-            engine.solve(structure_factory=lambda: test_a, n_points=41)
-        solution = engine.solve(
-            structure_factory=lambda: test_a, n_points=41, key=("explicit", 41)
-        )
-        # The factory must not run again on the cache hit.
-        again = engine.solve(
-            structure_factory=lambda: pytest.fail("factory re-invoked"),
-            n_points=41,
-            key=("explicit", 41),
-        )
-        assert again is solution
-
-    def test_requires_structure_or_factory(self):
-        engine = EvaluationEngine()
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             engine.solve(n_points=41)
 
     def test_validates_parameters(self):

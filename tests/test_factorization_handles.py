@@ -8,15 +8,13 @@ through it.  These tests pin the contract the transient tier relies on:
   to ``solve`` / ``solve_transpose`` / ``solve_matrix`` on every
   registered backend;
 * duck-typed backends that only expose ``solve`` still run the transient
-  engine, serial and batched;
+  engine;
 * the factorization counters of full, reactive and reduced-order
   transients keep the values the per-step lookup path produced, while the
   matrix is content-hashed once per ROM build and once per control chunk.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +27,7 @@ from repro.thermal.backends import SparseLUBackend, solver_for
 from repro.thermal.geometry import HeatInputProfile
 from repro.thermal.multichannel import build_cavity
 from repro.transient import PolicySpec, RomSpec
-from repro.transient_engine import simulate_transient, simulate_transient_many
+from repro.transient_engine import simulate_transient
 from test_rom import rom_scenario
 from test_transient_scenarios import tiny_transient_spec
 
@@ -240,28 +238,6 @@ class TestDuckTypedBackend:
         assert_same_trajectory(
             outcome, simulate_transient(spec, backend=SparseLUBackend())
         )
-
-    def test_simulate_transient_many_batches_on_solve_only(self):
-        base = tiny_transient_spec(
-            policy=PolicySpec(kind="constant", control_interval_s=0.0)
-        )
-        variants = [base]
-        for index, duty in enumerate((0.25, 0.75)):
-            trace = replace(base.transient.traces[0], duty=duty)
-            variants.append(
-                base.with_overrides(
-                    name=f"duck-{index}",
-                    transient=replace(base.transient, traces=(trace,)),
-                )
-            )
-        duck = SolveOnly()
-        outcomes = simulate_transient_many(variants, backend=duck)
-        assert all(outcome.metadata["batched"] for outcome in outcomes)
-        assert duck.n_calls == len(variants) * base.transient.n_steps
-        for spec, outcome in zip(variants, outcomes):
-            assert_same_trajectory(
-                outcome, simulate_transient(spec, backend=SparseLUBackend())
-            )
 
     def test_forwarding_handle_solves_the_materialized_transpose(self, systems):
         system = systems["large"]

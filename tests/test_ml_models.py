@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.ml.dataset import Dataset, build_dataset
+from repro.ml.dataset import Dataset
 from repro.ml.features import FeatureField, FeatureSchema
 from repro.ml.models import (
     SURROGATES,

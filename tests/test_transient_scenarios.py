@@ -4,9 +4,9 @@ Covers the transient subsystem acceptance criteria:
 
 * trace/policy/transient specs validate on construction and round-trip
   losslessly through JSON;
-* the batched transient engine reuses ONE factorization across all steps
-  and scenarios of a group (asserted on a fresh backend's counters) and
-  matches the step-by-step reference solver bit-identically;
+* the transient engine matches the plain step-by-step solver
+  bit-identically, and scenarios sharing one backend and one implicit
+  matrix share ONE factorization (asserted on a fresh backend's counters);
 * a trace-driven scenario runs end to end through ``Session.run`` /
   ``run_many`` and a campaign sweep over several flow-control policies,
   with transient metrics in the records;
@@ -48,7 +48,7 @@ from repro.scenarios import (
 from repro.sweeps import SweepSpec
 from repro.thermal.backends import SparseLUBackend
 from repro.transient import PolicySpec, TraceSpec, TransientSpec, load_trace_file
-from repro.transient_engine import simulate_transient, simulate_transient_many
+from repro.transient_engine import simulate_transient
 
 
 def tiny_transient_spec(
@@ -346,7 +346,7 @@ class TestTransientMetrics:
             piecewise_integral([0.0, 1.0], [1.0, 1.0], 0.5)
 
 
-# -- engine: reference and batched paths -------------------------------------
+# -- engine ------------------------------------------------------------------
 
 
 class TestTransientEngine:
@@ -368,8 +368,8 @@ class TestTransientEngine:
         for name, history in reference.layer_histories.items():
             assert np.array_equal(outcome.result.layer_histories[name], history)
 
-    def test_batched_matches_reference_bitwise_with_one_factorization(self):
-        """Acceptance: one factorization per stack, bit-identical batch."""
+    def test_shared_backend_factorizes_once_per_implicit_matrix(self):
+        """Scenarios differing only in traces share one factorization."""
         base = tiny_transient_spec()
         variants = [base]
         for index, duty in enumerate((0.25, 0.75)):
@@ -381,41 +381,14 @@ class TestTransientEngine:
                 )
             )
         backend = SparseLUBackend()
-        outcomes = simulate_transient_many(variants, backend=backend)
-        # One factorization serves every step of every scenario.
+        for spec in variants:
+            simulate_transient(spec, backend=backend)
         assert backend.n_factorizations == 1
-        assert backend.n_factorization_reuses == base.transient.n_steps - 1
-        assert all(o.metadata["batched"] for o in outcomes)
-        assert outcomes[0].metadata["group_size"] == len(variants)
-        for spec, outcome in zip(variants, outcomes):
-            reference = simulate_transient(spec, backend=SparseLUBackend())
-            assert np.array_equal(
-                outcome.peak_history_K, reference.peak_history_K
-            )
-            assert np.array_equal(
-                outcome.coolant_rise_history_K,
-                reference.coolant_rise_history_K,
-            )
-            for name, history in reference.result.layer_histories.items():
-                assert np.array_equal(
-                    outcome.result.layer_histories[name], history
-                )
-            assert outcome.metrics == reference.metrics
-
-    def test_batched_groups_split_on_incompatible_matrices(self):
-        base = tiny_transient_spec()
-        other_flow = base.with_params(flow_rate_per_channel=2e-7)
-        outcomes = simulate_transient_many([base, other_flow])
-        assert outcomes[0].metadata["group_size"] == 1
-        assert not outcomes[0].metadata["batched"]
-
-    def test_reactive_policies_fall_back_to_the_reference_path(self):
-        spec = tiny_transient_spec(
-            policy=PolicySpec(kind="bang-bang", control_interval_s=0.05,
-                              threshold_K=310.0, high_scale=1.5)
+        # Another flow is another implicit matrix: one more factorization.
+        simulate_transient(
+            base.with_params(flow_rate_per_channel=2e-7), backend=backend
         )
-        outcomes = simulate_transient_many([spec, spec.with_overrides(name="b")])
-        assert all(not o.metadata["batched"] for o in outcomes)
+        assert backend.n_factorizations == 2
 
     def test_bang_bang_reacts_and_cools(self):
         uncontrolled = tiny_transient_spec(duration=0.4)
