@@ -2,44 +2,9 @@
 
 from __future__ import annotations
 
-import importlib
-
 import numpy as np
 
 #: ``numpy.trapezoid`` on NumPy >= 2.0, falling back to the pre-2.0 name.
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
-
-def import_attribute(path: str, context: str = "reference"):
-    """Resolve a lazy ``"module:attr"`` (or ``"module.attr"``) reference.
-
-    Used by the simulator and executor registries so third-party plugins
-    can register by *name* without importing their implementation module
-    -- the import happens on first use, making registration order
-    irrelevant (and the reference shippable to worker processes).
-    """
-    if not isinstance(path, str) or not path:
-        raise ValueError(f"{context}: expected a 'module:attr' string, got {path!r}")
-    if ":" in path:
-        module_name, _, attribute = path.partition(":")
-    else:
-        module_name, _, attribute = path.rpartition(".")
-    if not module_name or not attribute:
-        raise ValueError(
-            f"{context}: {path!r} is not a 'module:attr' reference"
-        )
-    try:
-        module = importlib.import_module(module_name)
-    except ImportError as error:
-        raise ValueError(
-            f"{context}: cannot import module {module_name!r} ({error})"
-        ) from None
-    try:
-        return getattr(module, attribute)
-    except AttributeError:
-        raise ValueError(
-            f"{context}: module {module_name!r} has no attribute {attribute!r}"
-        ) from None
-
-
-__all__ = ["trapezoid", "import_attribute"]
+__all__ = ["trapezoid"]

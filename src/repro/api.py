@@ -39,13 +39,12 @@ from typing import Callable, Dict, List, Optional, Protocol, Tuple, Union, runti
 
 import numpy as np
 
-from ._compat import import_attribute
 from .exec.base import Executor
 from .core.designer import ChannelModulationDesigner
 from .core.engine import EvaluationEngine, picard_counts
 from .core.picard import PicardSettings
+from .core.registry import Registry
 from .core.results import ModulationResult
-from .hydraulics.network import FlowNetwork
 from .ice.solver import SteadyStateSolver
 from .scenarios import ScenarioSpec, resolve_scenario
 from .thermal.geometry import MultiChannelStructure, TestStructure
@@ -162,17 +161,6 @@ class Simulator(Protocol):
         ...
 
 
-def _lane_pressure_drops(structure: MultiChannelStructure) -> np.ndarray:
-    """Per-lane Eq. (9) pressure drops of a cavity's width profiles."""
-    network = FlowNetwork(
-        structure.geometry,
-        structure.width_profiles(),
-        flow_rate_per_channel=structure.lanes[0].flow_rate,
-        coolant=structure.coolant,
-    )
-    return network.pressure_drops
-
-
 def _picard_options(spec: ScenarioSpec) -> Dict[str, object]:
     """Solver kwargs for a temperature-dependent coolant scenario.
 
@@ -237,7 +225,7 @@ class FDMSimulator:
             **_picard_options(spec),
         )
         wall_time = time.perf_counter() - start
-        drops = _lane_pressure_drops(structure)
+        drops = spec.flow_network().pressure_drops
         provenance = {
             "backend": engine.stats()["backend"],
             "n_grid_points": spec.grid.n_grid_points,
@@ -404,22 +392,14 @@ class ICESimulator:
         )
 
 
-#: Registry of simulator factories keyed by family name.  Values are
-#: factories (classes/callables) or lazy ``"module:attr"`` references
-#: resolved on first use -- registering a plugin by reference never forces
-#: an import, which makes registration order irrelevant.  Guarded by a
-#: lock so registration is safe from worker threads.
-_SIMULATORS: Dict[str, Union[str, Callable[..., Simulator]]] = {
-    "fdm": FDMSimulator,
-    "ice": ICESimulator,
-}
-_SIMULATORS_LOCK = threading.Lock()
+#: Simulator factories (classes/callables, or lazy ``"module:attr"``
+#: references) keyed by family name.
+_SIMULATORS = Registry("simulator", {"fdm": FDMSimulator, "ice": ICESimulator})
 
 
 def available_simulators() -> List[str]:
     """Names of the registered simulator families (a snapshot copy)."""
-    with _SIMULATORS_LOCK:
-        return list(_SIMULATORS)
+    return _SIMULATORS.names()
 
 
 def register_simulator(
@@ -435,20 +415,12 @@ def register_simulator(
     registered before its implementation module is importable (e.g. from
     an entry-point shim) and ships cleanly to campaign worker processes.
     """
-    if not isinstance(name, str) or not name:
-        raise ValueError(f"simulator name must be a non-empty string, got {name!r}")
     if not (callable(factory) or isinstance(factory, str)):
         raise TypeError(
             "simulator factory must be callable or a 'module:attr' string, "
             f"got {type(factory).__name__}"
         )
-    with _SIMULATORS_LOCK:
-        if name in _SIMULATORS and not overwrite:
-            raise ValueError(
-                f"simulator {name!r} is already registered; "
-                "pass overwrite=True to replace it"
-            )
-        _SIMULATORS[name] = factory
+    _SIMULATORS.register(name, factory, overwrite)
 
 
 def _accepts_engine(factory: Callable[..., Simulator]) -> bool:
@@ -463,26 +435,6 @@ def _accepts_engine(factory: Callable[..., Simulator]) -> bool:
     )
 
 
-def _resolve_simulator_factory(name: str) -> Callable[..., Simulator]:
-    """Look up a registered factory, resolving lazy references once."""
-    with _SIMULATORS_LOCK:
-        try:
-            factory = _SIMULATORS[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown simulator {name!r}; available: {list(_SIMULATORS)}"
-            ) from None
-    if isinstance(factory, str):
-        resolved = import_attribute(factory, context=f"simulator {name!r}")
-        with _SIMULATORS_LOCK:
-            # Another thread may have resolved (or re-registered) the name
-            # meanwhile; only cache over the unresolved reference.
-            if _SIMULATORS.get(name) == factory:
-                _SIMULATORS[name] = resolved
-        factory = resolved
-    return factory
-
-
 def get_simulator(
     name: str, engine: Optional[EvaluationEngine] = None
 ) -> Simulator:
@@ -492,7 +444,7 @@ def get_simulator(
     accepts an ``engine`` keyword (not just the built-in FDM family), so
     custom engine-backed simulators keep Session cache sharing.
     """
-    factory = _resolve_simulator_factory(name)
+    factory = _SIMULATORS.lookup(name)
     if engine is not None and _accepts_engine(factory):
         return factory(engine=engine)
     return factory()
@@ -650,7 +602,7 @@ class Session:
                 "solver must be a registered family name or a Simulator "
                 f"instance, got {type(choice).__name__}"
             )
-        factory = _resolve_simulator_factory(choice)
+        factory = _SIMULATORS.lookup(choice)
         # Build/look up the shared engine only for simulators that accept
         # one (the FDM solution cache, the ICE transient-outcome memo), so
         # sessions of engine-less custom simulators stay engine-free.

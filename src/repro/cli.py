@@ -46,8 +46,14 @@ from typing import Dict, List, Optional
 from .api import Session
 from .campaign import CampaignStore, summarize_records
 from .exec import available_executors, make_tasks
-from .scenarios import SCENARIOS, ScenarioSpec, resolve_scenario
-from .sweeps import SweepSpec, expand_scenarios, is_sweep_mapping
+from .scenarios import ScenarioSpec, resolve_scenario, scenario_rows
+from .sweeps import (
+    SweepSpec,
+    expand_scenarios,
+    is_sweep_mapping,
+    load_campaign,
+    read_campaign_file,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -144,16 +150,7 @@ def _print_metrics(prefix: str, payload: Dict[str, object]) -> None:
 
 def cmd_list(args: argparse.Namespace) -> int:
     """``repro list`` -- the registered scenarios."""
-    rows = [
-        {
-            "name": spec.name,
-            "workload": spec.workload.kind,
-            "simulator": spec.solver.simulator,
-            "transient": spec.transient is not None,
-            "description": spec.description,
-        }
-        for spec in SCENARIOS.values()
-    ]
+    rows = scenario_rows()
     if args.json:
         print(json.dumps(rows, indent=2, sort_keys=True))
         return 0
@@ -386,26 +383,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_sweep(argument: str) -> object:
-    """Resolve a CLI sweep argument into something ``run_many`` accepts.
-
-    A path to a JSON file holding a sweep (has a ``base`` key) or a single
-    scenario, or a registered scenario name (a one-scenario campaign).
-    """
-    import os
-
-    if os.path.exists(argument):
-        with open(argument, "r", encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as error:
-                raise ValueError(f"{argument}: not valid JSON ({error})") from None
-        if is_sweep_mapping(data):
-            return SweepSpec.from_dict(data)
-        return ScenarioSpec.from_dict(data)
-    return resolve_scenario(argument)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     """``repro sweep`` -- run a scenario family through an executor."""
     if args.optimize and args.solver:
@@ -413,7 +390,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "--solver does not apply to --optimize campaigns (the design "
             "flow always runs on the FDM engine); drop --solver"
         )
-    sweep = _load_sweep(args.sweep)
+    sweep = load_campaign(args.sweep)
     specs = expand_scenarios(sweep)
     action = "optimize" if args.optimize else "run"
     if args.dry_run:
@@ -641,7 +618,7 @@ def cmd_ml_active(args: argparse.Namespace) -> int:
     from .ml.dataset import DEFAULT_TARGETS
 
     targets = tuple(args.target) if args.target else DEFAULT_TARGETS
-    candidates = _load_sweep(args.candidates)
+    candidates = load_campaign(args.candidates)
     if not isinstance(candidates, SweepSpec):
         raise ValueError(
             f"{args.candidates}: candidates must be a sweep JSON file "
@@ -769,13 +746,7 @@ def _campaign_payload(argument: str) -> object:
     """
     import os
 
-    if os.path.exists(argument):
-        with open(argument, "r", encoding="utf-8") as handle:
-            try:
-                return json.load(handle)
-            except json.JSONDecodeError as error:
-                raise ValueError(f"{argument}: not valid JSON ({error})") from None
-    return argument
+    return read_campaign_file(argument) if os.path.exists(argument) else argument
 
 
 def cmd_submit(args: argparse.Namespace) -> int:

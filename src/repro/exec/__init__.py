@@ -26,13 +26,14 @@ Custom executors implement the :class:`~repro.exec.base.Executor` protocol
     register_executor("slurm", "my_pkg.exec:Slurm")   # lazy module:attr
 
 String factories are resolved on first use, so registration never forces
-an import -- the same import-order-safe scheme the simulator registry
-uses.
+an import (see :class:`~repro.core.registry.Registry`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Union
+from typing import Callable, List, Union
+
+from ..core.registry import Registry
 
 from .base import ACTIONS, COUNTER_KEYS, CampaignTask, Executor, execute_task, make_tasks
 from .local import SerialExecutor, ThreadExecutor
@@ -54,19 +55,18 @@ __all__ = [
     "make_tasks",
 ]
 
-#: Registry of executor factories keyed by name.  Values are callables
-#: (``factory(workers=...)``) or lazy ``"module:attr"`` references
-#: resolved on first use.
-_EXECUTORS: Dict[str, Union[str, Callable[..., Executor]]] = {
-    "serial": SerialExecutor,
-    "thread": ThreadExecutor,
-    "process": ProcessExecutor,
-}
+#: Executor factories (``factory(workers=...)``, or lazy ``"module:attr"``
+#: references) keyed by name.  Campaigns and the serve layer assume the
+#: built-in ``serial``/``thread``/``process`` always resolve.
+_EXECUTORS = Registry(
+    "executor",
+    {"serial": SerialExecutor, "thread": ThreadExecutor, "process": ProcessExecutor},
+)
 
 
 def available_executors() -> List[str]:
     """Names of the registered executors, in registration order."""
-    return list(_EXECUTORS)
+    return _EXECUTORS.names()
 
 
 def register_executor(
@@ -75,46 +75,14 @@ def register_executor(
     overwrite: bool = False,
 ) -> None:
     """Register an executor factory (or lazy ``"module:attr"`` path)."""
-    if not isinstance(name, str) or not name:
-        raise ValueError(f"executor name must be a non-empty string, got {name!r}")
-    if name in _EXECUTORS and not overwrite:
-        raise ValueError(
-            f"executor {name!r} is already registered; "
-            "pass overwrite=True to replace it"
-        )
-    _EXECUTORS[name] = factory
+    _EXECUTORS.register(name, factory, overwrite)
 
 
 def unregister_executor(name: str) -> None:
-    """Remove a registered executor (ValueError when unknown).
-
-    The built-in executors cannot be removed -- campaigns and the serve
-    layer assume ``serial``/``thread``/``process`` always resolve.
-    """
-    if name in ("serial", "thread", "process"):
-        raise ValueError(f"the built-in executor {name!r} cannot be unregistered")
-    if name not in _EXECUTORS:
-        raise ValueError(
-            f"unknown executor {name!r}; available: {available_executors()}"
-        )
-    del _EXECUTORS[name]
-
-
-def _resolve_factory(name: str) -> Callable[..., Executor]:
-    try:
-        factory = _EXECUTORS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown executor {name!r}; available: {available_executors()}"
-        ) from None
-    if isinstance(factory, str):
-        from .._compat import import_attribute
-
-        factory = import_attribute(factory, context=f"executor {name!r}")
-        _EXECUTORS[name] = factory  # cache the resolved factory
-    return factory
+    """Remove a registered executor (the built-ins cannot be removed)."""
+    _EXECUTORS.unregister(name)
 
 
 def get_executor(name: str, workers: int = 1) -> Executor:
     """Build a registered executor by name with the given worker count."""
-    return _resolve_factory(name)(workers=workers)
+    return _EXECUTORS.lookup(name)(workers=workers)

@@ -42,8 +42,9 @@ works.  :func:`policy_from_spec` builds a policy from the serializable
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
+
+from .core.registry import Registry
 
 __all__ = [
     "FlowPolicy",
@@ -232,42 +233,36 @@ class ModelPredictiveFlowPolicy(FlowPolicy):
         return self.candidates[-1]
 
 
-_REGISTRY: Dict[str, Callable[..., FlowPolicy]] = {}
-_REGISTRY_LOCK = threading.Lock()
+_REGISTRY = Registry(
+    "flow policy",
+    {
+        "constant": ConstantFlowPolicy,
+        "bang-bang": BangBangFlowPolicy,
+        "proportional": ProportionalFlowPolicy,
+        "mpc": ModelPredictiveFlowPolicy,
+    },
+    plural="flow policies",
+    sort=True,
+)
 
 
 def register_policy(
     name: str, factory: Callable[..., FlowPolicy], overwrite: bool = False
 ) -> None:
     """Register a policy factory (class or callable) under ``name``."""
-    if not isinstance(name, str) or not name:
-        raise ValueError(f"policy name must be a non-empty string, got {name!r}")
     if not callable(factory):
         raise TypeError("policy factory must be callable")
-    with _REGISTRY_LOCK:
-        if name in _REGISTRY and not overwrite:
-            raise ValueError(
-                f"flow policy {name!r} is already registered; "
-                "pass overwrite=True to replace it"
-            )
-        _REGISTRY[name] = factory
+    _REGISTRY.register(name, factory, overwrite)
 
 
 def get_policy_factory(name: str) -> Callable[..., FlowPolicy]:
     """Look up a policy factory by registry name."""
-    with _REGISTRY_LOCK:
-        factory = _REGISTRY.get(name)
-    if factory is None:
-        raise ValueError(
-            f"unknown flow policy {name!r}; available: {available_policies()}"
-        )
-    return factory
+    return _REGISTRY.lookup(name)
 
 
 def available_policies() -> List[str]:
     """Sorted names of the registered flow policies."""
-    with _REGISTRY_LOCK:
-        return sorted(_REGISTRY)
+    return _REGISTRY.names()
 
 
 def policy_from_spec(spec) -> FlowPolicy:
@@ -295,9 +290,3 @@ def policy_from_spec(spec) -> FlowPolicy:
     if kind == "mpc":
         return ModelPredictiveFlowPolicy(spec)
     return get_policy_factory(kind)(spec)
-
-
-register_policy("constant", ConstantFlowPolicy)
-register_policy("bang-bang", BangBangFlowPolicy)
-register_policy("proportional", ProportionalFlowPolicy)
-register_policy("mpc", ModelPredictiveFlowPolicy)

@@ -37,12 +37,13 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, fields as dataclass_fields, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .config import ExperimentConfig, paper_parameters
 from .core.optimizer import OptimizerSettings
+from .core.registry import Registry
 from .floorplan.architectures import architecture_names, get_architecture
 from .floorplan.workloads import (
     TEST_A_FLUX,
@@ -80,6 +81,7 @@ __all__ = [
     "register_scenario",
     "get_scenario",
     "scenario_names",
+    "scenario_rows",
     "resolve_scenario",
 ]
 
@@ -880,36 +882,36 @@ class ScenarioSpec:
 
 # -- named-scenario registry ------------------------------------------------
 
-#: Process-wide registry of named scenarios.
-SCENARIOS: Dict[str, ScenarioSpec] = {}
-
 
 def register_scenario(spec: ScenarioSpec, overwrite: bool = False) -> ScenarioSpec:
     """Add a scenario to the registry (refusing silent overwrites)."""
     if not isinstance(spec, ScenarioSpec):
         raise TypeError(f"expected a ScenarioSpec, got {type(spec).__name__}")
-    if spec.name in SCENARIOS and not overwrite:
-        raise ValueError(
-            f"scenario {spec.name!r} is already registered; "
-            "pass overwrite=True to replace it"
-        )
-    SCENARIOS[spec.name] = spec
-    return spec
+    return SCENARIOS.register(spec.name, spec, overwrite)
 
 
 def get_scenario(name: str) -> ScenarioSpec:
     """Look up a registered scenario by name."""
-    try:
-        return SCENARIOS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r}; registered scenarios: {scenario_names()}"
-        ) from None
+    return SCENARIOS.lookup(name)
 
 
 def scenario_names() -> List[str]:
     """Names of the registered scenarios, in registration order."""
-    return list(SCENARIOS)
+    return SCENARIOS.names()
+
+
+def scenario_rows() -> List[Dict[str, object]]:
+    """One summary row per registered scenario (``repro list``, ``/v1/scenarios``)."""
+    return [
+        {
+            "name": spec.name,
+            "workload": spec.workload.kind,
+            "simulator": spec.solver.simulator,
+            "transient": spec.transient is not None,
+            "description": spec.description,
+        }
+        for spec in SCENARIOS.values()
+    ]
 
 
 def resolve_scenario(
@@ -936,31 +938,27 @@ def resolve_scenario(
     )
 
 
-def _register_paper_scenarios() -> None:
-    """Pre-populate the registry with the paper's experiments."""
-    register_scenario(
-        ScenarioSpec(
-            name="test-a",
-            description=(
-                "Test A (Fig. 4a): uniform 50 W/cm^2 on both active layers "
-                "of the single-channel test structure"
-            ),
-            workload=WorkloadSpec(kind="test-a"),
-            grid=GridSpec(n_grid_points=241, n_lanes=1, n_rows=1, n_cols=80),
-            optimizer=OptimizerSpec(n_segments=10, max_iterations=60),
-        )
+def _paper_scenarios() -> Iterator[ScenarioSpec]:
+    """The paper's experiments."""
+    yield ScenarioSpec(
+        name="test-a",
+        description=(
+            "Test A (Fig. 4a): uniform 50 W/cm^2 on both active layers "
+            "of the single-channel test structure"
+        ),
+        workload=WorkloadSpec(kind="test-a"),
+        grid=GridSpec(n_grid_points=241, n_lanes=1, n_rows=1, n_cols=80),
+        optimizer=OptimizerSpec(n_segments=10, max_iterations=60),
     )
-    register_scenario(
-        ScenarioSpec(
-            name="test-b",
-            description=(
-                "Test B (Fig. 4b): random per-segment heat fluxes in "
-                "[50, 250] W/cm^2 along the single channel"
-            ),
-            workload=WorkloadSpec(kind="test-b", segments=10, seed=2012),
-            grid=GridSpec(n_grid_points=241, n_lanes=1, n_rows=1, n_cols=80),
-            optimizer=OptimizerSpec(n_segments=10, max_iterations=80),
-        )
+    yield ScenarioSpec(
+        name="test-b",
+        description=(
+            "Test B (Fig. 4b): random per-segment heat fluxes in "
+            "[50, 250] W/cm^2 along the single channel"
+        ),
+        workload=WorkloadSpec(kind="test-b", segments=10, seed=2012),
+        grid=GridSpec(n_grid_points=241, n_lanes=1, n_rows=1, n_cols=80),
+        optimizer=OptimizerSpec(n_segments=10, max_iterations=80),
     )
     descriptions = {
         "arch1": "segregated two-die stack: compute die over memory die",
@@ -968,107 +966,102 @@ def _register_paper_scenarios() -> None:
         "arch3": "aligned mixed dies: identical dies, cores stacked",
     }
     for arch in ("arch1", "arch2", "arch3"):
-        register_scenario(
-            ScenarioSpec(
-                name=f"niagara-{arch}",
-                description=f"Fig. 7 {arch}: {descriptions[arch]} (peak power)",
-                workload=WorkloadSpec(kind="architecture", architecture=arch),
-                grid=GridSpec(n_grid_points=161, n_lanes=5, n_rows=44, n_cols=44),
-                optimizer=OptimizerSpec(n_segments=6, max_iterations=40),
-            )
-        )
-
-
-def _register_transient_scenarios() -> None:
-    """Pre-populate the registry with trace-driven transient workloads."""
-    register_scenario(
-        ScenarioSpec(
-            name="test-a-burst",
-            description=(
-                "Test A structure under a bursty duty cycle: the top die "
-                "toggles 100/10 W/cm^2 every 0.1 s (finite-volume transient)"
-            ),
-            workload=WorkloadSpec(kind="test-a"),
-            grid=GridSpec(n_grid_points=241, n_lanes=1, n_rows=1, n_cols=80),
-            solver=SolverSpec(simulator="ice"),
-            transient=TransientSpec(
-                duration_s=1.0,
-                time_step_s=0.01,
-                traces=(
-                    TraceSpec(
-                        layer="top_die",
-                        kind="periodic",
-                        period_s=0.2,
-                        duty=0.5,
-                        high=100.0,
-                        low=10.0,
-                    ),
-                ),
-                policy=PolicySpec(kind="constant", control_interval_s=0.1),
-                store_every=5,
-                threshold_K=330.0,
-            ),
-        )
-    )
-    register_scenario(
-        ScenarioSpec(
-            name="test-a-burst-rom",
-            description=(
-                "test-a-burst integrated through the Krylov reduced-order "
-                "tier (order-48 basis, measured-error reporting)"
-            ),
-            workload=WorkloadSpec(kind="test-a"),
-            grid=GridSpec(n_grid_points=241, n_lanes=1, n_rows=1, n_cols=80),
-            solver=SolverSpec(simulator="ice"),
-            transient=TransientSpec(
-                duration_s=1.0,
-                time_step_s=0.01,
-                traces=(
-                    TraceSpec(
-                        layer="top_die",
-                        kind="periodic",
-                        period_s=0.2,
-                        duty=0.5,
-                        high=100.0,
-                        low=10.0,
-                    ),
-                ),
-                policy=PolicySpec(kind="constant", control_interval_s=0.1),
-                store_every=5,
-                threshold_K=330.0,
-                rom=RomSpec(mode="rom", order=48),
-            ),
-        )
-    )
-    register_scenario(
-        ScenarioSpec(
-            name="niagara-arch1-dvfs",
-            description=(
-                "Fig. 7 arch1 under a DVFS-like power-state trace: the "
-                "compute die steps 120 -> 40 -> 90 W/cm^2 (finite-volume "
-                "transient)"
-            ),
-            workload=WorkloadSpec(kind="architecture", architecture="arch1"),
+        yield ScenarioSpec(
+            name=f"niagara-{arch}",
+            description=f"Fig. 7 {arch}: {descriptions[arch]} (peak power)",
+            workload=WorkloadSpec(kind="architecture", architecture=arch),
             grid=GridSpec(n_grid_points=161, n_lanes=5, n_rows=44, n_cols=44),
-            solver=SolverSpec(simulator="ice"),
-            transient=TransientSpec(
-                duration_s=0.6,
-                time_step_s=0.02,
-                traces=(
-                    TraceSpec(
-                        layer="top_die",
-                        kind="piecewise",
-                        times=(0.0, 0.2, 0.4),
-                        values=(120.0, 40.0, 90.0),
-                    ),
-                ),
-                policy=PolicySpec(kind="constant", control_interval_s=0.1),
-                store_every=5,
-                threshold_K=335.0,
-            ),
+            optimizer=OptimizerSpec(n_segments=6, max_iterations=40),
         )
+
+
+def _transient_scenarios() -> Iterator[ScenarioSpec]:
+    """Trace-driven transient workloads."""
+    yield ScenarioSpec(
+        name="test-a-burst",
+        description=(
+            "Test A structure under a bursty duty cycle: the top die "
+            "toggles 100/10 W/cm^2 every 0.1 s (finite-volume transient)"
+        ),
+        workload=WorkloadSpec(kind="test-a"),
+        grid=GridSpec(n_grid_points=241, n_lanes=1, n_rows=1, n_cols=80),
+        solver=SolverSpec(simulator="ice"),
+        transient=TransientSpec(
+            duration_s=1.0,
+            time_step_s=0.01,
+            traces=(
+                TraceSpec(
+                    layer="top_die",
+                    kind="periodic",
+                    period_s=0.2,
+                    duty=0.5,
+                    high=100.0,
+                    low=10.0,
+                ),
+            ),
+            policy=PolicySpec(kind="constant", control_interval_s=0.1),
+            store_every=5,
+            threshold_K=330.0,
+        ),
+    )
+    yield ScenarioSpec(
+        name="test-a-burst-rom",
+        description=(
+            "test-a-burst integrated through the Krylov reduced-order "
+            "tier (order-48 basis, measured-error reporting)"
+        ),
+        workload=WorkloadSpec(kind="test-a"),
+        grid=GridSpec(n_grid_points=241, n_lanes=1, n_rows=1, n_cols=80),
+        solver=SolverSpec(simulator="ice"),
+        transient=TransientSpec(
+            duration_s=1.0,
+            time_step_s=0.01,
+            traces=(
+                TraceSpec(
+                    layer="top_die",
+                    kind="periodic",
+                    period_s=0.2,
+                    duty=0.5,
+                    high=100.0,
+                    low=10.0,
+                ),
+            ),
+            policy=PolicySpec(kind="constant", control_interval_s=0.1),
+            store_every=5,
+            threshold_K=330.0,
+            rom=RomSpec(mode="rom", order=48),
+        ),
+    )
+    yield ScenarioSpec(
+        name="niagara-arch1-dvfs",
+        description=(
+            "Fig. 7 arch1 under a DVFS-like power-state trace: the "
+            "compute die steps 120 -> 40 -> 90 W/cm^2 (finite-volume "
+            "transient)"
+        ),
+        workload=WorkloadSpec(kind="architecture", architecture="arch1"),
+        grid=GridSpec(n_grid_points=161, n_lanes=5, n_rows=44, n_cols=44),
+        solver=SolverSpec(simulator="ice"),
+        transient=TransientSpec(
+            duration_s=0.6,
+            time_step_s=0.02,
+            traces=(
+                TraceSpec(
+                    layer="top_die",
+                    kind="piecewise",
+                    times=(0.0, 0.2, 0.4),
+                    values=(120.0, 40.0, 90.0),
+                ),
+            ),
+            policy=PolicySpec(kind="constant", control_interval_s=0.1),
+            store_every=5,
+            threshold_K=335.0,
+        ),
     )
 
 
-_register_paper_scenarios()
-_register_transient_scenarios()
+#: Process-wide registry of named scenarios, built-ins first.
+SCENARIOS = Registry(
+    "scenario",
+    {spec.name: spec for spec in (*_paper_scenarios(), *_transient_scenarios())},
+)

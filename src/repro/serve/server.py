@@ -311,12 +311,7 @@ class CampaignServer:
     # -- handlers ----------------------------------------------------------
 
     def _submit(self, kind: str, body: bytes) -> Dict[str, object]:
-        try:
-            request = json.loads(body.decode("utf-8")) if body else {}
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            raise _HttpError(400, f"request body is not JSON: {error}")
-        if not isinstance(request, dict):
-            raise _HttpError(400, "request body must be a JSON object")
+        request = self._json_body(body)
         if kind == "sweep":
             campaign = request.get("sweep")
             missing = "'sweep'"

@@ -36,7 +36,7 @@ from ..exec import available_executors
 from ..exec.base import make_tasks
 from ..ml.dataset import DEFAULT_TARGETS, build_dataset
 from ..ml.models import load_model, make_surrogate, save_model
-from ..scenarios import SCENARIOS, resolve_scenario
+from ..scenarios import SCENARIOS, resolve_scenario, scenario_rows
 from ..sweeps import resolve_campaign
 from .cache import ResultCache
 from .queue import Job, JobQueue
@@ -369,16 +369,7 @@ class CampaignService:
 
     def scenario_rows(self) -> List[Dict[str, object]]:
         """The registered scenarios (``GET /v1/scenarios``)."""
-        return [
-            {
-                "name": spec.name,
-                "workload": spec.workload.kind,
-                "simulator": spec.solver.simulator,
-                "transient": spec.transient is not None,
-                "description": spec.description,
-            }
-            for spec in SCENARIOS.values()
-        ]
+        return scenario_rows()
 
     def healthz(self) -> Dict[str, object]:
         """Service liveness + queue/cache statistics (``GET /v1/healthz``)."""

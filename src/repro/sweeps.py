@@ -60,6 +60,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .scenarios import ScenarioSpec, resolve_scenario
+from .transient import _check_keys, _set
 
 __all__ = [
     "SweepAxis",
@@ -67,6 +68,8 @@ __all__ = [
     "apply_field_overrides",
     "expand_scenarios",
     "is_sweep_mapping",
+    "load_campaign",
+    "read_campaign_file",
     "resolve_campaign",
 ]
 
@@ -75,12 +78,6 @@ SWEEP_MODES: Tuple[str, ...] = ("grid", "zip")
 
 #: Maximum length of the human-readable slug in expanded scenario names.
 _MAX_SLUG = 72
-
-
-def _set(instance, **values) -> None:
-    """Assign coerced values on a frozen dataclass instance."""
-    for name, value in values.items():
-        object.__setattr__(instance, name, value)
 
 
 def _canonical(value):
@@ -202,12 +199,7 @@ class SweepAxis:
         """Rebuild an axis from :meth:`to_dict` output (with validation)."""
         if not isinstance(data, Mapping):
             raise ValueError(f"a sweep axis must be a mapping, got {type(data).__name__}")
-        unknown = sorted(set(data) - {"field", "values", "label"})
-        if unknown:
-            raise ValueError(
-                f"sweep axis: unknown field(s) {unknown}; allowed fields are "
-                "['field', 'label', 'values']"
-            )
+        _check_keys(cls, data, "sweep axis")
         if "field" not in data:
             raise ValueError("sweep axis: the 'field' key is required")
         return cls(
@@ -415,13 +407,7 @@ class SweepSpec:
         """
         if not isinstance(data, Mapping):
             raise ValueError(f"a sweep must be a mapping, got {type(data).__name__}")
-        allowed = {"name", "description", "base", "axes", "mode", "overrides"}
-        unknown = sorted(set(data) - allowed)
-        if unknown:
-            raise ValueError(
-                f"sweep: unknown field(s) {unknown}; allowed fields are "
-                f"{sorted(allowed)}"
-            )
+        _check_keys(cls, data, "sweep")
         for key in ("name", "base"):
             if key not in data:
                 raise ValueError(f"sweep: the {key!r} field is required")
@@ -460,6 +446,29 @@ def is_sweep_mapping(data) -> bool:
     return isinstance(data, Mapping) and "base" in data
 
 
+def read_campaign_file(path: Union[str, os.PathLike]) -> object:
+    """The parsed JSON of a sweep or scenario file.
+
+    Malformed JSON raises a ``ValueError`` that names the file.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as error:
+            raise ValueError(f"{os.fspath(path)}: not valid JSON ({error})") from None
+
+
+def load_campaign(source: Union[str, os.PathLike]) -> Union[SweepSpec, ScenarioSpec]:
+    """A sweep or scenario from a JSON file path, else a registered scenario."""
+    text = os.fspath(source)
+    if not os.path.exists(text):
+        return resolve_scenario(text)
+    data = read_campaign_file(text)
+    if is_sweep_mapping(data):
+        return SweepSpec.from_dict(data)
+    return ScenarioSpec.from_dict(data)
+
+
 def resolve_campaign(sweep) -> Tuple[str, List[ScenarioSpec]]:
     """Campaign name + ordered scenario specs of anything campaign-shaped.
 
@@ -474,17 +483,7 @@ def resolve_campaign(sweep) -> Tuple[str, List[ScenarioSpec]]:
     if is_sweep_mapping(sweep):
         sweep = SweepSpec.from_dict(sweep)
     elif isinstance(sweep, (str, os.PathLike)):
-        text = os.fspath(sweep)
-        if os.path.exists(text):
-            with open(text, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-            sweep = (
-                SweepSpec.from_dict(data)
-                if is_sweep_mapping(data)
-                else ScenarioSpec.from_dict(data)
-            )
-        else:
-            sweep = resolve_scenario(text)
+        sweep = load_campaign(sweep)
     if isinstance(sweep, SweepSpec):
         return sweep.name, sweep.scenarios()
     if isinstance(sweep, Sequence) and not isinstance(sweep, (str, bytes, Mapping)):

@@ -60,6 +60,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from ..core.lru import BoundedLRU
+from ..core.registry import Registry
 
 __all__ = [
     "AutoBackend",
@@ -490,47 +491,31 @@ class AutoBackend(_HandleBackend):
         return handle.backend.solve_with(handle, rhs, trans)
 
 
-_REGISTRY: Dict[str, SolverBackend] = {}
-_REGISTRY_LOCK = threading.Lock()
+_REGISTRY = Registry(
+    "solver backend",
+    {
+        backend.name: backend
+        for backend in (DenseBackend(), SparseLUBackend(), AutoBackend())
+    },
+    sort=True,
+)
 
 
 def register_backend(backend: SolverBackend, overwrite: bool = False) -> SolverBackend:
-    """Register a backend instance under its ``name``.
-
-    Raises ``ValueError`` when the name is taken and ``overwrite`` is False.
-    Returns the backend to allow use as a decorator-style one-liner.
-    """
-    name = getattr(backend, "name", None)
-    if not name or not isinstance(name, str):
-        raise ValueError("backend must define a non-empty string 'name'")
+    """Register a backend instance under its ``name`` (and return it)."""
     if not hasattr(backend, "solve"):
         raise TypeError("backend must implement solve(matrix, rhs, pattern_token)")
-    with _REGISTRY_LOCK:
-        if name in _REGISTRY and not overwrite:
-            raise ValueError(
-                f"solver backend {name!r} is already registered "
-                "(pass overwrite=True to replace it)"
-            )
-        _REGISTRY[name] = backend
-    return backend
+    return _REGISTRY.register(getattr(backend, "name", None), backend, overwrite)
 
 
 def get_backend(name: str) -> SolverBackend:
-    """Look up a backend by registry name."""
-    with _REGISTRY_LOCK:
-        backend = _REGISTRY.get(name)
-    if backend is None:
-        raise KeyError(
-            f"unknown solver backend {name!r}; available: "
-            f"{', '.join(available_backends())}"
-        )
-    return backend
+    """Look up a backend by registry name (``ValueError`` when unknown)."""
+    return _REGISTRY.lookup(name)
 
 
 def available_backends() -> tuple:
     """Sorted names of every registered backend."""
-    with _REGISTRY_LOCK:
-        return tuple(sorted(_REGISTRY))
+    return tuple(_REGISTRY.names())
 
 
 def resolve_backend(
@@ -561,8 +546,3 @@ def solver_for(
     if isinstance(backend, SolverBackend):
         return backend.solver_for(matrix, pattern_token)
     return _ForwardingHandle(backend, matrix, pattern_token)
-
-
-register_backend(DenseBackend())
-register_backend(SparseLUBackend())
-register_backend(AutoBackend())

@@ -10,7 +10,9 @@ segment kernel of :mod:`repro.hydraulics.pressure`:
 * :func:`sampled_pressure_drops` / :func:`margin_jacobian` /
   :func:`balance_jacobian` rebuild
   :class:`~repro.core.constraints.PressureConstraints` evaluations from
-  per-lane profiles and a forward-difference loop over the variables.
+  per-lane profiles and a forward-difference loop over the variables;
+* :func:`lane_pressure_drops` builds the flow network of a built cavity,
+  the reference for :meth:`repro.scenarios.ScenarioSpec.flow_network`.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro._compat import trapezoid
+from repro.hydraulics.network import FlowNetwork
 from repro.thermal import correlations
 
 __all__ = [
     "balance_jacobian",
     "finite_difference_jacobian",
+    "lane_pressure_drops",
     "margin_jacobian",
     "rectangular_pressure_drop_loop",
     "sampled_pressure_drop",
@@ -120,3 +124,14 @@ def balance_jacobian(constraints, vector):
         return constraints.equal_pressure_tolerance - imbalance
 
     return finite_difference_jacobian(balance, vector, constraints.jacobian_step)[0]
+
+
+def lane_pressure_drops(structure):
+    """Per-lane Eq. (9) pressure drops of a built cavity's width profiles."""
+    network = FlowNetwork(
+        structure.geometry,
+        structure.width_profiles(),
+        flow_rate_per_channel=structure.lanes[0].flow_rate,
+        coolant=structure.coolant,
+    )
+    return network.pressure_drops

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.pressure import lane_pressure_drops
 from repro import ChannelModulationDesigner
 from repro import test_a_structure as build_test_a_structure
 from repro.api import (
@@ -19,7 +20,6 @@ from repro.api import (
     Session,
     SimulationResult,
     Simulator,
-    _lane_pressure_drops,
     available_simulators,
     cross_validate,
     get_simulator,
@@ -92,7 +92,7 @@ class TestSimulators:
         finally:
             from repro import api
 
-            del api._SIMULATORS["fake"]
+            api._SIMULATORS.unregister("fake")
 
     def test_session_forwards_engine_to_custom_simulators(self, small_test_a):
         """Engine-accepting factories get the session engine, whatever the name."""
@@ -112,7 +112,7 @@ class TestSimulators:
         finally:
             from repro import api
 
-            del api._SIMULATORS["fdm-custom"]
+            api._SIMULATORS.unregister("fdm-custom")
 
     def test_session_engines_are_separated_by_cache_size(self, small_test_a):
         from dataclasses import replace
@@ -203,7 +203,7 @@ class TestSpecFlowNetwork:
         if isinstance(structure, SingleChannelStructure):
             structure = MultiChannelStructure.single(structure)
         assert np.array_equal(
-            spec.flow_network().pressure_drops, _lane_pressure_drops(structure)
+            spec.flow_network().pressure_drops, lane_pressure_drops(structure)
         )
 
 
@@ -308,7 +308,7 @@ class TestRegistryImportOrder:
         finally:
             from repro import api
 
-            del api._SIMULATORS["fdm-lazy"]
+            api._SIMULATORS.unregister("fdm-lazy")
 
     def test_lazy_reference_to_missing_module_registers_fine(self):
         """Registration never imports: bad references fail at *use* time."""
@@ -320,7 +320,7 @@ class TestRegistryImportOrder:
         finally:
             from repro import api
 
-            del api._SIMULATORS["broken-lazy"]
+            api._SIMULATORS.unregister("broken-lazy")
 
     def test_lazy_reference_to_missing_attribute(self):
         register_simulator("broken-attr", "repro.api:NoSuchSimulator")
@@ -330,7 +330,7 @@ class TestRegistryImportOrder:
         finally:
             from repro import api
 
-            del api._SIMULATORS["broken-attr"]
+            api._SIMULATORS.unregister("broken-attr")
 
     def test_available_simulators_returns_a_snapshot(self):
         names = available_simulators()

@@ -161,9 +161,9 @@ class TestRegistry:
             assert expected in names
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(KeyError, match="unknown solver backend"):
+        with pytest.raises(ValueError, match="unknown solver backend"):
             backends.get_backend("does-not-exist")
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             backends.resolve_backend("does-not-exist")
 
     def test_resolve_none_gives_default(self):
@@ -190,7 +190,7 @@ class TestRegistry:
             backends.register_backend(replacement, overwrite=True)
             assert backends.get_backend("test-echo-dense") is replacement
         finally:
-            backends._REGISTRY.pop("test-echo-dense", None)
+            backends._REGISTRY.unregister("test-echo-dense")
 
     def test_backend_without_name_rejected(self):
         class Nameless:

@@ -15,6 +15,7 @@ from repro.exec import (
     available_executors,
     get_executor,
     register_executor,
+    unregister_executor,
 )
 from repro.exec.base import CampaignTask, execute_task, make_tasks
 from repro.scenarios import GridSpec, OptimizerSpec, ScenarioSpec, get_scenario
@@ -88,9 +89,7 @@ class TestExecutorRegistry:
             with pytest.raises(ValueError, match="already registered"):
                 register_executor("custom-exec", Custom)
         finally:
-            from repro.exec import _EXECUTORS
-
-            _EXECUTORS.pop("custom-exec", None)
+            unregister_executor("custom-exec")
 
     def test_lazy_module_attr_registration(self):
         register_executor(
@@ -99,9 +98,7 @@ class TestExecutorRegistry:
         try:
             assert isinstance(get_executor("lazy-serial"), SerialExecutor)
         finally:
-            from repro.exec import _EXECUTORS
-
-            _EXECUTORS.pop("lazy-serial", None)
+            unregister_executor("lazy-serial")
 
     def test_lazy_bad_reference_is_an_error(self):
         register_executor("lazy-bad", "repro.exec.local:Missing", overwrite=True)
@@ -109,9 +106,7 @@ class TestExecutorRegistry:
             with pytest.raises(ValueError, match="no attribute"):
                 get_executor("lazy-bad")
         finally:
-            from repro.exec import _EXECUTORS
-
-            _EXECUTORS.pop("lazy-bad", None)
+            unregister_executor("lazy-bad")
 
 
 class TestCampaignTask:

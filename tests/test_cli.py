@@ -97,6 +97,14 @@ class TestRun:
         assert code == 2
         assert "registered scenarios" in err
 
+    @pytest.mark.parametrize("solver", ["fdm", "ice"])
+    def test_unknown_backend_is_an_error(self, capsys, solver):
+        code, _, err = run_cli(
+            capsys, "run", "test-a", "--backend", "nope", "--solver", solver
+        )
+        assert code == 2
+        assert err.startswith("error: unknown solver backend 'nope'; ")
+
 
 class TestValidate:
     def test_validate_emits_both_results(self, capsys, small_spec_file):

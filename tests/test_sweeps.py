@@ -271,6 +271,14 @@ class TestExpandScenarios:
         specs = expand_scenarios(["test-a", small_base])
         assert [s.name for s in specs] == ["test-a", small_base.name]
 
+    def test_malformed_file_is_a_value_error_naming_it(self, tmp_path):
+        from repro.api import run_many
+
+        path = tmp_path / "malformed.json"
+        path.write_text("{nope")
+        with pytest.raises(ValueError, match="malformed.json: not valid JSON"):
+            run_many(str(path))
+
 
 class TestMappingAxisValues:
     def test_mapping_valued_axis_round_trips(self, small_base):
