@@ -15,11 +15,15 @@ every cell.
 backward-Euler propagation operator ``P = (C/dt + A)^{-1} C/dt``: the
 starting block holds the uniform initial-state direction, the implicit
 solve of the static load ``b0`` and the implicit solves of the sampled
-trace input directions, and successive blocks apply ``P`` with two-pass
-modified Gram-Schmidt re-orthonormalization.  Directions whose residual
-norm falls below ``tolerance`` (relative to their pre-projection norm) are
-deflated, so the realized order adapts to how much of the space the
-inputs actually excite.  The dense reduced operators ``Vᵀ(C/dt + A)V``
+trace input directions, and successive blocks apply ``P``.  Every block
+costs one ``(n, k)`` solve -- the seeds in one call, each Arnoldi block
+in one call -- and is orthonormalized into a preallocated basis by
+two-pass block classical Gram-Schmidt (BLAS-3 products against the
+existing columns, then two passes per column against the block's own
+accepted columns).  Directions whose residual norm falls below
+``tolerance`` (relative to their pre-projection norm) are deflated, so the
+realized order adapts to how much of the space the inputs actually
+excite.  The dense reduced operators ``Vᵀ(C/dt + A)V``
 (LU-factorized once) and ``Vᵀ(C/dt)V`` step the reduced state; *output
 maps* -- the basis restricted to the solid and coolant cells -- track the
 per-step peak temperature and coolant rise without lifting the full
@@ -39,7 +43,7 @@ contexts reuse bases instead of rebuilding them.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -192,23 +196,40 @@ class ReducedTransientModel:
         return np.max(output_map @ reduced_states, axis=0)
 
 
-def _orthonormalize_into(
-    columns: List[np.ndarray], vector: np.ndarray, tolerance: float
-) -> Optional[np.ndarray]:
-    """Two-pass MGS of ``vector`` against ``columns``; None if deflated."""
-    norm0 = float(np.linalg.norm(vector))
-    if norm0 == 0.0 or not np.isfinite(norm0):
-        return None
-    vector = vector / norm0
-    for _ in range(2):  # second pass restores orthogonality lost to roundoff
-        for column in columns:
-            vector = vector - column * float(column @ vector)
-    norm = float(np.linalg.norm(vector))
-    if norm <= max(tolerance, _DEFLATION_FLOOR):
-        return None
-    vector = vector / norm
-    columns.append(vector)
-    return vector
+def _orthonormalize_block(
+    basis: np.ndarray, count: int, block: np.ndarray, tolerance: float
+) -> int:
+    """Append ``block``'s surviving directions to ``basis``; the new count.
+
+    ``basis[:, :count]`` holds the orthonormal columns so far.  The block
+    is projected in place against them by two passes of block classical
+    Gram-Schmidt ("twice is enough"; Giraud, Langou & Rozloznik, 2005),
+    then each of its columns, in order, against the columns this block has
+    already accepted, again twice.  A column whose residual norm is at most
+    ``max(tolerance, floor)`` relative to its pre-projection norm is
+    deflated; appending stops once ``basis`` is full.
+    """
+    norms = np.linalg.norm(block, axis=0)
+    existing = basis[:, :count]
+    for _ in range(2):
+        block -= existing @ (existing.T @ block)
+    threshold = max(tolerance, _DEFLATION_FLOOR)
+    start = count
+    for column, norm0 in zip(block.T, norms):
+        if count == basis.shape[1]:
+            break
+        if norm0 == 0.0 or not np.isfinite(norm0):
+            continue
+        vector = column / norm0
+        accepted = basis[:, start:count]
+        for _ in range(2):
+            vector -= accepted @ (accepted.T @ vector)
+        norm = float(np.linalg.norm(vector))
+        if norm <= threshold:
+            continue
+        basis[:, count] = vector / norm
+        count += 1
+    return count
 
 
 def build_reduced_model(
@@ -233,7 +254,9 @@ def build_reduced_model(
         by :meth:`repro.ice.transient.TransientSolver.implicit_system`.
     solve:
         ``rhs -> implicit^{-1} rhs`` through the scenario's solver backend
-        (which caches the factorization under the implicit token).
+        (which caches the factorization under the implicit token).  It
+        receives ``(n, k)`` blocks -- the seeds, then each Arnoldi block --
+        and must return the ``(n, k)`` solution block.
     base_rhs:
         The static load vector; its implicit solve seeds the basis and its
         projection is precomputed for the stepping hot path.
@@ -257,42 +280,31 @@ def build_reduced_model(
     n = int(implicit.shape[0])
     order = max(1, min(int(order), n))
     tolerance = float(tolerance)
-    columns: List[np.ndarray] = []
-    n_solves = 0
+    basis = np.empty((n, order), order="F")
 
     # Starting block: the uniform-state direction (any uniform initial
-    # condition is then represented exactly), the static-load response and
-    # the trace input responses.
-    seeds = [np.ones(n)]
-    for direction in (base_rhs, *input_directions):
-        direction = np.asarray(direction, dtype=float)
-        if float(np.linalg.norm(direction)) == 0.0:
-            continue
-        seeds.append(solve(direction))
-        n_solves += 1
+    # condition is then represented exactly), then the static-load and
+    # trace input responses, solved in one block.
+    directions = [np.asarray(d, dtype=float) for d in (base_rhs, *input_directions)]
+    directions = [d for d in directions if float(np.linalg.norm(d)) != 0.0]
+    seeds = np.ones((n, 1 + len(directions)), order="F")
+    if directions:
+        seeds[:, 1:] = solve(np.column_stack(directions))
+    n_solves = len(directions)
+    count = _orthonormalize_block(basis, 0, seeds, tolerance)
 
-    block: List[np.ndarray] = []
-    for seed in seeds:
-        kept = _orthonormalize_into(columns, seed, tolerance)
-        if kept is not None:
-            block.append(kept)
-        if len(columns) >= order:
-            break
+    # Arnoldi recurrence on the propagation operator P = implicit^{-1} C/dt:
+    # each block of accepted columns is propagated by one block solve, of
+    # only as many columns as the basis still has room for.
+    block = slice(0, count)
+    while count < order and block.stop > block.start:
+        width = min(block.stop - block.start, order - count)
+        propagated = solve(c_over_dt @ basis[:, block.start : block.start + width])
+        n_solves += width
+        accepted = _orthonormalize_block(basis, count, propagated, tolerance)
+        block, count = slice(count, accepted), accepted
 
-    # Arnoldi recurrence on the propagation operator P = implicit^{-1} C/dt.
-    while len(columns) < order and block:
-        next_block: List[np.ndarray] = []
-        for vector in block:
-            propagated = solve(c_over_dt @ vector)
-            n_solves += 1
-            kept = _orthonormalize_into(columns, propagated, tolerance)
-            if kept is not None:
-                next_block.append(kept)
-            if len(columns) >= order:
-                break
-        block = next_block
-
-    basis = np.column_stack(columns)
+    basis = np.ascontiguousarray(basis[:, :count])
     reduced_implicit = basis.T @ (implicit @ basis)
     reduced_c = basis.T @ (c_over_dt @ basis)
     return ReducedTransientModel(

@@ -35,7 +35,12 @@ control chunk, a Krylov ROM build -- acquires a :class:`FactorizationHandle` onc
 :meth:`SolverBackend.solver_for` (one content lookup, which factorizes on
 a miss) and then solves through it with :meth:`FactorizationHandle.solve`
 (``trans="N"`` or ``"T"``), a bare triangular solve that never re-hashes
-the matrix.  ``solve``, ``solve_transpose`` and ``solve_matrix`` are thin
+the matrix.  A handle solves a vector or an ``(n, k)`` block; the
+registered backends hand a block to their kernel (SuperLU, ``gbtrs``,
+``np.linalg.solve``) in one multi-RHS call, so its columns agree with the
+single-RHS solves to rounding (``rtol=1e-12``), not bit for bit, while a
+single vector solves exactly as ``solve`` does.  ``solve``,
+``solve_transpose`` and ``solve_matrix`` are thin
 wrappers over a handle acquired for the one call, so there is a single
 lookup path.  Handles are meant to live for one unit of work: the
 backend's bounded LRU stays the only long-lived owner of factorizations.
@@ -43,7 +48,7 @@ backend's bounded LRU stays the only long-lived owner of factorizations.
 Custom backends register with :func:`register_backend`; anything exposing
 ``solve(matrix, rhs, pattern_token=None) -> ndarray`` works, and
 :func:`solver_for` gives such duck-typed backends a handle that forwards
-each solve to ``solve``.
+each solve to ``solve``, one block column at a time.
 """
 
 from __future__ import annotations
@@ -81,16 +86,16 @@ DEFAULT_BACKEND = "auto"
 
 
 def _columnwise(solve: Callable[[np.ndarray], np.ndarray], rhs) -> np.ndarray:
-    """Apply a single-RHS ``solve`` to a vector or to each column of a block.
+    """Apply a vector-only ``solve`` to a vector or to each column of a block.
 
-    Blocked multi-RHS kernels (SuperLU's, LAPACK's) reorder additions, so
-    an ``(n, k)`` block is solved one column at a time: every column is
-    then bit-identical to the corresponding single-RHS solve.
+    Only handles that forward to a ``solve`` promising vectors need this;
+    the registered backends pass whole blocks to their kernels.
     """
     rhs = np.asarray(rhs)
     if rhs.ndim == 1:
         return solve(rhs)
-    return np.column_stack([solve(rhs[:, column]) for column in range(rhs.shape[1])])
+    columns = [solve(rhs[:, column]) for column in range(rhs.shape[1])]
+    return np.column_stack(columns) if columns else np.empty(rhs.shape)
 
 
 def _transposed(matrix, pattern_token):
@@ -122,8 +127,10 @@ class FactorizationHandle:
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         """Solve ``A x = rhs`` (``trans="T"``: ``A^T x = rhs``).
 
-        ``rhs`` is a vector or an ``(n, k)`` block; each column of a block
-        equals the corresponding single-RHS solve bit for bit.
+        ``rhs`` is a vector or an ``(n, k)`` block (``k`` may be 0).  A
+        vector solves bit for bit as the backend's ``solve`` does; a block
+        is one multi-RHS kernel call whose columns match the single-RHS
+        solves within ``rtol=1e-12`` (blocked kernels reorder additions).
         """
         return self.backend.solve_with(self, rhs, trans)
 
@@ -188,9 +195,11 @@ class SolverBackend:
         """Solve one matrix against many right-hand sides at once.
 
         ``rhs_matrix`` has shape ``(n, k)`` -- one column per right-hand
-        side -- and the result has the same shape.  One handle serves the
-        whole block, so direct backends look up the factorization once;
-        each column equals the corresponding single-RHS solve bit for bit.
+        side, ``k`` may be 0 -- and the result has the same shape.  One
+        handle serves the whole block, so direct backends look up the
+        factorization once and solve the block in one kernel call; each
+        column matches the corresponding single-RHS solve within
+        ``rtol=1e-12``.
         """
         rhs_matrix = np.asarray(rhs_matrix)
         if rhs_matrix.ndim != 2:
@@ -244,8 +253,7 @@ class DenseBackend(_HandleBackend):
     """LAPACK dense solve on the densified matrix; a reference for small systems.
 
     The handle holds the densified matrix; every solve is a fresh
-    ``np.linalg.solve`` on it, one column at a time (LAPACK's blocked
-    multi-RHS back-substitution would reorder additions).
+    ``np.linalg.solve`` on it, a vector or a whole ``(n, k)`` block per call.
     """
 
     name = "dense"
@@ -255,7 +263,7 @@ class DenseBackend(_HandleBackend):
 
     def solve_with(self, handle, rhs, trans="N"):
         dense = handle.factor.T if trans == "T" else handle.factor
-        return _columnwise(partial(np.linalg.solve, dense), rhs)
+        return np.linalg.solve(dense, rhs)
 
 
 #: Structures whose reverse Cuthill--McKee bandwidth ``kl + ku`` is at most
@@ -352,7 +360,11 @@ class _BandedLU:
         return self.lu.size
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        """Solve ``A x = rhs`` (``trans="T"``: ``A^T x = rhs``)."""
+        """Solve ``A x = rhs`` (``trans="T"``: ``A^T x = rhs``).
+
+        ``rhs`` is a vector or an ``(n, k)`` block; a block goes to
+        ``gbtrs`` as ``nrhs = k`` in one call.
+        """
         plan = self.plan
         permuted, info = _GBTRS(
             self.lu,
@@ -379,9 +391,11 @@ class SparseLUBackend(_HandleBackend):
     cached in a second ``BoundedLRU`` keyed on the structure plus a content
     hash of the coefficient values, so solving the same matrix again (same
     design, same grid) skips the numeric factorization entirely.  Acquiring
-    a handle is one such lookup (counted in ``n_content_hashes``); each
-    handle solve after the first counts as a factorization reuse, exactly
-    as a fresh lookup hit would.
+    a handle is one such lookup (counted in ``n_content_hashes``).  The
+    counters count right-hand sides: a ``k``-column handle solve is ``k``
+    uses, the first use through a fresh handle is the factorization's own
+    and every later one counts as a factorization reuse, exactly as ``k``
+    single-RHS lookups would.
     """
 
     name = "sparse-lu"
@@ -440,11 +454,13 @@ class SparseLUBackend(_HandleBackend):
         # Both kernels solve A^T x = b from the *forward* decomposition
         # (``trans='T'``), so the adjoint after a forward solve of the same
         # matrix -- the optimizer's hot path -- costs one triangular solve.
-        if handle.used:
+        rhs = np.asarray(rhs)
+        uses = 1 if rhs.ndim == 1 else rhs.shape[1]
+        if uses:
             with self._lock:
-                self.n_factorization_reuses += 1
-        handle.used = True
-        return _columnwise(partial(handle.factor.solve, trans=trans), rhs)
+                self.n_factorization_reuses += uses if handle.used else uses - 1
+            handle.used = True
+        return handle.factor.solve(rhs, trans)
 
     def reset(self):
         with self._lock:

@@ -454,8 +454,9 @@ def _reduced_model_for(
             if float(np.linalg.norm(delta)) > 0.0:
                 directions.append(delta)
 
-        # One handle per build: every Krylov solve is a bare triangular
-        # solve instead of a content-hashed factorization lookup.
+        # One handle per build: the seeds and every Arnoldi block are one
+        # bare multi-RHS triangular solve each, never a content-hashed
+        # factorization lookup.
         factorization = solver_for(solver.backend, implicit, token)
         return build_reduced_model(
             implicit,

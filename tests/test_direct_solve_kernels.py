@@ -14,7 +14,10 @@ SuperLU under an ``A + A^T`` minimum-degree ordering.  These tests pin:
 * that the kernel depends on the structure alone: a tokened matrix and a
   token-less copy solve bit for bit alike;
 * that a singular matrix raises on either kernel instead of returning
-  inf/NaN.
+  inf/NaN;
+* that an ``(n, k)`` block solved in one kernel call matches per-column
+  solves within ``rtol=1e-12`` on both kernels, whatever the block's
+  memory layout.
 """
 
 from __future__ import annotations
@@ -213,3 +216,50 @@ class TestSingularMatrices:
         singular.data[singular.indptr[row] : singular.indptr[row + 1]] = 0.0
         with pytest.raises(RuntimeError, match="singular"):
             SparseLUBackend().solve(singular, rhs)
+
+
+BLOCK_RTOL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def kernel_handles():
+    """A sparse-lu handle on a narrow (banded) and a wide (SuperLU) system."""
+    handles = {}
+    for kernel, build in (("banded", _fdm_system), ("superlu", _ice_system)):
+        matrix, _, token = build(get_scenario("niagara-arch1"))
+        backend = SparseLUBackend()
+        handles[kernel] = backend.solver_for(matrix, token)
+        assert backend.stats()[f"cached_{kernel}"] == 1
+    return handles
+
+
+def _laid_out(block, layout):
+    if layout == "C":
+        return np.ascontiguousarray(block)
+    if layout == "F":
+        return np.asfortranarray(block)
+    # Strided: every other row and column of a larger array.
+    n, k = block.shape
+    host = np.zeros((2 * n, 2 * k))
+    host[::2, ::2] = block
+    return host[::2, ::2]
+
+
+class TestBlockSolves:
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    @pytest.mark.parametrize("kernel", ["banded", "superlu"])
+    def test_block_matches_per_column_solves(self, kernel_handles, kernel, trans, k, layout):
+        handle = kernel_handles[kernel]
+        n = handle.matrix.shape[0]
+        block = _laid_out(np.random.default_rng(k).standard_normal((n, k)), layout)
+        solved = handle.solve(block, trans)
+        assert solved.shape == (n, k)
+        for column in range(k):
+            np.testing.assert_allclose(
+                solved[:, column],
+                handle.solve(np.ascontiguousarray(block[:, column]), trans),
+                rtol=BLOCK_RTOL,
+                atol=0.0,
+            )

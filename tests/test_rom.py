@@ -10,6 +10,9 @@ Covers the reduced-order acceptance criteria:
   itself reports);
 * ``mode: off`` stays bit-identical to the full path (the PR 5 contract);
 * the reduced path is bit-identical run to run, cold or warm cache;
+* the block Krylov build: an orthonormal basis of the expected order on
+  the Test A burst and a Niagara arch1 ROM, one ``(n, k)`` solve per
+  block with the last block clipped to the room left in the basis;
 * the bounded ROM cache: hits across repeated runs, eviction, stats;
 * engine counters (``n_rom_builds`` / ``n_rom_steps``) through
   ``COUNTER_KEYS``, the Session and campaign summaries;
@@ -26,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.krylov import krylov_basis
 from repro.core.engine import COUNTER_KEYS
 from repro.core.rom import (
     build_reduced_model,
@@ -34,11 +38,13 @@ from repro.core.rom import (
     rom_cache_stats,
 )
 from repro.policies import ModelPredictiveFlowPolicy, policy_from_spec
+import repro.transient_engine as transient_engine
 from repro.scenarios import (
     GridSpec,
     ScenarioSpec,
     SolverSpec,
     WorkloadSpec,
+    get_scenario,
 )
 from repro.transient import (
     ROM_AUTO_MIN_STEPS,
@@ -393,6 +399,122 @@ class TestModelPredictiveFlowPolicy:
         outcome = simulate_transient(spec)
         assert outcome.metadata["rom"] is True
         assert outcome.metrics["rom_peak_abs_err_K"] <= 0.1
+
+
+# -- the block Krylov build ---------------------------------------------------
+
+
+def arch1_rom_scenario():
+    """A Niagara arch1 DVFS-style trace on the 44 x 44 grid, reduced."""
+    return ScenarioSpec.from_dict(
+        {
+            "name": "arch1-rom",
+            "workload": {"kind": "architecture", "architecture": "arch1"},
+            "grid": {"n_grid_points": 161, "n_lanes": 5, "n_rows": 44, "n_cols": 44},
+            "solver": {"simulator": "ice"},
+            "transient": {
+                "duration_s": 0.6,
+                "time_step_s": 0.02,
+                "traces": [
+                    {
+                        "layer": "top_die",
+                        "kind": "piecewise",
+                        "times": [0.0, 0.12, 0.24, 0.36, 0.48],
+                        "values": [80.0, 95.0, 70.0, 100.0, 85.0],
+                    }
+                ],
+                "policy": {"kind": "constant", "control_interval_s": 0.0},
+                "store_every": 5,
+                "threshold_K": 335.0,
+                "rom": {"mode": "rom"},
+            },
+        }
+    )
+
+
+@pytest.fixture
+def recorded_builds(monkeypatch):
+    """``(args, kwargs, model)`` of every Krylov build the engine runs."""
+    builds = []
+
+    def recording_build(*args, **kwargs):
+        builds.append((args, kwargs, build_reduced_model(*args, **kwargs)))
+        return builds[-1][2]
+
+    monkeypatch.setattr(transient_engine, "build_reduced_model", recording_build)
+    return builds
+
+
+class TestBlockBuild:
+    @pytest.mark.parametrize(
+        "make_spec",
+        [lambda: get_scenario("test-a-burst-rom"), arch1_rom_scenario],
+        ids=["test-a-burst-rom", "arch1-rom"],
+    )
+    def test_basis_is_orthonormal_at_the_full_order(self, recorded_builds, make_spec):
+        outcome = simulate_transient(make_spec())
+        ((_, _, model),) = recorded_builds
+        basis = model.basis
+        gram_error = np.max(np.abs(basis.T @ basis - np.eye(model.order)))
+        assert gram_error <= 1e-10
+        # The per-vector build realized the full order 48 on both.
+        assert outcome.metrics["rom_order"] == model.order == 48
+        assert outcome.metrics["rom_peak_abs_err_K"] <= 1e-3
+
+    def test_matches_the_per_vector_reference(self, recorded_builds):
+        # No direction deflates in the last block of the Test A burst, so
+        # block and per-vector Gram-Schmidt build the same columns.
+        simulate_transient(get_scenario("test-a-burst-rom"))
+        ((args, kwargs, model),) = recorded_builds
+        implicit, c_over_dt, solve, base_rhs, directions = args[:5]
+        reference = krylov_basis(
+            implicit,
+            c_over_dt,
+            solve,
+            base_rhs,
+            directions,
+            order=kwargs["order"],
+            tolerance=kwargs["tolerance"],
+        )
+        assert reference.shape == model.basis.shape
+        np.testing.assert_allclose(model.basis, reference, rtol=0.0, atol=1e-12)
+
+    def test_one_block_solve_per_block_and_the_last_is_clipped(self):
+        import scipy.sparse as sp
+
+        n = 40
+        main = np.linspace(3.0, 5.0, n)
+        implicit = sp.diags(
+            [main, -np.ones(n - 1), -np.ones(n - 1)], [0, -1, 1], format="csr"
+        )
+        c_over_dt = sp.identity(n, format="csr")
+        base = np.linspace(1.0, 2.0, n)
+        bump = np.zeros(n)
+        bump[:5] = 1.0
+        widths = []
+
+        def solve(block):
+            assert block.ndim == 2
+            widths.append(block.shape[1])
+            return np.linalg.solve(implicit.toarray(), block)
+
+        model = build_reduced_model(
+            implicit,
+            c_over_dt,
+            solve,
+            base,
+            [bump],
+            lambda time: base,
+            order=5,
+            tolerance=1e-12,
+        )
+        # Seeds: the two nonzero directions in one call (the uniform state
+        # needs no solve); then the 3-column Arnoldi block, clipped to the
+        # two columns the basis still has room for.
+        assert widths == [2, 2]
+        assert model.order == 5
+        assert model.n_build_solves == 4
+        assert np.max(np.abs(model.basis.T @ model.basis - np.eye(5))) <= 1e-12
 
 
 # -- unit surface of core/rom ------------------------------------------------
