@@ -15,8 +15,10 @@ The point of the record: batched FD needs ``2n`` solves per gradient so
 its cost grows linearly with the number of design variables, while the
 adjoint needs one forward and one transpose solve regardless of ``n`` --
 the per-gradient cost stays flat.  The asserts check that structure
-(solve, transpose-solve and batch counts per gradient); the speedups are
-reported in the BENCH record only.  The record also times the COO->CSR
+(solve, transpose-solve and batch counts per gradient, and no assembly or
+content hash of the matrix at a cost-evaluated iterate -- the transpose
+solve goes through the forward solve's factorization handle); the
+speedups are reported in the BENCH record only.  The record also times the COO->CSR
 value-refresh fold of the Test A pattern.  Setting ``REPRO_BENCH_SMOKE=1``
 shrinks the problem to smoke-test size.
 """
@@ -29,9 +31,12 @@ import time
 
 import numpy as np
 
+import repro.core.engine
+import repro.thermal.assembly
 from repro.core import ChannelModulationOptimizer, OptimizerSettings
 from repro.floorplan import test_a_structure as build_test_a
 from repro.thermal.assembly import assemble_system
+from repro.thermal.backends import get_backend
 from repro.thermal.geometry import MultiChannelStructure
 
 #: Smoke mode: tiny problem (CI runs this).
@@ -75,6 +80,33 @@ def _gradient_counts(optimizer, gradient_fn, vector) -> dict:
     return {key: after[key] - before[key] for key in COUNTERS}
 
 
+def _rebuild_counts(optimizer, vector, monkeypatch) -> dict:
+    """Assemblies and matrix content hashes of one adjoint gradient.
+
+    Measured at a cost-evaluated iterate, as SLSQP calls it; the default
+    engine hands its solves to the shared ``sparse-lu`` backend.
+    """
+    optimizer.cost(vector)
+    original = repro.thermal.assembly.assemble_system
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (repro.thermal.assembly, repro.core.engine):
+        monkeypatch.setattr(module, "assemble_system", counted)
+    backend = get_backend("sparse-lu")
+    before = backend.stats()["n_content_hashes"]
+    optimizer.adjoint_cost_gradient(vector)
+    hashes = backend.stats()["n_content_hashes"] - before
+    monkeypatch.undo()
+    return {
+        "assemblies_per_gradient": len(calls),
+        "content_hashes_per_gradient": hashes,
+    }
+
+
 def make_optimizer(config, n_segments: int) -> ChannelModulationOptimizer:
     return ChannelModulationOptimizer(
         build_test_a(config),
@@ -86,7 +118,7 @@ def make_optimizer(config, n_segments: int) -> ChannelModulationOptimizer:
     )
 
 
-def test_adjoint_gradient_cost_is_flat(config, benchmark):
+def test_adjoint_gradient_cost_is_flat(config, benchmark, monkeypatch):
     """One adjoint gradient stays ~constant while FD grows with n."""
     rows = []
     for n_segments in SIZES:
@@ -133,12 +165,20 @@ def test_adjoint_gradient_cost_is_flat(config, benchmark):
     )
     bench_optimizer.adjoint_cost_gradient(bench_vector)  # warm
     benchmark(lambda: bench_optimizer.adjoint_cost_gradient(bench_vector))
+    rebuild = _rebuild_counts(
+        bench_optimizer, np.clip(bench_vector + 5e-3, 0.0, 1.0), monkeypatch
+    )
+    assert rebuild == {
+        "assemblies_per_gradient": 0,
+        "content_hashes_per_gradient": 0,
+    }
 
     record = {
         "benchmark": "optimizer_adjoint",
         "objective": "gradient_norm",
         "n_grid_points": N_GRID,
         "sizes": rows,
+        **rebuild,
         "refresh": _refresh_record(),
         "smoke": SMOKE,
     }

@@ -619,6 +619,13 @@ class Session:
     def optimize(self, scenario) -> OptimizationRunResult:
         """Run the optimal channel-modulation design flow on a scenario."""
         spec = resolve_scenario(scenario)
+        if spec.coolant_model != "constant":
+            # The design flow's cost, constraints and adjoint are built on
+            # the constant-property model.
+            raise ValueError(
+                "scenario.coolant_model: the design flow (optimize) supports "
+                f"only 'constant', got {spec.coolant_model!r}"
+            )
         engine = self.engine_for(spec)
         designer = ChannelModulationDesigner.from_spec(spec, engine=engine)
         start = time.perf_counter()

@@ -35,10 +35,16 @@ differencing step acts on an O(1) normalized variable, so the O(step^2)
 linearization error sits far below the 1e-6 agreement the test suite
 demands.
 
-The adjoint transpose solve reuses the *forward* LU factorization
-(``trans='T'`` via :meth:`~repro.thermal.backends.SolverBackend.solve_transpose`),
-so after the cached forward solve of the current iterate the whole
-gradient costs one triangular solve plus the stencil dot products.
+The transpose solve goes through the *forward* solve's own
+:class:`~repro.thermal.backends.FactorizationHandle`
+(``handle.solve(dJ/du, "T")``), which
+:meth:`~repro.core.engine.EvaluationEngine.forward_solve` hands back
+together with the forward system from the engine's one-entry forward
+slot.  SLSQP asks for the gradient at the iterate whose cost it has just
+evaluated, so the whole gradient costs one triangular solve plus the
+stencil dot products: no re-assembly, no content hash of the matrix.
+Only an iterate that is not the most recent forward solve pays one
+assembly and one factorization lookup.
 
 Supported objectives are the smooth ones -- ``gradient_norm``,
 ``heat_flow`` and ``softmax_range``; the nonsmooth ``temperature_range``
@@ -49,11 +55,11 @@ to finite differences (loudly -- see
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from ..thermal.assembly import assemble_system, lane_conductance_rows
+from ..thermal.assembly import lane_conductance_rows
 from ..thermal.solution import ThermalSolution
 
 __all__ = [
@@ -164,7 +170,8 @@ class AdjointGradient:
         path so the factorization is reused).
     engine:
         The shared :class:`~repro.core.engine.EvaluationEngine`; supplies
-        the cached forward solution and the transpose solve.
+        the cached forward solution, its system and its factorization
+        handle.
     step:
         Central-difference step for the ``dA/dw`` stencils, applied to the
         normalized decision variables.
@@ -195,16 +202,6 @@ class AdjointGradient:
 
     # -- helpers -------------------------------------------------------------
 
-    def _candidate(self, vector: np.ndarray):
-        profiles = self.parameterization.profiles_from_vector(vector)
-        return self.structure.with_width_profiles(profiles)
-
-    def _affected_lanes(self, variable: int) -> range:
-        if self.parameterization.shared:
-            return range(self.parameterization.n_lanes)
-        lane = variable // self.parameterization.n_segments
-        return range(lane, lane + 1)
-
     def _segment_of_point(self, z_grid: np.ndarray) -> np.ndarray:
         """Piecewise-constant segment index of every grid point.
 
@@ -233,21 +230,20 @@ class AdjointGradient:
 
     # -- the gradient --------------------------------------------------------
 
-    def gradient(
-        self, vector: np.ndarray, solution: Optional[ThermalSolution] = None
-    ) -> np.ndarray:
+    def gradient(self, vector: np.ndarray) -> np.ndarray:
         """``dJ/dx`` at a normalized decision vector.
 
-        The forward solution comes from the engine's LRU cache (SLSQP has
-        just evaluated the cost there); the transpose solve reuses the
-        forward factorization.  Pass ``solution`` to skip even the cache
-        lookup.
+        The forward solution, its system and its factorization handle come
+        from :meth:`~repro.core.engine.EvaluationEngine.forward_solve`
+        (SLSQP has just evaluated the cost there); the transpose solve goes
+        through that handle.
         """
         vector = np.clip(np.asarray(vector, dtype=float), 0.0, 1.0)
-        candidate = self._candidate(vector)
-        if solution is None:
-            solution = self.engine.solve(candidate, n_points=self.n_points)
-        system = assemble_system(candidate, n_points=self.n_points)
+        profiles = self.parameterization.profiles_from_vector(vector)
+        candidate = self.structure.with_width_profiles(profiles)
+        solution, system, handle = self.engine.forward_solve(
+            candidate, n_points=self.n_points
+        )
 
         # The forward unknown vector, reconstructed bit-exactly from the
         # solution fields (the solver reshaped the unknowns into (3, L, P)).
@@ -261,9 +257,7 @@ class AdjointGradient:
         dJdT = objective_gradient(self.objective, solution, system.params.g_l)
         dJdu = np.concatenate([dJdT.ravel(), np.zeros(n_coolant)])
 
-        lam = self.engine.solve_transpose(
-            system.matrix, dJdu, system.pattern_token
-        )
+        lam = handle.solve(dJdu, "T")
         fold = system.pattern.fold
         # lambda^T (dA) u over raw COO entries: one weight per entry,
         # folded once into per-(lane, point) conductance sensitivities
@@ -285,7 +279,6 @@ class AdjointGradient:
         width_span = high - low
         delta_plus, delta_minus = self._stencil_deltas(vector)
         denominator = delta_plus + delta_minus
-        profiles = self.parameterization.profiles_from_vector(vector)
 
         gradient = np.zeros(n_variables)
         for lane in range(self.parameterization.n_lanes):
@@ -320,5 +313,5 @@ class AdjointGradient:
             gradient[variables[safe]] += (
                 -inner[safe] / denominator[variables][safe]
             )
-        self.engine.count(n_adjoint_solves=1)
+        self.engine.count(n_transpose_solves=1, n_adjoint_solves=1)
         return gradient

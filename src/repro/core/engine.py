@@ -16,6 +16,17 @@ gives all of those callers one code path with three properties:
   candidate structures and optionally fans the unique solves out over a
   ``concurrent.futures`` thread pool (``n_workers > 1``); used by the
   multistart schedule and the design-space-exploration sweeps.
+* **the forward slot** -- besides the LRU, the engine keeps ONE slot with
+  the most recent forward solve: its structure key, its
+  :class:`~repro.thermal.assembly.AssembledSystem` and the
+  :class:`~repro.thermal.backends.FactorizationHandle` it was solved
+  through.  :meth:`forward_solve` hands the three to the adjoint gradient,
+  which SLSQP asks for at the iterate it has just evaluated, so the
+  transpose solve needs neither a second assembly nor a content lookup.
+  One slot is enough for that access pattern; keeping a system and a
+  factor next to every cached solution would pin them for the whole LRU.
+  Water-Picard solves publish no slot (their final matrix is not the
+  assembled one).
 * **observability** -- solve and cache-hit counters (:meth:`stats`) feed
   the scaling benchmarks and regression tests.
 
@@ -27,8 +38,20 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence
+from functools import partial
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
+from ..thermal.assembly import AssembledSystem, assemble_system
+from ..thermal.backends import FactorizationHandle, resolve_backend, solver_for
 from ..thermal.fdm import solve_structure
 from ..thermal.geometry import MultiChannelStructure, TestStructure
 from ..thermal.solution import ThermalSolution
@@ -108,6 +131,8 @@ class EvaluationEngine:
         self.cache_size = int(cache_size)
         self.n_workers = int(n_workers)
         self._cache = BoundedLRU(self.cache_size)
+        #: ``(key, system, handle)`` of the most recent forward solve, or None.
+        self._forward: Optional[tuple] = None
         self._lock = threading.Lock()
         self._counters = {
             key: 0 for key in COUNTER_KEYS if key not in _LRU_COUNTERS
@@ -203,6 +228,7 @@ class EvaluationEngine:
                 structure,
                 n_points=n_points,
                 backend=self.solver_backend,
+                on_forward=None if key is None else partial(self._remember, key),
                 **solver_kwargs,
             )
             self.count(n_solves=1, **picard_counts(solution.metadata))
@@ -274,19 +300,37 @@ class EvaluationEngine:
                 results[index] = solution
         return results
 
-    def solve_transpose(self, matrix, rhs, pattern_token=None):
-        """Solve ``A^T x = rhs`` through the engine's solver backend.
+    def _remember(self, key, system: AssembledSystem, handle) -> None:
+        """Publish a forward solve into the slot (``on_forward`` callback)."""
+        with self._lock:
+            self._forward = (key, system, handle)
 
-        The adjoint gradient path calls this with the matrix of the most
-        recent forward assembly; the direct backends then reuse the cached
-        forward factorization (SuperLU solves the transposed system from
-        the same decomposition), so the adjoint costs one triangular solve.
+    def forward_solve(
+        self, structure, *, n_points: int
+    ) -> Tuple[ThermalSolution, AssembledSystem, FactorizationHandle]:
+        """``(solution, system, handle)`` of the steady solve of a cavity.
+
+        ``structure`` is a
+        :class:`~repro.thermal.geometry.MultiChannelStructure`.  The solution comes from :meth:`solve` (cached); the system and the
+        factorization handle come from the forward slot when its key is
+        this structure's -- no assembly and no content hash.  On a slot miss
+        (an iterate that was not the most recent forward solve, or a
+        cleared engine) they are rebuilt: one assembly, then one content
+        lookup through :func:`~repro.thermal.backends.solver_for`.
         """
-        from ..thermal.backends import resolve_backend
-
-        backend = resolve_backend(self.solver_backend)
-        self.count(n_transpose_solves=1)
-        return backend.solve_transpose(matrix, rhs, pattern_token)
+        key = self._derive_key(structure, n_points, {})
+        solution = self.solve(structure, n_points=n_points, key=key)
+        with self._lock:
+            slot = self._forward
+        if key is not None and slot is not None and slot[0] == key:
+            return solution, slot[1], slot[2]
+        system = assemble_system(structure, n_points=n_points)
+        handle = solver_for(
+            resolve_backend(self.solver_backend),
+            system.matrix,
+            system.pattern_token,
+        )
+        return solution, system, handle
 
     def count(self, **deltas: int) -> None:
         """Add ``deltas`` to the named counters, atomically.
@@ -317,8 +361,10 @@ class EvaluationEngine:
     # -- management ---------------------------------------------------------
 
     def clear_cache(self) -> None:
-        """Drop every cached solution (counters are kept)."""
+        """Drop every cached solution and the forward slot (counters are kept)."""
         self._cache.clear()
+        with self._lock:
+            self._forward = None
 
     def reset_stats(self) -> None:
         """Zero the solve/cache counters (the cache itself is kept)."""

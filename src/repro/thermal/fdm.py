@@ -37,18 +37,21 @@ triplet construction over a cached per-shape sparsity pattern) and solved by
 a pluggable backend from :mod:`repro.thermal.backends`: by default
 ``sparse-lu``, which orders the unknowns by reverse Cuthill--McKee once per
 pattern and factorizes the resulting narrow band with LAPACK's banded LU,
-reusing factorizations of unchanged matrices; or ``dense``.
+reusing factorizations of unchanged matrices; or ``dense``.  The solve goes
+through a :class:`~repro.thermal.backends.FactorizationHandle`, which the
+``on_forward`` callback hands to the caller together with the system (the
+evaluation engine keeps both for the adjoint's transpose solve).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from . import assembly
-from .backends import SolverBackend, resolve_backend
+from .backends import FactorizationHandle, SolverBackend, resolve_backend, solver_for
 from .geometry import MultiChannelStructure, TestStructure
 from .properties import CoolantModel
 from .solution import ThermalSolution
@@ -63,6 +66,9 @@ def solve_finite_difference(
     backend: Union[None, str, SolverBackend] = None,
     coolant_model: Optional[CoolantModel] = None,
     picard=None,
+    on_forward: Optional[
+        Callable[[assembly.AssembledSystem, FactorizationHandle], None]
+    ] = None,
 ) -> ThermalSolution:
     """Solve a multi-channel cavity and return a :class:`ThermalSolution`.
 
@@ -92,6 +98,13 @@ def solve_finite_difference(
     picard:
         Optional :class:`~repro.core.picard.PicardSettings` convergence
         knobs (defaults apply when omitted).  Ignored for constant models.
+    on_forward:
+        Optional callback ``on_forward(system, handle)``, called with the
+        assembled system and the :class:`FactorizationHandle` it was solved
+        through, so a caller can run further solves against the same matrix
+        (the adjoint's ``handle.solve(rhs, "T")``) without assembling or
+        looking it up again.  Never called for temperature-dependent
+        models, whose final matrix is not the assembled one.
     """
     if n_points < 3:
         raise ValueError("n_points must be at least 3")
@@ -99,7 +112,8 @@ def solve_finite_difference(
     system = assembly.assemble_system(structure, n_points, lane_pitch)
 
     solver = resolve_backend(backend)
-    solution_vector = solver.solve(system.matrix, system.rhs, system.pattern_token)
+    handle = solver_for(solver, system.matrix, system.pattern_token)
+    solution_vector = handle.solve(system.rhs)
     if not np.all(np.isfinite(solution_vector)):
         raise RuntimeError("finite-difference solve produced non-finite values")
 
@@ -142,6 +156,8 @@ def solve_finite_difference(
         )
         solution_vector = outcome.solution
         picard_info = picard_metadata(coolant_model.name, settings, outcome)
+    elif on_forward is not None:
+        on_forward(system, handle)
 
     fields = solution_vector.reshape(3, n_lanes, n_points)
     temperatures = fields[:2].copy()

@@ -19,5 +19,8 @@ ratio:
   banded and minimum-degree direct-solve kernels
   (:mod:`repro.thermal.backends`);
 * :mod:`oracles.bvp` -- SciPy adaptive collocation of the single-channel
-  boundary-value problem (:mod:`repro.thermal.bvp`).
+  boundary-value problem (:mod:`repro.thermal.bvp`);
+* :mod:`oracles.adjoint` -- the adjoint gradient that re-assembles the
+  forward system and looks its factorization up by content hash
+  (:mod:`repro.core.adjoint`).
 """

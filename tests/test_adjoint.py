@@ -5,16 +5,23 @@ The adjoint path promises the *exact* gradient of the discrete problem
 central finite differences of the objective -- the reference oracle the
 optimizer retains as ``gradient_mode="fd-batched"`` -- across randomized
 feasible designs (Hypothesis), every registered steady scenario, and the
-box bounds where the stencils must clamp.
+box bounds where the stencils must clamp.  The forward-slot tests check
+that the gradient is bit-identical to the re-assembling oracle
+(:mod:`oracles.adjoint`) and that, at a cost-evaluated iterate, it
+assembles nothing and hashes nothing.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.adjoint import reference_gradient
 
+import repro.thermal.assembly
 from repro.core.adjoint import (
     ADJOINT_OBJECTIVES,
     AdjointGradient,
@@ -31,7 +38,7 @@ from repro.core.optimizer import (
 from repro.core.parameterization import WidthParameterization
 from repro.scenarios import OptimizerSpec, get_scenario
 from repro.thermal.assembly import assemble_system
-from repro.thermal.backends import get_backend
+from repro.thermal.backends import SparseLUBackend, get_backend
 from repro.thermal.geometry import MultiChannelStructure
 from repro.thermal.geometry import TestStructure as SingleChannelStructure
 
@@ -297,6 +304,126 @@ class TestSolveTranspose:
         merged = EvaluationEngine.merge_stats([stats, stats])
         assert merged["n_adjoint_solves"] == 2
         assert merged["n_transpose_solves"] == 2
+
+
+# -- the forward slot: no re-assembly, no content hash -----------------------
+
+
+def count_assemblies(monkeypatch):
+    """Count ``assemble_system`` calls through every module that holds it."""
+    original = repro.thermal.assembly.assemble_system
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "assemble_system", None) is original:
+            monkeypatch.setattr(module, "assemble_system", counted)
+    return calls
+
+
+def make_adjoint(structure, n_segments=3, n_points=61, shared=False, backend="auto"):
+    structure = as_multi(structure)
+    par = WidthParameterization(
+        geometry=structure.geometry,
+        n_segments=n_segments,
+        n_lanes=structure.n_lanes,
+        shared=shared,
+    )
+    engine = EvaluationEngine(solver_backend=backend)
+    return AdjointGradient(structure, par, "gradient_norm", n_points, engine)
+
+
+def cost_at(adjoint, vector):
+    """Evaluate the forward solve at ``vector``, as SLSQP's cost call does."""
+    candidate = adjoint.structure.with_width_profiles(
+        adjoint.parameterization.profiles_from_vector(vector)
+    )
+    return adjoint.engine.solve(candidate, n_points=adjoint.n_points)
+
+
+class TestForwardSlot:
+    @pytest.mark.parametrize("fixture", ["test_a", "test_b"])
+    def test_identical_to_the_reassembling_oracle(self, fixture, request):
+        adjoint = make_adjoint(request.getfixturevalue(fixture), n_segments=4)
+        vector = np.linspace(0.2, 0.8, adjoint.parameterization.n_variables)
+        cost_at(adjoint, vector)
+        gradient = adjoint.gradient(vector)
+        assert np.array_equal(gradient, reference_gradient(adjoint, vector))
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_identical_on_a_four_lane_cavity(self, shared, arch1_cavity):
+        adjoint = make_adjoint(arch1_cavity, n_segments=3, n_points=41, shared=shared)
+        rng = np.random.default_rng(4)
+        vector = rng.uniform(0.1, 0.9, adjoint.parameterization.n_variables)
+        cost_at(adjoint, vector)
+        gradient = adjoint.gradient(vector)
+        assert np.array_equal(gradient, reference_gradient(adjoint, vector))
+
+    def test_identical_at_the_box_bounds(self, test_a):
+        adjoint = make_adjoint(test_a)
+        vector = np.array([1.0, 0.5, 0.0])
+        cost_at(adjoint, vector)
+        gradient = adjoint.gradient(vector)
+        assert np.array_equal(gradient, reference_gradient(adjoint, vector))
+
+    def test_slot_miss_rebuilds_once_and_stays_identical(self, test_a, monkeypatch):
+        adjoint = make_adjoint(test_a, backend=SparseLUBackend())
+        backend = adjoint.engine.solver_backend
+        first = np.array([0.3, 0.5, 0.7])
+        second = np.array([0.6, 0.4, 0.2])
+        cost_at(adjoint, first)
+        cost_at(adjoint, second)  # the slot now holds the second iterate
+        calls = count_assemblies(monkeypatch)
+        before = backend.stats()
+        gradient = adjoint.gradient(first)
+        after = backend.stats()
+        assert len(calls) == 1
+        assert after["n_content_hashes"] - before["n_content_hashes"] == 1
+        assert after["n_factorizations"] == before["n_factorizations"]
+        assert np.array_equal(gradient, reference_gradient(adjoint, first))
+
+    def test_gradient_at_a_cost_evaluated_iterate_assembles_and_hashes_nothing(
+        self, test_a, monkeypatch
+    ):
+        adjoint = make_adjoint(test_a, backend=SparseLUBackend())
+        backend = adjoint.engine.solver_backend
+        vector = np.array([0.3, 0.5, 0.7])
+        cost_at(adjoint, vector)
+        calls = count_assemblies(monkeypatch)
+        before = backend.stats()
+        adjoint.gradient(vector)
+        after = backend.stats()
+        assert len(calls) == 0
+        assert after["n_content_hashes"] == before["n_content_hashes"]
+        assert after["n_factorizations"] == before["n_factorizations"]
+        assert (
+            after["n_factorization_reuses"] - before["n_factorization_reuses"] == 1
+        )
+
+    def test_clear_cache_empties_the_slot(self, test_a, monkeypatch):
+        adjoint = make_adjoint(test_a, backend=SparseLUBackend())
+        vector = np.array([0.3, 0.5, 0.7])
+        cost_at(adjoint, vector)
+        adjoint.engine.clear_cache()
+        assert adjoint.engine._forward is None
+        calls = count_assemblies(monkeypatch)
+        adjoint.gradient(vector)
+        # The forward solve assembles once and refills the slot.
+        assert len(calls) == 1
+
+    def test_water_picard_solves_publish_no_slot(self, test_a):
+        from repro.thermal.properties import get_coolant_model
+
+        engine = EvaluationEngine(solver_backend=SparseLUBackend())
+        engine.solve(
+            as_multi(test_a),
+            n_points=41,
+            coolant_model=get_coolant_model("water"),
+        )
+        assert engine._forward is None
 
 
 # -- gradient_mode wiring ----------------------------------------------------

@@ -124,6 +124,33 @@ class TestSpecValidation:
         assert settings.relaxation == 0.5
 
 
+class TestOptimizeRejectsTemperatureDependentCoolant:
+    """The design flow is constant-property; a water spec must not be
+    optimized as if it were constant."""
+
+    def water_spec(self):
+        return get_scenario("test-a").with_overrides(coolant_model="water")
+
+    def test_session_optimize_raises(self):
+        with pytest.raises(ValueError, match="scenario.coolant_model.*'constant'"):
+            Session().optimize(self.water_spec())
+
+    def test_run_many_records_the_error(self):
+        result = Session().run_many([self.water_spec()], action="optimize")
+        record = result.records[0]
+        assert record["status"] == "error"
+        assert "coolant_model" in record["error"]
+
+    def test_cli_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "water.json"
+        self.water_spec().save(str(path))
+        code = main(["optimize", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "coolant_model" in err
+
+
 class TestPicardLoop:
     def test_converges_on_contraction(self):
         # x_{n+1} = 0.5 x_n + 1 -> fixed point 2.0
