@@ -35,8 +35,6 @@ A record carries:
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass
@@ -44,6 +42,7 @@ from typing import Dict, Iterable, Iterator, Optional, Protocol, Sequence, runti
 
 from ..core.engine import COUNTER_KEYS, EvaluationEngine
 from ..scenarios import ScenarioSpec
+from ..spec_codec import content_hash
 
 __all__ = [
     "ACTIONS",
@@ -108,13 +107,13 @@ class CampaignTask:
         while changing the workload, the solver family or the action
         recomputes.
         """
-        payload = {
-            "spec": self.spec.to_dict(),
-            "action": self.action,
-            "solver": self.effective_solver(),
-        }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return content_hash(
+            {
+                "spec": self.spec.to_dict(),
+                "action": self.action,
+                "solver": self.effective_solver(),
+            }
+        )
 
 
 @runtime_checkable

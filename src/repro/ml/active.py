@@ -27,8 +27,6 @@ target metric (the paper's co-design loop minimizes peak temperature):
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Set, Tuple, Union
@@ -37,6 +35,7 @@ import numpy as np
 
 from ..exec.base import CampaignTask
 from ..scenarios import ScenarioSpec
+from ..spec_codec import content_hash
 from ..sweeps import SweepSpec
 from .models import Surrogate
 
@@ -145,13 +144,9 @@ def physical_key(
     data = spec.to_dict()
     data.pop("name", None)
     data.pop("description", None)
-    payload = {
-        "spec": data,
-        "action": action,
-        "solver": task.effective_solver(),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_hash(
+        {"spec": data, "action": action, "solver": task.effective_solver()}
+    )
 
 
 @dataclass(frozen=True)

@@ -33,16 +33,15 @@ Example::
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .config import ExperimentConfig, paper_parameters
 from .core.optimizer import OptimizerSettings
+from .core.picard import PicardSettings
 from .core.registry import Registry
 from .floorplan.architectures import architecture_names, get_architecture
 from .floorplan.workloads import (
@@ -61,15 +60,16 @@ from .thermal.geometry import (
     TestStructure,
     WidthProfile,
 )
-from .thermal.properties import get_coolant_model
-from .transient import (
-    PolicySpec,
-    RomSpec,
-    TraceSpec,
-    TransientSpec,
-    _check_keys,
-    _set,
+from .spec_codec import (
+    Spec,
+    coded_field,
+    coerce,
+    content_hash,
+    finite_float,
+    late_field,
 )
+from .thermal.properties import get_coolant_model
+from .transient import PolicySpec, RomSpec, TraceSpec, TransientSpec
 
 __all__ = [
     "WorkloadSpec",
@@ -108,28 +108,49 @@ PARAMETER_OVERRIDE_FIELDS: Tuple[str, ...] = (
 )
 
 
-def _non_default_fields(obj, *names) -> Dict[str, object]:
-    """Serialize late-added optional fields only when set away from default.
+def _decode_params(value, path: str) -> Tuple[Tuple[str, float], ...]:
+    """Parameter overrides (a mapping or pairs) as sorted ``(field, value)`` pairs."""
+    pairs = value.items() if isinstance(value, Mapping) else value
+    normalized = []
+    for pair in pairs:
+        try:
+            key, number = pair
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"{path} must be a mapping or a sequence of "
+                f"(field, value) pairs, got {value!r}"
+            ) from None
+        if key not in PARAMETER_OVERRIDE_FIELDS:
+            raise ValueError(
+                f"{path}: unknown parameter {key!r}; "
+                f"overridable parameters are {list(PARAMETER_OVERRIDE_FIELDS)}"
+            )
+        normalized.append((key, finite_float(number, f"{path}.{key}")))
+    return tuple(sorted(normalized))
 
-    Spec-hash stability policy: the canonical plain-data form of a spec is
-    frozen by :meth:`ScenarioSpec.spec_hash` (campaign stores and the serve
-    queue key on it), so optional fields added *after* a release must be
-    omitted from :meth:`to_dict` while they hold their dataclass defaults.
-    Otherwise every registered scenario's hash would churn on upgrade and
-    all resume keys would silently miss.  New sub-spec fields should go
-    through this helper; pre-existing fields keep serializing
-    unconditionally (their presence is part of the frozen form).
-    """
-    defaults = {field.name: field.default for field in dataclass_fields(obj)}
-    return {
-        name: getattr(obj, name)
-        for name in names
-        if getattr(obj, name) != defaults[name]
-    }
+
+def _decode_design(value, path: str) -> Optional[Tuple[Tuple[float, ...], ...]]:
+    """Per-lane positive segment widths; a scalar lane is one segment."""
+    if value is None:
+        return None
+    design = []
+    for lane, segments in enumerate(value):
+        widths = tuple(
+            finite_float(width, f"{path}[{lane}][{index}]")
+            for index, width in enumerate(np.atleast_1d(segments))
+        )
+        if not widths:
+            raise ValueError(f"{path} lane {lane} has no segment widths")
+        if any(width <= 0.0 for width in widths):
+            raise ValueError(
+                f"{path} lane {lane}: all widths must be positive, got {widths}"
+            )
+        design.append(widths)
+    return tuple(design)
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(Spec, section="workload"):
     """What heats the stack: a Fig. 4 test workload or a Fig. 7 stacking.
 
     Attributes
@@ -156,34 +177,32 @@ class WorkloadSpec:
     power: str = "peak"
 
     def __post_init__(self) -> None:
+        coerce(self)
         if self.kind not in WORKLOAD_KINDS:
             raise ValueError(
                 f"workload.kind must be one of {list(WORKLOAD_KINDS)}, "
                 f"got {self.kind!r}"
             )
-        _set(self, flux_w_per_cm2=float(self.flux_w_per_cm2))
         if self.flux_w_per_cm2 < 0.0:
             raise ValueError(
                 f"workload.flux_w_per_cm2 must be non-negative, "
                 f"got {self.flux_w_per_cm2}"
             )
-        _set(self, segments=int(self.segments), seed=int(self.seed))
         if self.segments < 1:
             raise ValueError(
                 f"workload.segments must be at least 1, got {self.segments}"
             )
-        flux_range = tuple(float(value) for value in self.flux_range)
+        flux_range = self.flux_range
         if len(flux_range) != 2:
             raise ValueError(
                 "workload.flux_range must be a (low, high) pair, "
-                f"got {self.flux_range!r}"
+                f"got {flux_range!r}"
             )
         if flux_range[0] > flux_range[1] or flux_range[0] < 0.0:
             raise ValueError(
                 "workload.flux_range must satisfy 0 <= low <= high, "
                 f"got {flux_range}"
             )
-        _set(self, flux_range=flux_range, power=str(self.power))
         if self.power not in POWER_SCENARIOS:
             raise ValueError(
                 f"workload.power must be one of {list(POWER_SCENARIOS)}, "
@@ -203,7 +222,7 @@ class WorkloadSpec:
 
 
 @dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Spec, section="grid"):
     """Discretizations of the two model families.
 
     Attributes
@@ -227,13 +246,7 @@ class GridSpec:
     n_cols: int = 44
 
     def __post_init__(self) -> None:
-        _set(
-            self,
-            n_grid_points=int(self.n_grid_points),
-            n_lanes=int(self.n_lanes),
-            n_rows=int(self.n_rows),
-            n_cols=int(self.n_cols),
-        )
+        coerce(self)
         if self.n_grid_points < 3:
             raise ValueError(
                 f"grid.n_grid_points must be at least 3, got {self.n_grid_points}"
@@ -247,7 +260,7 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class SolverSpec:
+class SolverSpec(Spec, section="solver"):
     """Which simulator runs the scenario and how.
 
     Attributes
@@ -269,29 +282,31 @@ class SolverSpec:
         Convergence knobs of the Picard outer iteration used when the
         scenario requests a temperature-dependent coolant model
         (``ScenarioSpec.coolant_model != "constant"``); ignored otherwise.
-        See :class:`repro.core.picard.PicardSettings`.
+        See :class:`repro.core.picard.PicardSettings`, which owns their
+        ranges.  They were added after the spec-hash freeze, so they are
+        late fields.
     """
 
     simulator: str = "fdm"
     backend: str = "auto"
     n_workers: int = 1
     cache_size: int = 4096
-    picard_tolerance_K: float = 1e-4
-    picard_max_iterations: int = 25
-    picard_relaxation: float = 1.0
+    picard_tolerance_K: float = late_field(1e-4)
+    picard_max_iterations: int = late_field(25)
+    picard_relaxation: float = late_field(1.0)
 
     def __post_init__(self) -> None:
+        coerce(self)
         if self.simulator not in SIMULATOR_KINDS:
             raise ValueError(
                 f"solver.simulator must be one of {list(SIMULATOR_KINDS)}, "
                 f"got {self.simulator!r}"
             )
-        if not isinstance(self.backend, str) or not self.backend:
+        if not self.backend:
             raise ValueError(
                 f"solver.backend must be a non-empty backend name, "
                 f"got {self.backend!r}"
             )
-        _set(self, n_workers=int(self.n_workers), cache_size=int(self.cache_size))
         if self.n_workers < 1:
             raise ValueError(
                 f"solver.n_workers must be at least 1, got {self.n_workers}"
@@ -300,31 +315,14 @@ class SolverSpec:
             raise ValueError(
                 f"solver.cache_size must be at least 1, got {self.cache_size}"
             )
-        _set(
-            self,
-            picard_tolerance_K=float(self.picard_tolerance_K),
-            picard_max_iterations=int(self.picard_max_iterations),
-            picard_relaxation=float(self.picard_relaxation),
-        )
-        if self.picard_tolerance_K <= 0.0:
-            raise ValueError(
-                f"solver.picard_tolerance_K must be positive, "
-                f"got {self.picard_tolerance_K}"
-            )
-        if self.picard_max_iterations < 1:
-            raise ValueError(
-                f"solver.picard_max_iterations must be at least 1, "
-                f"got {self.picard_max_iterations}"
-            )
-        if not 0.0 < self.picard_relaxation <= 1.0:
-            raise ValueError(
-                f"solver.picard_relaxation must be in (0, 1], "
-                f"got {self.picard_relaxation}"
-            )
+        try:
+            PicardSettings.from_solver_spec(self)
+        except ValueError as error:
+            raise ValueError(f"solver.{error}") from None
 
 
 @dataclass(frozen=True)
-class OptimizerSpec:
+class OptimizerSpec(Spec, section="optimizer"):
     """Settings of the optimal channel-modulation design flow (Sec. IV).
 
     Mirrors the knobs of :class:`repro.core.optimizer.OptimizerSettings`
@@ -343,15 +341,7 @@ class OptimizerSpec:
     max_pressure_drop_Pa: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _set(
-            self,
-            n_segments=int(self.n_segments),
-            max_iterations=int(self.max_iterations),
-            multistart=int(self.multistart),
-            tolerance=float(self.tolerance),
-            shared_profile=bool(self.shared_profile),
-            enforce_equal_pressure=bool(self.enforce_equal_pressure),
-        )
+        coerce(self)
         if self.n_segments < 1:
             raise ValueError(
                 f"optimizer.n_segments must be at least 1, got {self.n_segments}"
@@ -369,7 +359,7 @@ class OptimizerSpec:
             raise ValueError(
                 f"optimizer.tolerance must be positive, got {self.tolerance}"
             )
-        if not isinstance(self.objective, str) or not self.objective:
+        if not self.objective:
             raise ValueError(
                 f"optimizer.objective must be a non-empty objective name, "
                 f"got {self.objective!r}"
@@ -381,17 +371,15 @@ class OptimizerSpec:
                 f"optimizer.gradient_mode must be one of "
                 f"{list(GRADIENT_MODES)}, got {self.gradient_mode!r}"
             )
-        if self.max_pressure_drop_Pa is not None:
-            _set(self, max_pressure_drop_Pa=float(self.max_pressure_drop_Pa))
-            if self.max_pressure_drop_Pa <= 0.0:
-                raise ValueError(
-                    f"optimizer.max_pressure_drop_Pa must be positive, "
-                    f"got {self.max_pressure_drop_Pa}"
-                )
+        if self.max_pressure_drop_Pa is not None and self.max_pressure_drop_Pa <= 0.0:
+            raise ValueError(
+                f"optimizer.max_pressure_drop_Pa must be positive, "
+                f"got {self.max_pressure_drop_Pa}"
+            )
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Spec, section="scenario"):
     """One fully-specified, serializable experiment.
 
     Attributes
@@ -425,7 +413,8 @@ class ScenarioSpec:
         any other model (e.g. ``"water"``) wraps the steady solves in the
         Picard outer iteration of :mod:`repro.core.picard`.  Temperature-
         dependent models are steady-state only: combining one with a
-        transient spec raises at construction.
+        transient spec raises at construction.  Added after the spec-hash
+        freeze, so it is a late field.
     """
 
     name: str
@@ -434,51 +423,25 @@ class ScenarioSpec:
     grid: GridSpec = GridSpec()
     solver: SolverSpec = SolverSpec()
     optimizer: OptimizerSpec = OptimizerSpec()
-    params: Tuple[Tuple[str, float], ...] = ()
-    design: Optional[Tuple[Tuple[float, ...], ...]] = None
+    params: Tuple[Tuple[str, float], ...] = coded_field(
+        _decode_params, encode=dict, default=()
+    )
+    design: Optional[Tuple[Tuple[float, ...], ...]] = coded_field(
+        _decode_design, default=None
+    )
     transient: Optional[TransientSpec] = None
-    coolant_model: str = "constant"
+    coolant_model: str = late_field("constant")
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
+        coerce(self)
+        if not self.name:
             raise ValueError(f"scenario name must be a non-empty string, got {self.name!r}")
-        _set(self, description=str(self.description))
-        for attr, cls in (
-            ("workload", WorkloadSpec),
-            ("grid", GridSpec),
-            ("solver", SolverSpec),
-            ("optimizer", OptimizerSpec),
-        ):
-            if not isinstance(getattr(self, attr), cls):
-                raise ValueError(
-                    f"scenario.{attr} must be a {cls.__name__}, "
-                    f"got {type(getattr(self, attr)).__name__}"
-                )
         # A single-channel workload is a strip exactly one channel pitch
         # wide: the finite-volume grid has one row of cells by construction.
         # Normalizing here keeps the spec equal to what actually runs
         # (to_dict shows n_rows=1) instead of silently ignoring the field.
         if self.workload.is_single_channel and self.grid.n_rows != 1:
-            _set(self, grid=replace(self.grid, n_rows=1))
-        overrides = self.params
-        if isinstance(overrides, Mapping):
-            overrides = tuple(overrides.items())
-        normalized = []
-        for pair in overrides:
-            try:
-                key, value = pair
-            except (TypeError, ValueError):
-                raise ValueError(
-                    "scenario.params must be a mapping or a sequence of "
-                    f"(field, value) pairs, got {self.params!r}"
-                ) from None
-            if key not in PARAMETER_OVERRIDE_FIELDS:
-                raise ValueError(
-                    f"scenario.params: unknown parameter {key!r}; "
-                    f"overridable parameters are {list(PARAMETER_OVERRIDE_FIELDS)}"
-                )
-            normalized.append((str(key), float(value)))
-        _set(self, params=tuple(sorted(normalized)))
+            object.__setattr__(self, "grid", replace(self.grid, n_rows=1))
         # Building the parameter record eagerly surfaces range errors
         # (negative lengths, inverted width bounds, ...) at spec
         # construction instead of deep inside a solver.
@@ -486,38 +449,12 @@ class ScenarioSpec:
             self._parameters()
         except ValueError as error:
             raise ValueError(f"scenario.params: {error}") from None
-        if self.design is not None:
-            design = []
-            for lane, segments in enumerate(self.design):
-                widths = tuple(float(width) for width in np.atleast_1d(segments))
-                if not widths:
-                    raise ValueError(
-                        f"scenario.design lane {lane} has no segment widths"
-                    )
-                if any(width <= 0.0 for width in widths):
-                    raise ValueError(
-                        f"scenario.design lane {lane}: all widths must be "
-                        f"positive, got {widths}"
-                    )
-                design.append(widths)
-            _set(self, design=tuple(design))
-        if self.transient is not None:
-            transient = self.transient
-            if isinstance(transient, Mapping):
-                transient = TransientSpec.from_dict(transient)
-            if not isinstance(transient, TransientSpec):
-                raise ValueError(
-                    "scenario.transient must be a TransientSpec (or mapping), "
-                    f"got {type(transient).__name__}"
-                )
-            _set(self, transient=transient)
-            # Transient scenarios run through the finite-volume transient
-            # engine; like the n_rows normalization above, pinning the
-            # simulator family here keeps the spec equal to what actually
-            # runs (to_dict shows simulator="ice").
-            if self.solver.simulator != "ice":
-                _set(self, solver=replace(self.solver, simulator="ice"))
-        _set(self, coolant_model=str(self.coolant_model))
+        # Transient scenarios run through the finite-volume transient
+        # engine; like the n_rows normalization above, pinning the
+        # simulator family here keeps the spec equal to what actually
+        # runs (to_dict shows simulator="ice").
+        if self.transient is not None and self.solver.simulator != "ice":
+            object.__setattr__(self, "solver", replace(self.solver, simulator="ice"))
         # Raises ValueError (listing the registered models) on unknown names.
         get_coolant_model(self.coolant_model)
         if self.transient is not None and self.coolant_model != "constant":
@@ -729,129 +666,15 @@ class ScenarioSpec:
             if isinstance(profile, Mapping):
                 profile = WidthProfile.from_dict(profile)
             if isinstance(profile, WidthProfile):
-                design.append(tuple(float(w) for w in profile.segment_widths))
-            else:
-                design.append(tuple(float(w) for w in np.atleast_1d(profile)))
-        return replace(self, design=tuple(design))
+                profile = profile.segment_widths
+            design.append(profile)
+        return replace(self, design=design)
 
     def with_params(self, **overrides) -> "ScenarioSpec":
         """Return a copy with extra Table I parameter overrides merged in."""
-        merged = dict(self.params)
-        merged.update(overrides)
-        return replace(self, params=tuple(sorted(merged.items())))
+        return replace(self, params={**dict(self.params), **overrides})
 
     # -- serialization ----------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-data (JSON-compatible) representation of the spec.
-
-        Fields added after the spec-hash freeze (the Picard solver knobs
-        and ``coolant_model``) are serialized through
-        :func:`_non_default_fields` -- present only when set away from
-        their defaults -- so pre-existing specs keep their canonical form
-        and :meth:`spec_hash` byte-for-byte.
-        """
-        data = {
-            "name": self.name,
-            "description": self.description,
-            "workload": {
-                "kind": self.workload.kind,
-                "flux_w_per_cm2": self.workload.flux_w_per_cm2,
-                "segments": self.workload.segments,
-                "flux_range": list(self.workload.flux_range),
-                "seed": self.workload.seed,
-                "architecture": self.workload.architecture,
-                "power": self.workload.power,
-            },
-            "grid": {
-                "n_grid_points": self.grid.n_grid_points,
-                "n_lanes": self.grid.n_lanes,
-                "n_rows": self.grid.n_rows,
-                "n_cols": self.grid.n_cols,
-            },
-            "solver": {
-                "simulator": self.solver.simulator,
-                "backend": self.solver.backend,
-                "n_workers": self.solver.n_workers,
-                "cache_size": self.solver.cache_size,
-            },
-            "optimizer": {
-                "n_segments": self.optimizer.n_segments,
-                "max_iterations": self.optimizer.max_iterations,
-                "multistart": self.optimizer.multistart,
-                "tolerance": self.optimizer.tolerance,
-                "objective": self.optimizer.objective,
-                "gradient_mode": self.optimizer.gradient_mode,
-                "shared_profile": self.optimizer.shared_profile,
-                "enforce_equal_pressure": self.optimizer.enforce_equal_pressure,
-                "max_pressure_drop_Pa": self.optimizer.max_pressure_drop_Pa,
-            },
-            "params": dict(self.params),
-            "design": (
-                None
-                if self.design is None
-                else [list(segments) for segments in self.design]
-            ),
-            "transient": (
-                None if self.transient is None else self.transient.to_dict()
-            ),
-        }
-        data["solver"].update(
-            _non_default_fields(
-                self.solver,
-                "picard_tolerance_K",
-                "picard_max_iterations",
-                "picard_relaxation",
-            )
-        )
-        data.update(_non_default_fields(self, "coolant_model"))
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_dict` output (with validation)."""
-        if not isinstance(data, Mapping):
-            raise ValueError(
-                f"a scenario must be a mapping, got {type(data).__name__}"
-            )
-        _check_keys(cls, data, "scenario")
-        if "name" not in data:
-            raise ValueError("scenario: the 'name' field is required")
-        sections = {}
-        for attr, sub_cls in (
-            ("workload", WorkloadSpec),
-            ("grid", GridSpec),
-            ("solver", SolverSpec),
-            ("optimizer", OptimizerSpec),
-        ):
-            section = data.get(attr, {})
-            if isinstance(section, sub_cls):
-                sections[attr] = section
-                continue
-            if not isinstance(section, Mapping):
-                raise ValueError(
-                    f"scenario.{attr} must be a mapping, "
-                    f"got {type(section).__name__}"
-                )
-            _check_keys(sub_cls, section, f"scenario.{attr}")
-            sections[attr] = sub_cls(**section)
-        design = data.get("design")
-        return cls(
-            name=data["name"],
-            description=data.get("description", ""),
-            params=data.get("params", ()),
-            design=None if design is None else tuple(
-                tuple(segments) if not np.isscalar(segments) else (segments,)
-                for segments in design
-            ),
-            transient=data.get("transient"),
-            coolant_model=data.get("coolant_model", "constant"),
-            **sections,
-        )
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """JSON representation of the spec."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def spec_hash(self) -> str:
         """Content hash of the spec (sha256 over the canonical JSON form).
@@ -860,24 +683,7 @@ class ScenarioSpec:
         (same canonical plain-data form), so campaign stores can use the
         hash as a resume key across processes and sessions.
         """
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: Union[str, os.PathLike]) -> None:
-        """Write the spec to a JSON file."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path: Union[str, os.PathLike]) -> "ScenarioSpec":
-        """Read a spec from a JSON file."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(handle.read())
+        return content_hash(self.to_dict())
 
 
 # -- named-scenario registry ------------------------------------------------

@@ -30,13 +30,14 @@ is available, so worker threads can drain the queue without polling.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
+
+from ..spec_codec import content_hash
 
 __all__ = ["Job", "JobQueue", "QueueFullError", "JOB_STATES"]
 
@@ -69,12 +70,7 @@ def job_hash(kind: str, task_keys: List[str]) -> str:
     to the same work hash identically whatever surface form (registered
     name, inline spec, sweep file) they were submitted in.
     """
-    canonical = json.dumps(
-        {"kind": kind, "tasks": list(task_keys)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_hash({"kind": kind, "tasks": list(task_keys)})
 
 
 @dataclass

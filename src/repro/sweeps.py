@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .scenarios import ScenarioSpec, resolve_scenario
-from .transient import _check_keys, _set
+from .spec_codec import Spec, coded_field, coerce, late_field, plain
 
 __all__ = [
     "SweepAxis",
@@ -78,21 +78,6 @@ SWEEP_MODES: Tuple[str, ...] = ("grid", "zip")
 
 #: Maximum length of the human-readable slug in expanded scenario names.
 _MAX_SLUG = 72
-
-
-def _canonical(value):
-    """Deep-convert a value to its canonical JSON shape.
-
-    Tuples become lists and mapping keys become strings, so an axis value
-    written in Python (``(30e-6, 40e-6)``, ``{"n_cols": 10}``) compares,
-    serializes and round-trips identically to the same value loaded from
-    a sweep JSON file.
-    """
-    if isinstance(value, Mapping):
-        return {str(key): _canonical(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(item) for item in value]
-    return value
 
 
 def _format_value(value) -> Optional[str]:
@@ -144,8 +129,32 @@ def apply_field_overrides(
     return ScenarioSpec.from_dict(data)
 
 
+def _decode_base(value, path: str) -> ScenarioSpec:
+    """The base scenario from a spec, a registered name, a file or a mapping."""
+    if isinstance(value, Mapping):
+        return ScenarioSpec.from_dict(value, path)
+    return resolve_scenario(value)
+
+
+def _decode_overrides(value, path: str) -> Tuple[Tuple[Tuple[str, object], ...], ...]:
+    """Override mappings (or pair sequences) as tuples of canonical pairs."""
+    overrides = []
+    for index, entry in enumerate(value):
+        pairs = tuple(
+            (str(key), plain(item, f"{path}[{index}].{key}"))
+            for key, item in (entry.items() if isinstance(entry, Mapping) else entry)
+        )
+        if any(key == "name" for key, _ in pairs):
+            raise ValueError(
+                f"{path} must not set 'name': expanded "
+                "scenarios are named deterministically by the sweep"
+            )
+        overrides.append(pairs)
+    return tuple(overrides)
+
+
 @dataclass(frozen=True)
-class SweepAxis:
+class SweepAxis(Spec, section="axis"):
     """One varied spec field: a dotted path and the values it takes.
 
     Attributes
@@ -154,18 +163,22 @@ class SweepAxis:
         Dotted path into :meth:`ScenarioSpec.to_dict` (for example
         ``"workload.flux_w_per_cm2"`` or ``"solver.backend"``).
     values:
-        The ordered values the field takes across the sweep.
+        The ordered values the field takes across the sweep, in their
+        plain-data form (tuples become lists, mapping keys strings), so a
+        value written in Python compares, serializes and round-trips like
+        the same value loaded from a sweep JSON file.
     label:
         Optional short label used in expanded scenario names; defaults to
-        the last path segment.
+        the last path segment.  A late field: omitted while empty.
     """
 
     field: str
     values: Tuple[object, ...] = ()
-    label: str = ""
+    label: str = late_field("")
 
     def __post_init__(self) -> None:
-        if not isinstance(self.field, str) or not self.field:
+        coerce(self)
+        if not self.field:
             raise ValueError(
                 f"axis.field must be a non-empty dotted path, got {self.field!r}"
             )
@@ -174,43 +187,17 @@ class SweepAxis:
                 "axis.field must not be 'name': expanded scenarios are "
                 "named deterministically by the sweep"
             )
-        values = tuple(_canonical(value) for value in self.values)
-        if not values:
+        if not self.values:
             raise ValueError(f"axis {self.field!r} has no values")
-        _set(self, values=values, label=str(self.label))
 
     @property
     def display_label(self) -> str:
         """The label used in expanded scenario names."""
         return self.label or self.field.rsplit(".", 1)[-1]
 
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-data (JSON-compatible) representation of the axis."""
-        payload: Dict[str, object] = {
-            "field": self.field,
-            "values": list(self.values),  # values are canonical already
-        }
-        if self.label:
-            payload["label"] = self.label
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SweepAxis":
-        """Rebuild an axis from :meth:`to_dict` output (with validation)."""
-        if not isinstance(data, Mapping):
-            raise ValueError(f"a sweep axis must be a mapping, got {type(data).__name__}")
-        _check_keys(cls, data, "sweep axis")
-        if "field" not in data:
-            raise ValueError("sweep axis: the 'field' key is required")
-        return cls(
-            field=data["field"],
-            values=tuple(data.get("values", ())),
-            label=data.get("label", ""),
-        )
-
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Spec, section="sweep"):
     """A family of scenarios: one base spec plus the axes that vary it.
 
     Attributes
@@ -232,33 +219,28 @@ class SweepSpec:
         the expansion.
     description:
         One-line human description of the campaign.
+
+    The plain-data form (``to_dict``) is what sweep files and active-learning
+    selections store; its fields are frozen like a scenario's.  Resume keys
+    do not hash it: campaign stores and the serve queue's ``job_hash`` key
+    on the task keys of the expanded scenarios.
     """
 
     name: str
-    base: ScenarioSpec = None  # validated/coerced in __post_init__
+    base: ScenarioSpec = coded_field(_decode_base)
     axes: Tuple[SweepAxis, ...] = ()
     mode: str = "grid"
-    overrides: Tuple[Tuple[Tuple[str, object], ...], ...] = ()
+    overrides: Tuple[Tuple[Tuple[str, object], ...], ...] = coded_field(
+        _decode_overrides,
+        encode=lambda overrides: [dict(pairs) for pairs in overrides],
+        default=(),
+    )
     description: str = ""
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
+        coerce(self)
+        if not self.name:
             raise ValueError(f"sweep name must be a non-empty string, got {self.name!r}")
-        if self.base is None:
-            raise ValueError("sweep.base is required (a ScenarioSpec, name or mapping)")
-        if not isinstance(self.base, ScenarioSpec):
-            _set(self, base=resolve_scenario(self.base))
-        axes = []
-        for axis in self.axes:
-            if isinstance(axis, Mapping):
-                axis = SweepAxis.from_dict(axis)
-            if not isinstance(axis, SweepAxis):
-                raise ValueError(
-                    f"sweep.axes entries must be SweepAxis (or mappings), "
-                    f"got {type(axis).__name__}"
-                )
-            axes.append(axis)
-        _set(self, axes=tuple(axes), description=str(self.description))
         fields = [axis.field for axis in self.axes]
         duplicates = sorted({field for field in fields if fields.count(field) > 1})
         if duplicates:
@@ -274,23 +256,11 @@ class SweepSpec:
                     "sweep.mode 'zip' needs axes of equal length, got lengths "
                     f"{[len(axis.values) for axis in self.axes]}"
                 )
-        overrides = []
-        for entry in self.overrides:
-            pairs_in = entry.items() if isinstance(entry, Mapping) else entry
-            pairs = tuple((str(key), _canonical(value)) for key, value in pairs_in)
-            for key, _ in pairs:
-                if key == "name":
-                    raise ValueError(
-                        "sweep.overrides must not set 'name': expanded "
-                        "scenarios are named deterministically by the sweep"
-                    )
-            overrides.append(pairs)
-        _set(self, overrides=tuple(overrides))
         # Expanding eagerly surfaces bad fields/values at construction time
         # (each point runs through ScenarioSpec.from_dict validation)
         # instead of mid-campaign; the result is cached so later
         # scenarios() calls (CLI totals, run_many) pay nothing.
-        _set(self, _expanded=tuple(self._expand()))
+        object.__setattr__(self, "_expanded", tuple(self._expand()))
 
     # -- expansion ---------------------------------------------------------
 
@@ -376,69 +346,6 @@ class SweepSpec:
     def scenario_names(self) -> List[str]:
         """Names of the expanded scenarios, in expansion order."""
         return [spec.name for spec in self.scenarios()]
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-data (JSON-compatible) representation of the sweep.
-
-        This form feeds the serve queue's ``job_hash`` resume keys, so the
-        fields below are frozen: they serialize unconditionally, byte for
-        byte.  Any optional field added in the future must be omitted
-        while it holds its default (see
-        :func:`repro.scenarios._non_default_fields`) so stored sweep
-        hashes keep resolving.
-        """
-        return {
-            "name": self.name,
-            "description": self.description,
-            "base": self.base.to_dict(),
-            "axes": [axis.to_dict() for axis in self.axes],
-            "mode": self.mode,
-            "overrides": [dict(pairs) for pairs in self.overrides],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SweepSpec":
-        """Rebuild a sweep from :meth:`to_dict` output (with validation).
-
-        ``base`` may be a full scenario mapping, a registered scenario
-        name, or a :class:`ScenarioSpec`.
-        """
-        if not isinstance(data, Mapping):
-            raise ValueError(f"a sweep must be a mapping, got {type(data).__name__}")
-        _check_keys(cls, data, "sweep")
-        for key in ("name", "base"):
-            if key not in data:
-                raise ValueError(f"sweep: the {key!r} field is required")
-        return cls(
-            name=data["name"],
-            base=data["base"],
-            axes=tuple(data.get("axes", ())),
-            mode=data.get("mode", "grid"),
-            overrides=tuple(data.get("overrides", ())),
-            description=data.get("description", ""),
-        )
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """JSON representation of the sweep."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepSpec":
-        """Rebuild a sweep from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: Union[str, os.PathLike]) -> None:
-        """Write the sweep to a JSON file."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path: Union[str, os.PathLike]) -> "SweepSpec":
-        """Read a sweep from a JSON file."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(handle.read())
 
 
 def is_sweep_mapping(data) -> bool:

@@ -20,18 +20,21 @@ A :class:`~repro.scenarios.ScenarioSpec` carries an optional
 ``transient`` field of this type; scenarios with one run through the
 finite-volume transient engine (:mod:`repro.transient_engine`) instead of
 the steady solvers.  All specs validate on construction and round-trip
-losslessly through ``to_dict``/``from_dict`` (and JSON), so transient
-scenarios serialize, hash, sweep and resume exactly like steady ones.
+losslessly through ``to_dict``/``from_dict`` (and JSON) of the spec codec
+(:mod:`repro.spec_codec`), so transient scenarios serialize, hash, sweep
+and resume exactly like steady ones.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
+
+from .spec_codec import Spec, coerce
 
 __all__ = [
     "TRACE_KINDS",
@@ -57,23 +60,6 @@ ROM_MODES: Tuple[str, ...] = ("off", "rom", "auto")
 #: ``mode="auto"`` picks the reduced integrator for traces at least this
 #: many steps long (shorter traces cannot amortize the basis build).
 ROM_AUTO_MIN_STEPS = 32
-
-
-def _set(instance, **values) -> None:
-    """Assign coerced values on a frozen dataclass instance."""
-    for name, value in values.items():
-        object.__setattr__(instance, name, value)
-
-
-def _check_keys(cls, data: Mapping, context: str) -> None:
-    """Reject unknown keys with a message listing the allowed ones."""
-    allowed = {field.name for field in fields(cls)}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ValueError(
-            f"{context}: unknown field(s) {unknown}; allowed fields are "
-            f"{sorted(allowed)}"
-        )
 
 
 def load_trace_file(path: Union[str, os.PathLike]) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
@@ -140,7 +126,7 @@ def load_trace_file(path: Union[str, os.PathLike]) -> Tuple[Tuple[float, ...], T
 
 
 @dataclass(frozen=True)
-class TraceSpec:
+class TraceSpec(Spec, section="trace"):
     """A time-varying heat-flux trace for one solid layer of the stack.
 
     Attributes
@@ -170,7 +156,8 @@ class TraceSpec:
     low: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.layer, str) or not self.layer:
+        coerce(self)
+        if not self.layer:
             raise ValueError(
                 f"trace.layer must be a non-empty layer name, got {self.layer!r}"
             )
@@ -178,15 +165,6 @@ class TraceSpec:
             raise ValueError(
                 f"trace.kind must be one of {list(TRACE_KINDS)}, got {self.kind!r}"
             )
-        _set(
-            self,
-            times=tuple(float(time) for time in self.times),
-            values=tuple(float(value) for value in self.values),
-            period_s=float(self.period_s),
-            duty=float(self.duty),
-            high=float(self.high),
-            low=float(self.low),
-        )
         if self.kind == "piecewise":
             if not self.times or len(self.times) != len(self.values):
                 raise ValueError(
@@ -204,9 +182,9 @@ class TraceSpec:
                     f"trace {self.layer!r}: times must increase strictly, "
                     f"got {self.times}"
                 )
-            if any(not np.isfinite(v) or v < 0.0 for v in self.values):
+            if any(v < 0.0 for v in self.values):
                 raise ValueError(
-                    f"trace {self.layer!r}: flux values must be finite and "
+                    f"trace {self.layer!r}: flux values must be "
                     f"non-negative, got {self.values}"
                 )
         else:  # periodic
@@ -239,32 +217,9 @@ class TraceSpec:
         index = int(np.searchsorted(self.times, time_s, side="right")) - 1
         return self.values[max(index, 0)]
 
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-data (JSON-compatible) representation of the trace."""
-        return {
-            "layer": self.layer,
-            "kind": self.kind,
-            "times": list(self.times),
-            "values": list(self.values),
-            "period_s": self.period_s,
-            "duty": self.duty,
-            "high": self.high,
-            "low": self.low,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "TraceSpec":
-        """Rebuild a trace from :meth:`to_dict` output (with validation)."""
-        if not isinstance(data, Mapping):
-            raise ValueError(f"a trace must be a mapping, got {type(data).__name__}")
-        _check_keys(cls, data, "trace")
-        if "layer" not in data:
-            raise ValueError("trace: the 'layer' field is required")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class PolicySpec:
+class PolicySpec(Spec, section="policy"):
     """Serializable description of a runtime flow-control policy.
 
     The ``kind`` selects the policy family (see :mod:`repro.policies`);
@@ -311,24 +266,11 @@ class PolicySpec:
     n_candidates: int = 4
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, str) or not self.kind:
+        coerce(self)
+        if not self.kind:
             raise ValueError(
                 f"policy.kind must be a non-empty policy name, got {self.kind!r}"
             )
-        _set(
-            self,
-            control_interval_s=float(self.control_interval_s),
-            scale=float(self.scale),
-            threshold_K=float(self.threshold_K),
-            low_scale=float(self.low_scale),
-            high_scale=float(self.high_scale),
-            setpoint_K=float(self.setpoint_K),
-            gain_per_K=float(self.gain_per_K),
-            min_scale=float(self.min_scale),
-            max_scale=float(self.max_scale),
-            horizon_s=float(self.horizon_s),
-            n_candidates=int(self.n_candidates),
-        )
         if self.control_interval_s < 0.0:
             raise ValueError(
                 f"policy.control_interval_s must be non-negative, "
@@ -370,34 +312,9 @@ class PolicySpec:
         """True when the policy can change the flow during the run."""
         return self.control_interval_s > 0.0 and self.kind != "constant"
 
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-data (JSON-compatible) representation of the policy."""
-        return {
-            "kind": self.kind,
-            "control_interval_s": self.control_interval_s,
-            "scale": self.scale,
-            "threshold_K": self.threshold_K,
-            "low_scale": self.low_scale,
-            "high_scale": self.high_scale,
-            "setpoint_K": self.setpoint_K,
-            "gain_per_K": self.gain_per_K,
-            "min_scale": self.min_scale,
-            "max_scale": self.max_scale,
-            "horizon_s": self.horizon_s,
-            "n_candidates": self.n_candidates,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PolicySpec":
-        """Rebuild a policy spec from :meth:`to_dict` output."""
-        if not isinstance(data, Mapping):
-            raise ValueError(f"a policy must be a mapping, got {type(data).__name__}")
-        _check_keys(cls, data, "policy")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class RomSpec:
+class RomSpec(Spec, section="rom"):
     """Reduced-order-model settings for the transient integrator.
 
     Attributes
@@ -430,16 +347,11 @@ class RomSpec:
     check_every: int = 0
 
     def __post_init__(self) -> None:
+        coerce(self)
         if self.mode not in ROM_MODES:
             raise ValueError(
                 f"rom.mode must be one of {list(ROM_MODES)}, got {self.mode!r}"
             )
-        _set(
-            self,
-            order=int(self.order),
-            tolerance=float(self.tolerance),
-            check_every=int(self.check_every),
-        )
         if self.order < 1:
             raise ValueError(f"rom.order must be at least 1, got {self.order}")
         if not 0.0 < self.tolerance < 1.0:
@@ -451,28 +363,9 @@ class RomSpec:
                 f"rom.check_every must be non-negative, got {self.check_every}"
             )
 
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-data (JSON-compatible) representation of the settings."""
-        return {
-            "mode": self.mode,
-            "order": self.order,
-            "tolerance": self.tolerance,
-            "check_every": self.check_every,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RomSpec":
-        """Rebuild ROM settings from :meth:`to_dict` output."""
-        if not isinstance(data, Mapping):
-            raise ValueError(
-                f"a rom block must be a mapping, got {type(data).__name__}"
-            )
-        _check_keys(cls, data, "rom")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class TransientSpec:
+class TransientSpec(Spec, section="transient"):
     """The time axis of a scenario: traces, integration and control.
 
     Attributes
@@ -502,6 +395,13 @@ class TransientSpec:
         Reduced-order-model settings (:class:`RomSpec`); ``mode="off"``
         by default, keeping trajectories bit-identical to the full
         integrator.
+
+    The plain-data form feeds :meth:`repro.scenarios.ScenarioSpec.spec_hash`,
+    so the fields above are frozen: they serialize unconditionally, byte
+    for byte.  A field added later must be declared with
+    :func:`repro.spec_codec.late_field`, which omits it while it holds its
+    default, so stored hashes of existing transient scenarios keep
+    resolving.
     """
 
     duration_s: float = 1.0
@@ -514,13 +414,7 @@ class TransientSpec:
     rom: RomSpec = RomSpec()
 
     def __post_init__(self) -> None:
-        _set(
-            self,
-            duration_s=float(self.duration_s),
-            time_step_s=float(self.time_step_s),
-            store_every=int(self.store_every),
-            threshold_K=float(self.threshold_K),
-        )
+        coerce(self)
         if self.duration_s <= 0.0 or self.time_step_s <= 0.0:
             raise ValueError(
                 "transient.duration_s and transient.time_step_s must be "
@@ -535,49 +429,19 @@ class TransientSpec:
                 f"transient.threshold_K must be positive (Kelvin), "
                 f"got {self.threshold_K}"
             )
-        if self.initial_temperature_K is not None:
-            _set(self, initial_temperature_K=float(self.initial_temperature_K))
-            if self.initial_temperature_K <= 0.0:
-                raise ValueError(
-                    "transient.initial_temperature_K must be positive "
-                    f"(Kelvin), got {self.initial_temperature_K}"
-                )
-        traces = []
-        for trace in self.traces:
-            if isinstance(trace, Mapping):
-                trace = TraceSpec.from_dict(trace)
-            if not isinstance(trace, TraceSpec):
-                raise ValueError(
-                    "transient.traces entries must be TraceSpec (or "
-                    f"mappings), got {type(trace).__name__}"
-                )
-            traces.append(trace)
-        layers = [trace.layer for trace in traces]
+        if self.initial_temperature_K is not None and self.initial_temperature_K <= 0.0:
+            raise ValueError(
+                "transient.initial_temperature_K must be positive "
+                f"(Kelvin), got {self.initial_temperature_K}"
+            )
+        layers = [trace.layer for trace in self.traces]
         duplicates = sorted({layer for layer in layers if layers.count(layer) > 1})
         if duplicates:
             raise ValueError(
                 f"transient.traces repeat layer(s) {duplicates}; at most one "
                 "trace per layer"
             )
-        _set(self, traces=tuple(traces))
         policy = self.policy
-        if isinstance(policy, Mapping):
-            policy = PolicySpec.from_dict(policy)
-        if not isinstance(policy, PolicySpec):
-            raise ValueError(
-                f"transient.policy must be a PolicySpec (or mapping), "
-                f"got {type(policy).__name__}"
-            )
-        _set(self, policy=policy)
-        rom = self.rom
-        if isinstance(rom, Mapping):
-            rom = RomSpec.from_dict(rom)
-        if not isinstance(rom, RomSpec):
-            raise ValueError(
-                f"transient.rom must be a RomSpec (or mapping), "
-                f"got {type(rom).__name__}"
-            )
-        _set(self, rom=rom)
         if policy.control_interval_s > 0.0:
             steps = policy.control_interval_s / self.time_step_s
             if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
@@ -630,38 +494,3 @@ class TransientSpec:
     def with_policy(self, policy: Union[PolicySpec, Mapping]) -> "TransientSpec":
         """Return a copy with the flow-control policy replaced."""
         return replace(self, policy=policy)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-data (JSON-compatible) representation of the spec.
-
-        This form feeds :meth:`repro.scenarios.ScenarioSpec.spec_hash`, so
-        the fields below are frozen: they serialize unconditionally, byte
-        for byte.  Any optional field added in the future must be omitted
-        while it holds its default (see
-        :func:`repro.scenarios._non_default_fields`) so stored hashes of
-        existing transient scenarios keep resolving.
-        """
-        return {
-            "duration_s": self.duration_s,
-            "time_step_s": self.time_step_s,
-            "traces": [trace.to_dict() for trace in self.traces],
-            "policy": self.policy.to_dict(),
-            "store_every": self.store_every,
-            "initial_temperature_K": self.initial_temperature_K,
-            "threshold_K": self.threshold_K,
-            "rom": self.rom.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "TransientSpec":
-        """Rebuild a transient spec from :meth:`to_dict` output."""
-        if not isinstance(data, Mapping):
-            raise ValueError(
-                f"a transient spec must be a mapping, got {type(data).__name__}"
-            )
-        _check_keys(cls, data, "transient")
-        payload = dict(data)
-        payload["traces"] = tuple(payload.get("traces", ()))
-        return cls(**payload)

@@ -32,7 +32,6 @@ and policies are tracked at every step.
 from __future__ import annotations
 
 import hashlib
-import json
 import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, List, Union
@@ -418,10 +417,7 @@ def _reduced_model_for(
         digest.hexdigest(),
         implicit.shape[0],
         rhs_digest.hexdigest(),
-        tuple(
-            json.dumps(trace.to_dict(), sort_keys=True)
-            for trace in transient.traces
-        ),
+        transient.traces,
         transient.time_step_s,
         transient.duration_s,
         rom.order,

@@ -39,9 +39,9 @@ from repro.thermal.properties import (
 #: Frozen spec hashes of every registered scenario.  These are load-bearing
 #: resume keys: campaign stores, the serve queue and the result cache all
 #: key on them, so ANY change here silently orphans stored results.  New
-#: optional spec fields must serialize omit-when-default (see
-#: ``repro.scenarios._non_default_fields``) precisely so this table never
-#: has to change.
+#: optional spec fields must serialize omit-when-default (declared with
+#: ``repro.spec_codec.late_field``) precisely so this table never has to
+#: change.
 FROZEN_SPEC_HASHES = {
     "test-a": "3b6039f41b4c10fad766cf59f10b62a0f28774876ede7130c49bbbb50ecde40f",
     "test-b": "242ac01a8656c2b06fe942d275982b5c3ed7df94695607f6125e074dd0fd6d77",
@@ -110,7 +110,7 @@ class TestSpecValidation:
         ],
     )
     def test_bad_picard_knobs_rejected(self, kwargs):
-        with pytest.raises(ValueError, match="picard"):
+        with pytest.raises(ValueError, match=r"solver\.picard"):
             SolverSpec(**kwargs)
 
     def test_knobs_flow_into_picard_settings(self):

@@ -116,6 +116,12 @@ class TestHttpErrors:
             client.submit_run("no-such-scenario")
         assert excinfo.value.status == 400
 
+    def test_non_finite_scenario_field_is_400(self, server):
+        body = b'{"scenario": {"name": "nan-flux", "workload": {"flux_w_per_cm2": NaN}}}'
+        status, _, payload = raw_request(server, "POST", "/v1/run", body=body)
+        assert status == 400
+        assert "workload.flux_w_per_cm2 must be finite" in json.loads(payload)["error"]
+
     def test_malformed_request_line_is_400(self, server):
         import socket
 
