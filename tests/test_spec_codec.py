@@ -105,7 +105,9 @@ class TestStringFields:
 
 class TestNestedSpecs:
     def test_unknown_fields_name_the_dotted_path(self):
-        with pytest.raises(ValueError, match=r"^scenario\.transient: unknown field\(s\) \['bogus'\]"):
+        with pytest.raises(
+            ValueError, match=r"^scenario\.transient: unknown field\(s\) \['bogus'\]"
+        ):
             ScenarioSpec.from_dict({"name": "x", "transient": {"bogus": 1}})
         with pytest.raises(ValueError, match=r"^transient\.policy: unknown field\(s\) \['kindd'\]"):
             TransientSpec.from_dict({"policy": {"kindd": "constant"}})
@@ -128,7 +130,9 @@ class TestNestedSpecs:
         assert rebuilt.spec_hash() == spec.spec_hash()
 
     def test_wrong_type_names_the_field(self):
-        with pytest.raises(ValueError, match=r"scenario\.grid must be a GridSpec \(or mapping\), got int"):
+        with pytest.raises(
+            ValueError, match=r"scenario\.grid must be a GridSpec \(or mapping\), got int"
+        ):
             ScenarioSpec(name="x", grid=3)
         with pytest.raises(ValueError, match=re.escape("transient.traces[0] must be a TraceSpec")):
             TransientSpec(traces=("top_die",))
