@@ -39,13 +39,12 @@ import numpy as np
 from repro.analysis import format_table
 from repro.config import DEFAULT_EXPERIMENT
 from repro.core import ChannelModulationOptimizer, OptimizerSettings
+from repro.core.linear_system import clear_pattern_cache, pattern_cache_info
 from repro.floorplan import get_architecture
 from repro.ice import (
     SteadyStateSolver,
     assemble_system,
-    clear_stack_pattern_cache,
     multi_die_stack_from_architecture,
-    stack_pattern_cache_info,
 )
 from repro.thermal import backends
 from repro.thermal.geometry import ChannelGeometry, HeatInputProfile
@@ -105,7 +104,7 @@ def canonical(matrix):
 def test_ice_assembly_speedup_and_bit_identity(benchmark):
     """Vectorized vs loop assembly at 4-die 64x64: bit-identical, one pattern."""
     stack = make_stack(REFERENCE_DIES, REFERENCE_GRID)
-    clear_stack_pattern_cache()
+    clear_pattern_cache()
     # Warm the pattern cache once: production solves amortize the fold over
     # every assembly of the same stack shape, so the steady-state cost is
     # what sweeps and transient re-runs actually pay.
@@ -149,7 +148,7 @@ def test_ice_assembly_speedup_and_bit_identity(benchmark):
     )
     # Every timed assembly reused the one cached pattern of this shape.
     assert assemble_system(stack).pattern is vectorized.pattern
-    assert stack_pattern_cache_info()["size"] == 1
+    assert pattern_cache_info()["size"] == 1
 
 
 def test_ice_assembly_grid_scaling(benchmark):

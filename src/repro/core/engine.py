@@ -51,7 +51,7 @@ from typing import (
 )
 
 from ..thermal.assembly import AssembledSystem, assemble_system
-from ..thermal.backends import FactorizationHandle, resolve_backend, solver_for
+from ..thermal.backends import FactorizationHandle, resolve_backend
 from ..thermal.fdm import solve_structure
 from ..thermal.geometry import MultiChannelStructure, TestStructure
 from ..thermal.solution import ThermalSolution
@@ -316,7 +316,8 @@ class EvaluationEngine:
         this structure's -- no assembly and no content hash.  On a slot miss
         (an iterate that was not the most recent forward solve, or a
         cleared engine) they are rebuilt: one assembly, then one content
-        lookup through :func:`~repro.thermal.backends.solver_for`.
+        lookup through the backend's
+        :meth:`~repro.thermal.backends.SolverBackend.solver_for`.
         """
         key = self._derive_key(structure, n_points, {})
         solution = self.solve(structure, n_points=n_points, key=key)
@@ -325,10 +326,8 @@ class EvaluationEngine:
         if key is not None and slot is not None and slot[0] == key:
             return solution, slot[1], slot[2]
         system = assemble_system(structure, n_points=n_points)
-        handle = solver_for(
-            resolve_backend(self.solver_backend),
-            system.matrix,
-            system.pattern_token,
+        handle = resolve_backend(self.solver_backend).solver_for(
+            system.matrix, system.pattern_token
         )
         return solution, system, handle
 

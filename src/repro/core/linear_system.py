@@ -14,18 +14,50 @@ cavity model) and :mod:`repro.ice.solver` (the finite-volume stack model):
     :mod:`repro.core.adjoint` evaluates ``lambda^T (dA) u`` directly over
     raw entries without ever folding the perturbed matrix).
 
-The per-shape folds are cached by their owners in a
-:class:`~repro.core.lru.BoundedLRU`.  Folding raw values into CSR data is
-an in-order scatter-accumulate (``np.bincount`` with weights), so a
-refresh is bit-identical to the unbuffered ``np.add.at`` reference.
+The per-shape patterns of both families live in one token-keyed
+:class:`~repro.core.lru.BoundedLRU` (:func:`cached_pattern`): the FDM
+cavity model caches its :class:`~repro.thermal.assembly.SparsityPattern`
+under an ``("fdm", ...)`` token, the finite-volume stack model its
+:class:`SparsityFold` under an ``("ice", ...)`` token.  Folding raw values
+into CSR data is an in-order scatter-accumulate (``np.bincount`` with
+weights), so a refresh is bit-identical to the unbuffered ``np.add.at``
+reference.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Hashable
+
 import numpy as np
 from scipy import sparse
 
-__all__ = ["SparsityFold"]
+from .lru import BoundedLRU
+
+__all__ = [
+    "SparsityFold",
+    "cached_pattern",
+    "clear_pattern_cache",
+    "pattern_cache_info",
+]
+
+#: Shapes whose pattern is kept, over both model families.
+_PATTERN_CACHE_SIZE = 96
+_PATTERN_CACHE = BoundedLRU(_PATTERN_CACHE_SIZE)
+
+
+def cached_pattern(token: Hashable, build: Callable[[], object]):
+    """The pattern cached under ``token``, built by ``build()`` on a miss."""
+    return _PATTERN_CACHE.get_or_build(token, build)[0]
+
+
+def clear_pattern_cache() -> None:
+    """Drop every cached sparsity pattern (used by tests and benchmarks)."""
+    _PATTERN_CACHE.clear()
+
+
+def pattern_cache_info() -> dict:
+    """Size, capacity and hit/miss/eviction counts of the pattern cache."""
+    return _PATTERN_CACHE.stats()
 
 
 class SparsityFold:

@@ -106,7 +106,7 @@ class OptimizerSettings:
     solver_backend:
         Name of the linear-solver backend used for the thermal solves
         (see :func:`repro.thermal.backends.available_backends`); ``"auto"``
-        picks dense/sparse by system size.
+        hands out ``sparse-lu`` at every system size.
     n_workers:
         Thread-pool width of the evaluation engine for batched candidate
         evaluation (multistart warm-up, sweeps); 1 solves sequentially.

@@ -11,11 +11,8 @@ from .stack import CavityLayer, LayerStack, SolidLayer
 from .results import ThermalMapResult, TransientResult
 from .solver import (
     AssembledSystem,
-    StackPattern,
     SteadyStateSolver,
     assemble_system,
-    clear_stack_pattern_cache,
-    stack_pattern_cache_info,
 )
 from .transient import TransientSolver
 from .builders import (
@@ -34,12 +31,9 @@ __all__ = [
     "ThermalMapResult",
     "TransientResult",
     "AssembledSystem",
-    "StackPattern",
     "SteadyStateSolver",
     "TransientSolver",
     "assemble_system",
-    "clear_stack_pattern_cache",
-    "stack_pattern_cache_info",
     "multi_die_stack_from_architecture",
     "multi_die_stack_from_maps",
     "two_die_stack_from_architecture",

@@ -24,7 +24,8 @@ all coefficient (COO) triplets with vectorized NumPy operations, including
 the Shah & London ``heat_transfer_coefficient`` over the per-cell channel
 widths.  The sparsity structure -- which depends only on the stack shape,
 the layer kinds and the zero-coefficient mask -- is folded once per shape
-and cached as a :class:`StackPattern`, so repeated assemblies of the same
+into a :class:`~repro.core.linear_system.SparsityFold` kept in the pattern
+cache both model families share, so repeated assemblies of the same
 stack shape (width sweeps, an optimizer in the loop, transient re-runs)
 only recompute the coefficient values.
 
@@ -49,8 +50,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 from scipy import sparse
 
-from ..core.linear_system import SparsityFold
-from ..core.lru import BoundedLRU
+from ..core.linear_system import SparsityFold, cached_pattern
 from ..thermal import correlations
 from ..thermal.backends import SolverBackend, resolve_backend
 from .results import ThermalMapResult
@@ -58,63 +58,9 @@ from .stack import CavityLayer, LayerStack, SolidLayer
 
 __all__ = [
     "AssembledSystem",
-    "StackPattern",
     "SteadyStateSolver",
     "assemble_system",
-    "clear_stack_pattern_cache",
-    "stack_pattern_cache_info",
 ]
-
-class StackPattern:
-    """Precomputed sparsity fold of the finite-volume system for one shape.
-
-    The pattern owns the canonical CSR index arrays and the scatter map
-    from raw COO entry order to CSR data slots, so refreshing a system for
-    new channel widths or heat maps is a single :func:`numpy.add.at` into a
-    preallocated data array -- no sorting, no duplicate folding, and a
-    bit-identical structure across solves (which the solver backends use to
-    recognize repeated matrices and reuse factorizations).
-    """
-
-    def __init__(
-        self, token: tuple, rows: np.ndarray, cols: np.ndarray, n_unknowns: int
-    ) -> None:
-        #: Hashable identity of this pattern (stack shape + layer kinds +
-        #: a digest of the zero-coefficient mask).
-        self.token = token
-        self.n_unknowns = int(n_unknowns)
-        #: Canonical fold of the raw triplet stream (shared machinery with
-        #: the finite-difference cavity model).
-        self.fold = SparsityFold(rows, cols, self.n_unknowns)
-        self.n_entries = self.fold.n_entries
-        self.nnz = self.fold.nnz
-
-    def matrix(self, values: np.ndarray) -> sparse.csr_matrix:
-        """Fold raw COO values into a CSR matrix with the static structure."""
-        return self.fold.matrix(values)
-
-
-_PATTERN_CACHE_SIZE = 32
-_PATTERN_CACHE = BoundedLRU(_PATTERN_CACHE_SIZE)
-
-
-def _get_stack_pattern(
-    token: tuple, rows: np.ndarray, cols: np.ndarray, n_unknowns: int
-) -> StackPattern:
-    """Fetch (or build and cache) the fold for one stack shape."""
-    return _PATTERN_CACHE.get_or_build(
-        token, lambda: StackPattern(token, rows, cols, n_unknowns)
-    )[0]
-
-
-def clear_stack_pattern_cache() -> None:
-    """Drop every cached stack pattern (used by tests and benchmarks)."""
-    _PATTERN_CACHE.clear()
-
-
-def stack_pattern_cache_info() -> dict:
-    """Size, capacity and hit/miss/eviction counts of the stack-pattern cache."""
-    return _PATTERN_CACHE.stats()
 
 
 # -- conductance helpers ---------------------------------------------------------
@@ -262,9 +208,13 @@ class AssembledSystem:
         digest = hashlib.blake2b(
             np.packbits(mask).tobytes(), digest_size=16
         ).hexdigest()
-        token = ("ice", stack.n_rows, stack.n_cols, tuple(kinds), digest)
-        self._pattern = _get_stack_pattern(
-            token, rows[mask], cols[mask], self.n_unknowns
+        #: Identity of the sparsity structure: stack shape, layer kinds and
+        #: a digest of the zero-coefficient mask.
+        self.pattern_token = ("ice", stack.n_rows, stack.n_cols, tuple(kinds), digest)
+        #: The cached canonical fold of this shape's triplet stream.
+        self.pattern = cached_pattern(
+            self.pattern_token,
+            lambda: SparsityFold(rows[mask], cols[mask], self.n_unknowns),
         )
         self._raw_values = values[mask]
 
@@ -447,19 +397,9 @@ class AssembledSystem:
 
     # -- matrix access -----------------------------------------------------------------------
 
-    @property
-    def pattern_token(self) -> tuple:
-        """Identity of the sparsity structure."""
-        return self._pattern.token
-
-    @property
-    def pattern(self) -> StackPattern:
-        """The cached sparsity fold."""
-        return self._pattern
-
     def matrix(self) -> sparse.csr_matrix:
         """The assembled steady-state matrix ``A`` (CSR, canonical form)."""
-        return self._pattern.matrix(self._raw_values)
+        return self.pattern.matrix(self._raw_values)
 
     def split_solution(self, vector: np.ndarray) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
         """Split a flat solution vector into per-layer maps."""

@@ -33,7 +33,7 @@ from typing import Callable, Dict, Optional, Union
 import numpy as np
 from scipy import sparse
 
-from ..thermal.backends import SolverBackend, resolve_backend, solver_for
+from ..thermal.backends import SolverBackend, resolve_backend
 from .results import TransientResult
 from .solver import AssembledSystem
 from .stack import LayerStack
@@ -190,7 +190,7 @@ class TransientSolver:
         implicit, c_over_dt, implicit_token = self.implicit_system(time_step)
         # One factorization handle per call: the matrix is looked up (and
         # content-hashed) once, every step is a bare triangular solve.
-        factorization = solver_for(self.backend, implicit, implicit_token)
+        factorization = self.backend.solver_for(implicit, implicit_token)
         temperature = state
         for step in range(1, int(n_steps) + 1):
             time = (step_offset + step) * time_step

@@ -12,9 +12,10 @@ and served job.  This module owns the rules all specs share:
   with :func:`late_field`, and are omitted while they hold their default,
   so specs written before a field existed keep their hashes;
 * construction-time coercion (:func:`coerce`), driven by each field's
-  annotation: numbers are converted and must be finite, strings must be
-  strings, nested specs are accepted as instances or as mappings, and
-  every error names the dotted field;
+  annotation: numbers are converted and must be finite, integers must be
+  integral, booleans must be booleans, strings must be strings, nested
+  specs are accepted as instances or as mappings, and every error names
+  the dotted field;
 * :func:`content_hash`, the sha256 over canonical JSON that every resume
   key is.
 
@@ -47,6 +48,8 @@ from typing import (
     get_origin,
     get_type_hints,
 )
+
+import numpy as np
 
 __all__ = [
     "Spec",
@@ -127,10 +130,19 @@ def finite_float(value, path: str) -> float:
 
 
 def _integer(value, path: str) -> int:
-    try:
+    """Integers and integral floats (``40.0``); never a truncated ``241.9``."""
+    if isinstance(value, (int, np.integer)):
         return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{path} must be an integer, got {value!r}") from None
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{path} must be an integer, got {value!r}")
+
+
+def _boolean(value, path: str) -> bool:
+    """Booleans only: a truthy ``"false"`` is an error, not ``True``."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise ValueError(f"{path} must be a boolean, got {value!r}")
 
 
 def _string(value, path: str) -> str:
@@ -181,7 +193,7 @@ _SCALAR_CODECS: Dict[object, Tuple[Decoder, Encoder]] = {
     float: (finite_float, None),
     int: (_integer, None),
     str: (_string, None),
-    bool: (lambda value, path: bool(value), None),
+    bool: (_boolean, None),
     object: (plain, plain),
 }
 

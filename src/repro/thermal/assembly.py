@@ -25,8 +25,12 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy import sparse
 
-from ..core.linear_system import SparsityFold
-from ..core.lru import BoundedLRU
+from ..core.linear_system import (
+    SparsityFold,
+    cached_pattern,
+    clear_pattern_cache,
+    pattern_cache_info,
+)
 from . import conductances
 from .geometry import MultiChannelStructure
 
@@ -366,12 +370,6 @@ class SparsityPattern:
         return self.fold.matrix(values)
 
 
-# -- pattern cache ---------------------------------------------------------
-
-_PATTERN_CACHE_SIZE = 64
-_PATTERN_CACHE = BoundedLRU(_PATTERN_CACHE_SIZE)
-
-
 def get_pattern(
     n_lanes: int,
     n_points: int,
@@ -379,28 +377,17 @@ def get_pattern(
     reversed_flags: Tuple[bool, ...],
 ) -> SparsityPattern:
     """Fetch (or build and cache) the pattern for one problem shape."""
-    key = (
+    token = (
+        "fdm",
         int(n_lanes),
         int(n_points),
         bool(lateral_coupling) and n_lanes > 1,
         tuple(bool(flag) for flag in reversed_flags),
     )
-    return _PATTERN_CACHE.get_or_build(
-        key,
-        lambda: SparsityPattern(
-            n_lanes, n_points, lateral_coupling, reversed_flags
-        ),
-    )[0]
-
-
-def clear_pattern_cache() -> None:
-    """Drop every cached sparsity pattern (used by tests and benchmarks)."""
-    _PATTERN_CACHE.clear()
-
-
-def pattern_cache_info() -> dict:
-    """Size, capacity and hit/miss/eviction counts of the pattern cache."""
-    return _PATTERN_CACHE.stats()
+    return cached_pattern(
+        token,
+        lambda: SparsityPattern(n_lanes, n_points, lateral_coupling, reversed_flags),
+    )
 
 
 @dataclass

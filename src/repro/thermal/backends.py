@@ -30,25 +30,29 @@ engine can swap solvers without touching the assembly:
 
 Factorization handles
 ---------------------
-A caller that solves one fixed matrix many times -- a backward-Euler
-control chunk, a Krylov ROM build -- acquires a :class:`FactorizationHandle` once with
-:meth:`SolverBackend.solver_for` (one content lookup, which factorizes on
-a miss) and then solves through it with :meth:`FactorizationHandle.solve`
-(``trans="N"`` or ``"T"``), a bare triangular solve that never re-hashes
-the matrix.  A handle solves a vector or an ``(n, k)`` block; the
-registered backends hand a block to their kernel (SuperLU, ``gbtrs``,
-``np.linalg.solve``) in one multi-RHS call, so its columns agree with the
-single-RHS solves to rounding (``rtol=1e-12``), not bit for bit, while a
-single vector solves exactly as ``solve`` does.  ``solve``,
-``solve_transpose`` and ``solve_matrix`` are thin
-wrappers over a handle acquired for the one call, so there is a single
-lookup path.  Handles are meant to live for one unit of work: the
-backend's bounded LRU stays the only long-lived owner of factorizations.
+A backend is a :class:`SolverBackend` that hands out
+:class:`FactorizationHandle` objects, and every solve goes through one.
+:meth:`SolverBackend.solver_for` acquires a handle for one fixed matrix
+(one content lookup, which factorizes on a miss), and
+:meth:`FactorizationHandle.solve` then solves ``A x = b``
+(``trans="N"``) or ``A^T x = b`` (``trans="T"``) through it, a bare
+triangular solve that never re-hashes the matrix.  A handle solves a
+vector or an ``(n, k)`` block; the registered backends hand a block to
+their kernel (SuperLU, ``gbtrs``, ``np.linalg.solve``) in one multi-RHS
+call, so its columns agree with the single-RHS solves to rounding
+(``rtol=1e-12``), not bit for bit, while a single vector solves exactly as
+``solve`` does.  ``solve`` itself acquires a handle for the one call, so
+there is a single lookup path.  Handles are meant to live for one unit of
+work -- a backward-Euler control chunk, a Krylov ROM build, a forward
+solve and its adjoint -- and the backend's bounded LRU stays the only
+long-lived owner of factorizations.
 
-Custom backends register with :func:`register_backend`; anything exposing
-``solve(matrix, rhs, pattern_token=None) -> ndarray`` works, and
-:func:`solver_for` gives such duck-typed backends a handle that forwards
-each solve to ``solve``, one block column at a time.
+Custom backends subclass :class:`SolverBackend` and register with
+:func:`register_backend`.  One that only overrides ``solve(matrix, rhs,
+pattern_token=None)`` gets the base class's handles, which forward each
+solve to it one block column at a time (a transposed solve goes through
+the materialized transpose); direct backends override
+:meth:`SolverBackend.solver_for` and :meth:`SolverBackend.solve_with`.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from functools import partial
-from typing import Callable, Dict, Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 from scipy import sparse
@@ -78,38 +82,17 @@ __all__ = [
     "get_backend",
     "register_backend",
     "resolve_backend",
-    "solver_for",
 ]
 
 #: Name of the backend used when callers do not specify one.
 DEFAULT_BACKEND = "auto"
 
 
-def _columnwise(solve: Callable[[np.ndarray], np.ndarray], rhs) -> np.ndarray:
-    """Apply a vector-only ``solve`` to a vector or to each column of a block.
-
-    Only handles that forward to a ``solve`` promising vectors need this;
-    the registered backends pass whole blocks to their kernels.
-    """
-    rhs = np.asarray(rhs)
-    if rhs.ndim == 1:
-        return solve(rhs)
-    columns = [solve(rhs[:, column]) for column in range(rhs.shape[1])]
-    return np.column_stack(columns) if columns else np.empty(rhs.shape)
-
-
-def _transposed(matrix, pattern_token):
-    """``(A^T, token)`` with the token wrapped so it never collides with ``A``'s."""
-    token = None if pattern_token is None else ("transpose", pattern_token)
-    return matrix.T.tocsr(), token
-
-
 class FactorizationHandle:
     """One fixed matrix, looked up once, ready for repeated solves.
 
-    Acquire handles with :meth:`SolverBackend.solver_for` (or the
-    module-level :func:`solver_for` for duck-typed backends).  ``factor``
-    is whatever the owning backend prepared -- a SuperLU object, a dense
+    Acquire handles with :meth:`SolverBackend.solver_for`.  ``factor`` is
+    whatever the owning backend prepared -- a SuperLU object, a dense
     array, or None for backends that re-solve from the matrix each time.
     ``used`` records whether a solve has gone through the handle yet, so
     the backend can count every later solve as a factorization reuse.
@@ -135,29 +118,15 @@ class FactorizationHandle:
         return self.backend.solve_with(self, rhs, trans)
 
 
-class _ForwardingHandle(FactorizationHandle):
-    """Handle over a duck-typed backend that only exposes ``solve``."""
-
-    __slots__ = ()
-
-    def solve(self, rhs, trans="N"):
-        matrix, token = self.matrix, self.pattern_token
-        if trans == "T":
-            matrix, token = _transposed(matrix, token)
-        return _columnwise(
-            lambda column: self.backend.solve(matrix, column, token), rhs
-        )
-
-
 class SolverBackend:
-    """Interface of a linear-solver backend.
+    """Interface of a linear-solver backend: it hands out factorization handles.
 
-    Subclasses implement :meth:`solve`; ``pattern_token`` (when provided by
-    the assembly layer) identifies the static sparsity structure of the
-    matrix so backends can cache factorizations cheaply.  Backends that can
-    prepare a matrix once for many solves also override :meth:`solver_for`
-    and :meth:`solve_with`; the defaults hand out a handle that re-solves
-    from the matrix through :meth:`solve`/:meth:`solve_transpose`.
+    ``pattern_token`` (when provided by the assembly layer) identifies the
+    static sparsity structure of the matrix so backends can cache
+    factorizations cheaply.  A backend that solves one system at a time
+    overrides only :meth:`solve`; the default :meth:`solver_for` and
+    :meth:`solve_with` then forward every handle solve to it.  Backends
+    that prepare a matrix once for many solves override those two instead.
     """
 
     #: Registry name of the backend.
@@ -169,6 +138,7 @@ class SolverBackend:
         rhs: np.ndarray,
         pattern_token: Optional[tuple] = None,
     ) -> np.ndarray:
+        """Solve ``A x = rhs`` for one right-hand-side vector."""
         raise NotImplementedError
 
     def solver_for(
@@ -180,53 +150,21 @@ class SolverBackend:
     def solve_with(
         self, handle: FactorizationHandle, rhs: np.ndarray, trans: str = "N"
     ) -> np.ndarray:
-        """Solve through a handle this backend handed out (see :class:`FactorizationHandle`)."""
-        solve = self.solve if trans == "N" else self.solve_transpose
-        return _columnwise(
-            lambda column: solve(handle.matrix, column, handle.pattern_token), rhs
-        )
+        """Solve through a handle this backend handed out (see :class:`FactorizationHandle`).
 
-    def solve_matrix(
-        self,
-        matrix: sparse.spmatrix,
-        rhs_matrix: np.ndarray,
-        pattern_token: Optional[tuple] = None,
-    ) -> np.ndarray:
-        """Solve one matrix against many right-hand sides at once.
-
-        ``rhs_matrix`` has shape ``(n, k)`` -- one column per right-hand
-        side, ``k`` may be 0 -- and the result has the same shape.  One
-        handle serves the whole block, so direct backends look up the
-        factorization once and solve the block in one kernel call; each
-        column matches the corresponding single-RHS solve within
-        ``rtol=1e-12``.
+        The default forwards to :meth:`solve`, one block column at a time.
+        A transposed solve materializes ``A^T`` and wraps the pattern token
+        so the transpose never collides with ``A`` in structure-keyed caches.
         """
-        rhs_matrix = np.asarray(rhs_matrix)
-        if rhs_matrix.ndim != 2:
-            raise ValueError(
-                f"rhs_matrix must be 2-D (n, k), got shape {rhs_matrix.shape}"
-            )
-        return self.solve_with(self.solver_for(matrix, pattern_token), rhs_matrix)
-
-    def solve_transpose(
-        self,
-        matrix: sparse.spmatrix,
-        rhs: np.ndarray,
-        pattern_token: Optional[tuple] = None,
-    ) -> np.ndarray:
-        """Solve ``A^T x = rhs`` (the adjoint system of :meth:`solve`).
-
-        The base implementation materializes the transposed matrix and
-        solves it like any other system; direct backends solve it through
-        a handle on the *forward* factorization (SuperLU solves both
-        ``A x = b`` and ``A^T x = b`` from one decomposition), so an adjoint
-        solve after a forward solve of the same matrix costs only a
-        triangular solve.  The pattern token is wrapped so transposed
-        structures never collide with forward ones in structure-keyed
-        caches.
-        """
-        transposed, token = _transposed(matrix, pattern_token)
-        return self.solve(transposed, rhs, token)
+        matrix, token = handle.matrix, handle.pattern_token
+        if trans == "T":
+            matrix = matrix.T.tocsr()
+            token = None if token is None else ("transpose", token)
+        rhs = np.asarray(rhs)
+        if rhs.ndim == 1:
+            return self.solve(matrix, rhs, token)
+        columns = [self.solve(matrix, rhs[:, j], token) for j in range(rhs.shape[1])]
+        return np.column_stack(columns) if columns else np.empty(rhs.shape)
 
     def reset(self) -> None:
         """Drop any cached state (factorizations, counters)."""
@@ -240,13 +178,10 @@ class SolverBackend:
 
 
 class _HandleBackend(SolverBackend):
-    """A backend whose every solve goes through a factorization handle."""
+    """A backend whose :meth:`solve` goes through a handle for the one call."""
 
     def solve(self, matrix, rhs, pattern_token=None):
-        return self.solve_with(self.solver_for(matrix, pattern_token), rhs)
-
-    def solve_transpose(self, matrix, rhs, pattern_token=None):
-        return self.solve_with(self.solver_for(matrix, pattern_token), rhs, "T")
+        return self.solver_for(matrix, pattern_token).solve(rhs)
 
 
 class DenseBackend(_HandleBackend):
@@ -503,9 +438,6 @@ class AutoBackend(_HandleBackend):
     def solver_for(self, matrix, pattern_token=None):
         return get_backend("sparse-lu").solver_for(matrix, pattern_token)
 
-    def solve_with(self, handle, rhs, trans="N"):
-        return handle.backend.solve_with(handle, rhs, trans)
-
 
 _REGISTRY = Registry(
     "solver backend",
@@ -517,11 +449,17 @@ _REGISTRY = Registry(
 )
 
 
+def _require_backend(backend) -> SolverBackend:
+    if not isinstance(backend, SolverBackend):
+        raise TypeError(
+            f"backend must be a SolverBackend instance, got {type(backend).__name__}"
+        )
+    return backend
+
+
 def register_backend(backend: SolverBackend, overwrite: bool = False) -> SolverBackend:
     """Register a backend instance under its ``name`` (and return it)."""
-    if not hasattr(backend, "solve"):
-        raise TypeError("backend must implement solve(matrix, rhs, pattern_token)")
-    return _REGISTRY.register(getattr(backend, "name", None), backend, overwrite)
+    return _REGISTRY.register(_require_backend(backend).name, backend, overwrite)
 
 
 def get_backend(name: str) -> SolverBackend:
@@ -542,23 +480,4 @@ def resolve_backend(
         return get_backend(DEFAULT_BACKEND)
     if isinstance(backend, str):
         return get_backend(backend)
-    if hasattr(backend, "solve"):
-        return backend
-    raise TypeError(
-        "backend must be None, a registered backend name, or an object "
-        "with a solve(matrix, rhs, pattern_token) method"
-    )
-
-
-def solver_for(
-    backend, matrix: sparse.spmatrix, pattern_token: Optional[tuple] = None
-) -> FactorizationHandle:
-    """Acquire a :class:`FactorizationHandle` from any resolved backend.
-
-    :class:`SolverBackend` instances hand out their own handles; duck-typed
-    backends that only expose ``solve`` get one that forwards every solve
-    to it (transposed solves go through the materialized transpose).
-    """
-    if isinstance(backend, SolverBackend):
-        return backend.solver_for(matrix, pattern_token)
-    return _ForwardingHandle(backend, matrix, pattern_token)
+    return _require_backend(backend)

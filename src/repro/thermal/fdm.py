@@ -51,7 +51,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import assembly
-from .backends import FactorizationHandle, SolverBackend, resolve_backend, solver_for
+from .backends import FactorizationHandle, SolverBackend, resolve_backend
 from .geometry import MultiChannelStructure, TestStructure
 from .properties import CoolantModel
 from .solution import ThermalSolution
@@ -112,7 +112,7 @@ def solve_finite_difference(
     system = assembly.assemble_system(structure, n_points, lane_pitch)
 
     solver = resolve_backend(backend)
-    handle = solver_for(solver, system.matrix, system.pattern_token)
+    handle = solver.solver_for(system.matrix, system.pattern_token)
     solution_vector = handle.solve(system.rhs)
     if not np.all(np.isfinite(solution_vector)):
         raise RuntimeError("finite-difference solve produced non-finite values")

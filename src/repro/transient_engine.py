@@ -48,7 +48,7 @@ from .ice.results import TransientResult
 from .ice.transient import TransientSolver, result_from_snapshots
 from .policies import FlowPolicy, policy_from_spec
 from .scenarios import ScenarioSpec, resolve_scenario
-from .thermal.backends import SolverBackend, resolve_backend, solver_for
+from .thermal.backends import SolverBackend, resolve_backend
 from .thermal.correlations import LAMINAR_REYNOLDS_LIMIT, reynolds_number
 
 __all__ = [
@@ -453,7 +453,7 @@ def _reduced_model_for(
         # One handle per build: the seeds and every Arnoldi block are one
         # bare multi-RHS triangular solve each, never a content-hashed
         # factorization lookup.
-        factorization = solver_for(solver.backend, implicit, token)
+        factorization = solver.backend.solver_for(implicit, token)
         return build_reduced_model(
             implicit,
             c_over_dt,
@@ -634,8 +634,8 @@ def _advance_reduced(
         if checkpoint:
             x_prev = states[:, column - 1] if column else x_start
             if reference_solver is None:
-                reference_solver = solver_for(
-                    ctx.solver.backend, implicit, token
+                reference_solver = ctx.solver.backend.solver_for(
+                    implicit, token
                 )
             reference = reference_solver.solve(
                 ctx.solver.rhs_at(float(times[column]))

@@ -4,10 +4,9 @@
 system and its factorization handle from the evaluation engine's forward
 slot and solves the transpose system through that handle.  This is the
 form it replaced: the candidate's system is assembled again and the
-transpose system goes through the backend's ``solve_transpose``, which
-looks the factorization up by a content hash of the matrix.  Both read
-the same deterministic assembly and the same factor, so they agree bit
-for bit.
+transpose system goes through a fresh handle of the backend, acquired by
+a content hash of the matrix.  Both read the same deterministic assembly
+and the same factor, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -37,8 +36,10 @@ def reference_gradient(adjoint, vector) -> np.ndarray:
     dJdu = np.concatenate(
         [dJdT.ravel(), np.zeros(solution.coolant_temperatures.size)]
     )
-    lam = resolve_backend(adjoint.engine.solver_backend).solve_transpose(
-        system.matrix, dJdu, system.pattern_token
+    lam = (
+        resolve_backend(adjoint.engine.solver_backend)
+        .solver_for(system.matrix, system.pattern_token)
+        .solve(dJdu, "T")
     )
     fold = system.pattern.fold
     s_v, s_w = system.pattern.conductance_sensitivities(lam[fold.rows] * u[fold.cols])

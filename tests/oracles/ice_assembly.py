@@ -22,7 +22,6 @@ from repro.ice.solver import (
     _vertical_conductance_between,
 )
 from repro.thermal import correlations
-from repro.thermal.backends import solver_for
 
 __all__ = ["assemble_system_loop", "backward_euler_states"]
 
@@ -211,7 +210,7 @@ def backward_euler_states(
     capacitances = capacitances.copy()
     capacitances[capacitances <= 0.0] = np.min(capacitances[capacitances > 0.0])
     c_over_dt = sparse.diags(capacitances / time_step)
-    factorization = solver_for(backend, (c_over_dt + matrix).tocsr())
+    factorization = backend.solver_for((c_over_dt + matrix).tocsr())
     temperature = np.asarray(initial, dtype=float)
     states = [temperature.copy()]
     for _ in range(int(n_steps)):

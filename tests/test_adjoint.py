@@ -252,10 +252,10 @@ class TestAdjointMatchesFiniteDifferences:
         )
 
 
-# -- solve_transpose backend API ---------------------------------------------
+# -- transposed handle solves -------------------------------------------------
 
 
-class TestSolveTranspose:
+class TestTransposedHandleSolve:
     def make_system(self, test_a, n_points=61):
         system = assemble_system(as_multi(test_a), n_points=n_points)
         rng = np.random.default_rng(11)
@@ -267,9 +267,10 @@ class TestSolveTranspose:
     )
     def test_solves_the_transposed_system(self, backend_name, test_a):
         system, rhs = self.make_system(test_a)
-        solution = get_backend(backend_name).solve_transpose(
-            system.matrix, rhs, system.pattern_token
+        handle = get_backend(backend_name).solver_for(
+            system.matrix, system.pattern_token
         )
+        solution = handle.solve(rhs, "T")
         residual = system.matrix.T @ solution - rhs
         assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs)
 
@@ -280,7 +281,7 @@ class TestSolveTranspose:
         backend = SparseLUBackend()
         backend.solve(system.matrix, system.rhs, system.pattern_token)
         assert backend.stats()["n_factorizations"] == 1
-        backend.solve_transpose(system.matrix, rhs, system.pattern_token)
+        backend.solver_for(system.matrix, system.pattern_token).solve(rhs, "T")
         stats = backend.stats()
         # The transpose solve must not factorize again -- SuperLU serves
         # it from the forward decomposition (trans='T').

@@ -3,10 +3,14 @@
 Every registered backend must reproduce the reference temperature fields
 (loop-assembled by ``tests/oracles/assembly.py``, direct-solved) within
 1e-8 on representative fixtures,
-and the registry must reject unknown names and duplicate registrations.
+and the registry must reject unknown names, duplicate registrations and
+objects that are not ``SolverBackend`` instances.
 """
 
 from __future__ import annotations
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,8 +114,8 @@ class TestFactorizationReuse:
         assert backend.stats()["cached_factorizations"] == 2
 
 
-class TestSolveMatrix:
-    """Multi-RHS solves match per-column solves within ``rtol=1e-12``.
+class TestHandleBlocks:
+    """Multi-RHS handle solves match per-column solves within ``rtol=1e-12``.
 
     A block is one blocked kernel call, which reorders additions, so the
     columns agree with single-RHS solves to rounding, not bit for bit.
@@ -128,9 +132,7 @@ class TestSolveMatrix:
         backend = backends.get_backend(name)
         system = assembly.assemble_system(cavities["multi"], n_points=41)
         block = self.rhs_block(system)
-        solved = backend.solve_matrix(
-            system.matrix, block, system.pattern_token
-        )
+        solved = backend.solver_for(system.matrix, system.pattern_token).solve(block)
         for column in range(block.shape[1]):
             np.testing.assert_allclose(
                 solved[:, column],
@@ -141,11 +143,22 @@ class TestSolveMatrix:
                 atol=0.0,
             )
 
+    @pytest.mark.parametrize("name", ["sparse-lu", "dense", "auto"])
+    def test_transposed_block_solves_a_transpose(self, cavities, name):
+        backend = backends.get_backend(name)
+        system = assembly.assemble_system(cavities["multi"], n_points=41)
+        block = self.rhs_block(system)
+        handle = backend.solver_for(system.matrix, system.pattern_token)
+        solved = handle.solve(block, "T")
+        np.testing.assert_allclose(
+            system.matrix.T @ solved, block, rtol=0.0, atol=1e-8 * np.abs(block).max()
+        )
+
     def test_sparse_lu_hashes_once_per_block(self, cavities):
         backend = backends.SparseLUBackend()
         system = assembly.assemble_system(cavities["multi"], n_points=41)
         block = self.rhs_block(system)
-        backend.solve_matrix(system.matrix, block, system.pattern_token)
+        backend.solver_for(system.matrix, system.pattern_token).solve(block)
         stats = backend.stats()
         # One lookup and one factorization for the whole block; the
         # counters count right-hand sides, so the block's other k - 1
@@ -153,14 +166,6 @@ class TestSolveMatrix:
         assert stats["n_content_hashes"] == 1
         assert stats["n_factorizations"] == 1
         assert stats["n_factorization_reuses"] == block.shape[1] - 1
-
-    def test_rejects_non_2d_blocks(self, cavities):
-        backend = backends.SparseLUBackend()
-        system = assembly.assemble_system(cavities["single"], n_points=41)
-        with pytest.raises(ValueError, match="2-D"):
-            backend.solve_matrix(
-                system.matrix, system.rhs, system.pattern_token
-            )
 
 
 class TestRegistry:
@@ -182,6 +187,19 @@ class TestRegistry:
         with pytest.raises(TypeError):
             backends.resolve_backend(123)
 
+    def test_objects_that_are_not_solver_backends_are_rejected(self):
+        class SolveOnly:
+            name = "test-not-a-backend"
+
+            def solve(self, matrix, rhs, pattern_token=None):
+                return rhs
+
+        with pytest.raises(TypeError, match="SolverBackend"):
+            backends.register_backend(SolveOnly())
+        with pytest.raises(TypeError, match="SolverBackend"):
+            backends.resolve_backend(SolveOnly())
+        assert "test-not-a-backend" not in backends.available_backends()
+
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
             backends.register_backend(backends.DenseBackend())
@@ -202,7 +220,7 @@ class TestRegistry:
             backends._REGISTRY.unregister("test-echo-dense")
 
     def test_backend_without_name_rejected(self):
-        class Nameless:
+        class Nameless(backends.SolverBackend):
             name = ""
 
             def solve(self, matrix, rhs, pattern_token=None):
@@ -210,3 +228,39 @@ class TestRegistry:
 
         with pytest.raises(ValueError):
             backends.register_backend(Nameless())
+
+
+def _readme_custom_backend_example() -> str:
+    """The custom-backend code block of the README's "Choosing a solver backend"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Choosing a solver backend", 1)[1]
+    section = section.split("### Factorization handles", 1)[0]
+    (block,) = [
+        block for block in re.findall(r"```python\n(.*?)```", section, re.S)
+        if "class MySolver(SolverBackend)" in block
+    ]
+    return block
+
+
+class TestReadmeCustomBackend:
+    def test_example_runs_as_written(self, cavities):
+        system = assembly.assemble_system(cavities["multi"], n_points=41)
+        namespace = {
+            "matrix": system.matrix,
+            "pattern_token": system.pattern_token,
+            "rhs": system.rhs,
+        }
+        try:
+            exec(_readme_custom_backend_example(), namespace)
+            backend = namespace["backend"]
+            assert backends.get_backend("my-solver") is backend
+            assert backends.resolve_backend("my-solver") is backend
+            np.testing.assert_allclose(
+                system.matrix @ namespace["x"], system.rhs, rtol=0.0, atol=1e-8
+            )
+            np.testing.assert_allclose(
+                system.matrix.T @ namespace["y"], system.rhs, rtol=0.0, atol=1e-8
+            )
+        finally:
+            backends._REGISTRY.unregister("my-solver")
+        assert "my-solver" not in backends.available_backends()

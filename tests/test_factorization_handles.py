@@ -5,13 +5,13 @@ A caller that solves one fixed matrix many times acquires a
 through it.  These tests pin the contract the transient tier relies on:
 
 * handle solves (``trans`` N and T) of vectors are bit-identical to
-  ``solve`` / ``solve_transpose`` on every registered backend, and block
-  columns match them within ``rtol=1e-12`` (a block is one blocked kernel
-  call);
+  ``solve`` and to a fresh handle's solve on every registered backend,
+  and block columns match them within ``rtol=1e-12`` (a block is one
+  blocked kernel call);
 * empty ``(n, 0)`` blocks solve to empty blocks on every backend and
   through forwarding handles;
-* duck-typed backends that only expose ``solve`` still run the transient
-  engine;
+* a backend that overrides only ``solve`` still runs the transient
+  engine through the base class's forwarding handles;
 * the factorization counters of full, reactive and reduced-order
   transients keep the values the per-step lookup path produced, while the
   matrix is content-hashed once per ROM build and once per control chunk.
@@ -26,7 +26,7 @@ from repro.core.rom import clear_rom_cache
 from repro.ice import TransientSolver, two_die_stack_from_maps
 from repro.config import DEFAULT_EXPERIMENT
 from repro.thermal import assembly, backends
-from repro.thermal.backends import SparseLUBackend, solver_for
+from repro.thermal.backends import SolverBackend, SparseLUBackend
 from repro.thermal.geometry import HeatInputProfile
 from repro.thermal.multichannel import build_cavity
 from repro.transient import PolicySpec, RomSpec
@@ -83,8 +83,8 @@ def rhs_block(system, k=4):
     ) + rng.standard_normal((system.rhs.size, k))
 
 
-class SolveOnly:
-    """A duck-typed backend: a name and ``solve``, nothing else."""
+class SolveOnly(SolverBackend):
+    """A backend that overrides ``solve`` and nothing else."""
 
     name = "solve-only"
 
@@ -106,7 +106,7 @@ def assert_same_trajectory(outcome, reference):
 class TestHandleEquivalence:
     @pytest.mark.parametrize("name", backends.available_backends())
     @pytest.mark.parametrize("size", ["small", "large"])
-    def test_handle_solves_match_the_wrappers(self, systems, name, size):
+    def test_handle_solves_match_fresh_handles(self, systems, name, size):
         backend = backends.get_backend(name)
         system = systems[size]
         matrix, token = system.matrix, system.pattern_token
@@ -118,13 +118,13 @@ class TestHandleEquivalence:
             np.testing.assert_array_equal(
                 handle.solve(rhs), backend.solve(matrix, rhs, token)
             )
-            expected = backend.solve_transpose(matrix, rhs, token)
+            expected = backend.solver_for(matrix, token).solve(rhs, "T")
             np.testing.assert_array_equal(handle.solve(rhs, "T"), expected)
             np.testing.assert_allclose(
                 transposed_block[:, column], expected, rtol=BLOCK_RTOL, atol=0.0
             )
         np.testing.assert_array_equal(
-            handle.solve(block), backend.solve_matrix(matrix, block, token)
+            handle.solve(block), backend.solver_for(matrix, token).solve(block)
         )
 
     def test_auto_hands_out_sparse_lu_at_every_size(self, systems):
@@ -140,8 +140,6 @@ class TestEmptyBlocks:
         system = systems["small"]
         n = system.matrix.shape[0]
         empty = np.empty((n, 0))
-        solved = backend.solve_matrix(system.matrix, empty, system.pattern_token)
-        assert solved.shape == (n, 0)
         handle = backend.solver_for(system.matrix, system.pattern_token)
         for trans in ("N", "T"):
             assert handle.solve(empty, trans).shape == (n, 0)
@@ -149,11 +147,11 @@ class TestEmptyBlocks:
     def test_forwarding_handle_solves_an_empty_block(self, systems):
         system = systems["small"]
         n = system.matrix.shape[0]
-        duck = SolveOnly()
-        handle = solver_for(duck, system.matrix, system.pattern_token)
+        solve_only = SolveOnly()
+        handle = solve_only.solver_for(system.matrix, system.pattern_token)
         for trans in ("N", "T"):
             assert handle.solve(np.empty((n, 0)), trans).shape == (n, 0)
-        assert duck.n_calls == 0
+        assert solve_only.n_calls == 0
 
     def test_empty_block_counts_no_use(self, systems):
         system = systems["small"]
@@ -281,12 +279,12 @@ class TestTransientCounters:
         assert stats["n_content_hashes"] == hashes
 
 
-class TestDuckTypedBackend:
+class TestSolveOnlyBackend:
     def test_simulate_transient_runs_on_solve_only(self):
         spec = tiny_transient_spec()
-        duck = SolveOnly()
-        outcome = simulate_transient(spec, backend=duck)
-        assert duck.n_calls == spec.transient.n_steps
+        solve_only = SolveOnly()
+        outcome = simulate_transient(spec, backend=solve_only)
+        assert solve_only.n_calls == spec.transient.n_steps
         assert outcome.metadata["backend"] == "solve-only"
         assert_same_trajectory(
             outcome, simulate_transient(spec, backend=SparseLUBackend())
@@ -294,8 +292,7 @@ class TestDuckTypedBackend:
 
     def test_forwarding_handle_solves_the_materialized_transpose(self, systems):
         system = systems["large"]
-        duck = SolveOnly()
-        handle = solver_for(duck, system.matrix, system.pattern_token)
+        handle = SolveOnly().solver_for(system.matrix, system.pattern_token)
         reference = SparseLUBackend()
         np.testing.assert_array_equal(
             handle.solve(system.rhs),

@@ -1,7 +1,7 @@
 """Bit-identical equivalence of the vectorized ICE assembly and its oracle.
 
 The vectorized finite-volume assembly (NumPy triplet construction over the
-cached :class:`~repro.ice.solver.StackPattern`) must reproduce the
+cached :class:`~repro.core.linear_system.SparsityFold`) must reproduce the
 triple-loop oracle of ``tests/oracles/ice_assembly.py`` *exactly* -- same
 matrix coefficients bit for bit, same right-hand side, same capacitances --
 across every stack class the solver supports: solid-only stacks, the
@@ -23,12 +23,11 @@ from repro.ice import (
     SteadyStateSolver,
     TransientSolver,
     assemble_system,
-    clear_stack_pattern_cache,
     multi_die_stack_from_architecture,
     multi_die_stack_from_maps,
-    stack_pattern_cache_info,
     two_die_stack_from_maps,
 )
+from repro.core.linear_system import clear_pattern_cache, pattern_cache_info
 from repro.ice.transient import result_from_snapshots
 from repro.thermal.backends import SparseLUBackend
 from repro.thermal.geometry import WidthProfile
@@ -141,20 +140,20 @@ class TestBitIdenticalAssembly:
 
 class TestStackPatternCache:
     def test_pattern_reused_across_same_shape(self):
-        clear_stack_pattern_cache()
+        clear_pattern_cache()
         first = assemble_system(_strip_stack())
         modulated = assemble_system(
             _strip_stack(WidthProfile.uniform(TABLE_I.min_channel_width, 0.01))
         )
         assert first.pattern is modulated.pattern
-        assert stack_pattern_cache_info()["size"] == 1
+        assert pattern_cache_info()["size"] == 1
 
     def test_distinct_shapes_get_distinct_patterns(self):
-        clear_stack_pattern_cache()
+        clear_pattern_cache()
         a = assemble_system(_strip_stack(n_cols=24))
         b = assemble_system(_strip_stack(n_cols=32))
         assert a.pattern_token != b.pattern_token
-        assert stack_pattern_cache_info()["size"] == 2
+        assert pattern_cache_info()["size"] == 2
 
     def test_matrix_structure_is_static_across_designs(self):
         first = assemble_system(_strip_stack()).matrix()

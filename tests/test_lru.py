@@ -9,8 +9,7 @@ import pytest
 from repro.core import rom
 from repro.core.engine import EvaluationEngine
 from repro.core.lru import BoundedLRU
-from repro.ice.solver import stack_pattern_cache_info
-from repro.thermal.assembly import pattern_cache_info
+from repro.core.linear_system import pattern_cache_info
 from repro.thermal.backends import SparseLUBackend
 
 STATS_KEYS = {"size", "capacity", "n_hits", "n_misses", "n_evictions"}
@@ -132,4 +131,3 @@ class TestSolveStackCaches:
             assert isinstance(cache, BoundedLRU)
             assert set(cache.stats()) == STATS_KEYS
         assert set(pattern_cache_info()) == STATS_KEYS
-        assert set(stack_pattern_cache_info()) == STATS_KEYS

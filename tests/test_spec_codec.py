@@ -2,8 +2,9 @@
 
 The frozen forms themselves are pinned in ``tests/test_frozen_forms.py``
 and ``tests/test_picard.py::TestFrozenSpecHashes``; this module covers
-construction-time coercion: non-finite numbers, non-string strings and
-the dotted paths of nested-spec errors.
+construction-time coercion: non-finite numbers, non-integral integers,
+non-boolean booleans, non-string strings and the dotted paths of
+nested-spec errors.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from repro.scenarios import (
@@ -140,3 +142,43 @@ class TestNestedSpecs:
     def test_picard_ranges_come_from_picard_settings(self):
         with pytest.raises(ValueError, match=r"^solver\.picard relaxation must be in \(0, 1\]"):
             SolverSpec(picard_relaxation=1.5)
+
+
+class TestBooleanFields:
+    def test_string_is_not_a_boolean(self):
+        with pytest.raises(
+            ValueError, match=r"optimizer\.shared_profile must be a boolean, got 'false'"
+        ):
+            OptimizerSpec(shared_profile="false")
+
+    def test_string_is_rejected_from_a_scenario_mapping(self):
+        payload = get_scenario("test-a").to_dict()
+        payload["optimizer"]["enforce_equal_pressure"] = "no"
+        with pytest.raises(
+            ValueError, match=r"optimizer\.enforce_equal_pressure must be a boolean"
+        ):
+            ScenarioSpec.from_dict(payload)
+
+    def test_numpy_booleans_are_booleans(self):
+        assert OptimizerSpec(shared_profile=np.bool_(True)).shared_profile is True
+
+
+class TestIntegerFields:
+    def test_non_integral_number_is_rejected(self):
+        with pytest.raises(
+            ValueError, match=r"grid\.n_grid_points must be an integer, got 241\.9"
+        ):
+            GridSpec(n_grid_points=241.9)
+
+    def test_integral_floats_and_numpy_integers_are_integers(self):
+        assert GridSpec(n_grid_points=40.0).n_grid_points == 40
+        assert GridSpec(n_grid_points=np.int64(40)).n_grid_points == 40
+        assert type(GridSpec(n_grid_points=40.0).n_grid_points) is int
+
+    def test_sweep_axis_of_non_integral_values_is_rejected(self):
+        with pytest.raises(ValueError, match=r"grid\.n_grid_points must be an integer"):
+            SweepSpec(
+                name="s",
+                base="test-a",
+                axes=(SweepAxis("grid.n_grid_points", (40.0, 40.5)),),
+            )
