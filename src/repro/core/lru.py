@@ -1,10 +1,11 @@
 """The one bounded, thread-safe LRU cache of the solve stack.
 
-Every cache between a scenario and its linear solves -- the engine's
-solution/memo cache, the per-shape sparsity patterns of both model
-families, ``sparse-lu``'s factorization plans and factorizations, and the
-reduced-order model cache -- is a :class:`BoundedLRU`, so they share one
-eviction policy, one locking discipline and one set of statistics.
+Every cache between a scenario and its linear solves -- the floorplan
+raster memo, the engine's solution/memo cache, the per-shape sparsity
+patterns of both model families, ``sparse-lu``'s factorization plans and
+factorizations, and the reduced-order model cache -- is a
+:class:`BoundedLRU`, so they share one eviction policy, one locking
+discipline and one set of statistics.
 """
 
 from __future__ import annotations

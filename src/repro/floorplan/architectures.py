@@ -75,7 +75,7 @@ class Architecture:
     def flux_maps(
         self, n_cols: int, n_rows: int, scenario: PowerScenario = "peak"
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Rasterized (top, bottom) heat-flux maps in W/cm^2."""
+        """Rasterized (top, bottom) heat-flux maps in W/cm^2 (cached, read-only)."""
         return (
             self.top_die.power_density_map(n_cols, n_rows, scenario),
             self.bottom_die.power_density_map(n_cols, n_rows, scenario),

@@ -6,7 +6,10 @@ blocks covering (part of) a die.  Floorplans rasterize themselves into areal
 heat-flux maps (W/cm^2) on an arbitrary grid -- these maps feed both the
 analytical multi-channel model (via
 :func:`repro.thermal.multichannel.cavity_from_flux_maps`) and the
-finite-volume simulator (:mod:`repro.ice`).
+finite-volume simulator (:mod:`repro.ice`).  A raster depends only on the
+floorplan, the grid and the power scenario -- not on the flow rate or the
+model family -- so each one is built once per process and served read-only
+from a bounded LRU memo.
 
 Coordinate convention: ``x`` is the coolant-flow direction (inlet at
 ``x = 0``), ``y`` is the lateral direction across the channels.  Rasterized
@@ -20,12 +23,20 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
+from ..core.lru import BoundedLRU
+
 __all__ = ["Block", "Floorplan", "PowerScenario"]
 
 #: The two power scenarios evaluated in Fig. 8 of the paper.
 PowerScenario = str
 PEAK: PowerScenario = "peak"
 AVERAGE: PowerScenario = "average"
+
+#: Rasters kept process-wide.  A campaign sweep asks for each
+#: (floorplan, grid, scenario) map once per flow rate; the Fig. 7 sweeps
+#: touch 24 distinct maps (3 architectures x 2 dies x 2 grids x 2 powers).
+_RASTER_CACHE_SIZE = 32
+_RASTER_CACHE = BoundedLRU(_RASTER_CACHE_SIZE)
 
 
 @dataclass(frozen=True)
@@ -201,9 +212,21 @@ class Floorplan:
         Cell values are area-weighted averages of the block heat fluxes
         (W/cm^2) covering each cell, so the total power is preserved exactly
         regardless of the grid resolution.
+
+        The map is cached process-wide on ``(floorplan, n_cols, n_rows,
+        scenario)`` and returned read-only: every caller of one key shares
+        the same array, so copy it before writing into it.
         """
         if n_cols < 1 or n_rows < 1:
             raise ValueError("the raster grid must have at least one cell")
+        return _RASTER_CACHE.get_or_build(
+            (self, n_cols, n_rows, scenario),
+            lambda: self._rasterize(n_cols, n_rows, scenario),
+        )[0]
+
+    def _rasterize(
+        self, n_cols: int, n_rows: int, scenario: PowerScenario
+    ) -> np.ndarray:
         x_edges = np.linspace(0.0, self.die_length, n_cols + 1)
         y_edges = np.linspace(0.0, self.die_width, n_rows + 1)
         cell_area = (x_edges[1] - x_edges[0]) * (y_edges[1] - y_edges[0])
@@ -225,6 +248,7 @@ class Floorplan:
             flux += fraction * (
                 block.power_density(scenario) - self.background_power_density
             )
+        flux.flags.writeable = False
         return flux
 
     def power_map(

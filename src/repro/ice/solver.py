@@ -107,11 +107,11 @@ def _cavity_row_widths(
     row_of_channel = np.minimum(
         (np.arange(n_channels) * n_rows) // max(n_channels, 1), n_rows - 1
     )
+    # np.add.at adds in channel order, so each row sum is bit-identical to
+    # a per-channel loop's.
     row_widths = np.zeros((n_rows, n_cols))
-    counts = np.zeros(n_rows)
-    for channel in range(n_channels):
-        row_widths[row_of_channel[channel]] += widths[channel]
-        counts[row_of_channel[channel]] += 1
+    np.add.at(row_widths, row_of_channel, widths)
+    counts = np.bincount(row_of_channel, minlength=n_rows).astype(float)
     counts[counts == 0] = 1.0
     row_widths /= counts[:, None]
     return row_widths, channels_per_row

@@ -130,8 +130,13 @@ def finite_float(value, path: str) -> float:
 
 
 def _integer(value, path: str) -> int:
-    """Integers and integral floats (``40.0``); never a truncated ``241.9``."""
-    if isinstance(value, (int, np.integer)):
+    """Integers and integral floats (``40.0``); never a truncated ``241.9``.
+
+    Booleans are refused although ``bool`` subclasses ``int``: ``True`` is
+    a mistyped field, not one lane (``numpy.bool_`` is neither an integer
+    nor a float, so it is refused too).
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)

@@ -20,7 +20,7 @@ discretize the identical equations (see the module docstring of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -125,7 +125,10 @@ def lane_parameters(
 
     Channel clustering scales every parameter of a lane by the number of
     physical channels the lane represents, exactly as in Sec. III of the
-    paper.
+    paper.  Lanes that share geometry, materials, flow rate and flow
+    regime get their ``g_v``/``g_w`` rows from one call on the stacked
+    ``(k, n_points)`` widths; the conductance functions are elementwise,
+    so each row equals :func:`lane_conductance_rows` of its lane.
     """
     n_lanes = structure.n_lanes
     n_points = z_grid.size
@@ -135,9 +138,18 @@ def lane_parameters(
     q_bottom = np.empty((n_lanes, n_points))
     g_l = np.empty(n_lanes)
     cap = np.empty(n_lanes)
+    scales = np.empty(n_lanes)
+    groups: Dict[tuple, List[int]] = {}
     for index, lane in enumerate(structure.lanes):
-        scale = float(structure.cluster_size_of_lane(index))
-        g_v[index], g_w[index] = lane_conductance_rows(structure, z_grid, index)
+        scale = scales[index] = float(structure.cluster_size_of_lane(index))
+        key = (
+            lane.geometry,
+            lane.silicon,
+            lane.coolant,
+            lane.flow_rate,
+            lane.developing_flow,
+        )
+        groups.setdefault(key, []).append(index)
         q_top[index] = np.atleast_1d(lane.heat_top(z_grid))
         q_bottom[index] = np.atleast_1d(lane.heat_bottom(z_grid))
         g_l[index] = (
@@ -145,6 +157,32 @@ def lane_parameters(
             * scale
         )
         cap[index] = conductances.capacity_rate(lane.coolant, lane.flow_rate) * scale
+    for (geometry, silicon, coolant, flow_rate, developing), members in groups.items():
+        widths = np.stack(
+            [
+                np.atleast_1d(
+                    np.asarray(structure.lanes[i].width_profile(z_grid), dtype=float)
+                )
+                for i in members
+            ]
+        )
+        member_scales = scales[members, None]
+        g_v[members] = (
+            np.asarray(
+                conductances.layer_to_coolant_conductance(
+                    geometry, silicon, coolant, widths, flow_rate, z_grid, developing
+                ),
+                dtype=float,
+            )
+            * member_scales
+        )
+        g_w[members] = (
+            np.asarray(
+                conductances.sidewall_conductance(geometry, silicon, widths),
+                dtype=float,
+            )
+            * member_scales
+        )
     return LaneParameters(
         g_v=g_v,
         g_w=g_w,

@@ -11,9 +11,10 @@ floorplan layer and the optimizer never have to repeat it.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .geometry import (
     ChannelGeometry,
@@ -130,6 +131,32 @@ def cluster_line_densities(
     return lanes
 
 
+def _channel_line_densities(
+    flux_maps: Sequence[np.ndarray], die_width: float, n_channels: int
+) -> List[np.ndarray]:
+    """Per-physical-channel line densities (W/m) of areal flux maps (W/cm^2).
+
+    Each channel integrates the flux over its own pitch-wide band: row ``r``
+    of a map contributes its flux times the width of the row band the
+    channel covers.  The ``(n_channels, n_rows)`` overlap matrix is built
+    once by broadcasting and applied as a CSR product, which adds each
+    channel's rows in row order -- the summation order of a per-channel
+    ``(flux * overlap[:, None]).sum(axis=0)`` reduction, so the result is
+    bit-identical to it (a BLAS ``@`` would reorder the sums).
+    """
+    n_rows = flux_maps[0].shape[0]
+    row_edges = np.linspace(0.0, die_width, n_rows + 1)
+    channel_edges = np.linspace(0.0, die_width, n_channels + 1)
+    overlap = np.clip(
+        np.minimum(channel_edges[1:, None], row_edges[None, 1:])
+        - np.maximum(channel_edges[:-1, None], row_edges[None, :-1]),
+        0.0,
+        None,
+    )
+    projection = sparse.csr_matrix(overlap)
+    return [projection @ (flux * 1e4) for flux in flux_maps]
+
+
 def cavity_from_flux_maps(
     flux_top_w_per_cm2: np.ndarray,
     flux_bottom_w_per_cm2: np.ndarray,
@@ -147,8 +174,12 @@ def cavity_from_flux_maps(
     The maps are 2-D arrays with the flow direction along axis 1 (columns,
     inlet at column 0) and the lateral direction along axis 0 (rows); each
     row band of the map is projected onto the physical channels underneath
-    it.  This is the bridge between the floorplan/power subsystem (which
-    rasterizes block powers onto a grid) and the analytical cavity model.
+    it in one sparse product over all channels (see
+    :func:`_channel_line_densities`).  This is the bridge between the
+    floorplan/power subsystem (which rasterizes block powers onto a grid)
+    and the analytical cavity model.  The maps are only read, so the
+    read-only rasters of :meth:`repro.floorplan.Floorplan.power_density_map`
+    can be passed as they are.
 
     Parameters
     ----------
@@ -180,28 +211,13 @@ def cavity_from_flux_maps(
         max_width=params.max_channel_width,
     )
 
-    n_rows, n_cols = top.shape
     if die_width is None:
-        die_width = n_rows * params.channel_pitch
+        die_width = top.shape[0] * params.channel_pitch
     n_channels = max(int(round(die_width / params.channel_pitch)), 1)
 
-    # Project the flux maps onto per-physical-channel line densities (W/m):
-    # each channel integrates the flux over its own pitch-wide band.
-    row_edges = np.linspace(0.0, die_width, n_rows + 1)
-    channel_edges = np.linspace(0.0, die_width, n_channels + 1)
-    densities_top = np.zeros((n_channels, n_cols))
-    densities_bottom = np.zeros((n_channels, n_cols))
-    for channel in range(n_channels):
-        lo, hi = channel_edges[channel], channel_edges[channel + 1]
-        overlap = np.clip(
-            np.minimum(hi, row_edges[1:]) - np.maximum(lo, row_edges[:-1]),
-            0.0,
-            None,
-        )
-        # overlap[r] is the width (m) of map row r covered by this channel.
-        densities_top[channel] = (top * 1e4 * overlap[:, None]).sum(axis=0)
-        densities_bottom[channel] = (bottom * 1e4 * overlap[:, None]).sum(axis=0)
-
+    densities_top, densities_bottom = _channel_line_densities(
+        (top, bottom), die_width, n_channels
+    )
     lane_top = cluster_line_densities(densities_top, cluster_size)
     lane_bottom = cluster_line_densities(densities_bottom, cluster_size)
 

@@ -8,10 +8,11 @@ ratio:
 * :mod:`oracles.assembly` -- per-grid-point loop assembly (and solve) of the
   finite-difference cavity system (:mod:`repro.thermal.assembly`);
 * :mod:`oracles.ice_assembly` -- triple-loop assembly of the finite-volume
-  stack system plus a backward-Euler reference integrator
-  (:mod:`repro.ice.solver`, :mod:`repro.ice.transient`);
-* :mod:`oracles.flux_maps` -- the nearest-column heat-input closure of the
-  flux-map rasterizer (:mod:`repro.thermal.multichannel`);
+  stack system, its per-channel row widths and a backward-Euler reference
+  integrator (:mod:`repro.ice.solver`, :mod:`repro.ice.transient`);
+* :mod:`oracles.flux_maps` -- the per-channel projection and the
+  nearest-column heat-input closure of the flux-map rasterizer
+  (:mod:`repro.thermal.multichannel`);
 * :mod:`oracles.pressure` -- sampled-trapezoid Eq. (9) pressure drops and
   per-column constraint Jacobians (:mod:`repro.hydraulics.pressure`,
   :mod:`repro.core.constraints`);

@@ -7,6 +7,8 @@ same conductance helpers the production assembly uses, so comparing the
 two checks the vectorized emission order and masking bit for bit:
 
 * :func:`assemble_system_loop` returns ``(matrix, rhs, capacitances)``;
+* :func:`cavity_row_widths` groups the channels onto the cell rows one
+  channel at a time (production accumulates them in one ``np.add.at``);
 * :func:`backward_euler_states` integrates ``C dT/dt = -(A T - b)`` with the
   arithmetic of :meth:`repro.ice.transient.TransientSolver.integrate`.
 """
@@ -17,13 +19,31 @@ import numpy as np
 from scipy import sparse
 
 from repro.ice.solver import (
-    _cavity_row_widths,
     _lateral_conductances,
     _vertical_conductance_between,
 )
 from repro.thermal import correlations
 
-__all__ = ["assemble_system_loop", "backward_euler_states"]
+__all__ = ["assemble_system_loop", "backward_euler_states", "cavity_row_widths"]
+
+
+def cavity_row_widths(stack, layer, x_centers):
+    """Mean channel width per cell and channels per row, one channel at a time."""
+    n_rows, n_cols = stack.n_rows, stack.n_cols
+    n_channels = stack.channels_per_cavity()
+    channels_per_row = n_channels / n_rows
+    widths = layer.widths_for_channels(n_channels, stack.die_length, x_centers)
+    row_of_channel = np.minimum(
+        (np.arange(n_channels) * n_rows) // max(n_channels, 1), n_rows - 1
+    )
+    row_widths = np.zeros((n_rows, n_cols))
+    counts = np.zeros(n_rows)
+    for channel in range(n_channels):
+        row_widths[row_of_channel[channel]] += widths[channel]
+        counts[row_of_channel[channel]] += 1
+    counts[counts == 0] = 1.0
+    row_widths /= counts[:, None]
+    return row_widths, channels_per_row
 
 
 class _LoopAssembler:
@@ -116,7 +136,7 @@ class _LoopAssembler:
         if lower.is_cavity or upper.is_cavity:
             raise ValueError("a cavity layer must sit between two solid layers")
 
-        row_widths, channels_per_row = _cavity_row_widths(stack, layer, x_centers)
+        row_widths, channels_per_row = cavity_row_widths(stack, layer, x_centers)
         capacity_rate_cell = (
             layer.coolant.volumetric_heat_capacity
             * layer.flow_rate_per_channel

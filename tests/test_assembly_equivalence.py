@@ -6,6 +6,8 @@ construction) must produce the same sparse matrix and the same
 assembly kept in ``tests/oracles/assembly.py``, on every structure class
 the solver supports: single lane, multi-lane with lateral coupling, lateral
 coupling disabled, channel clustering, and reversed (counterflow) lanes.
+The grouped per-lane conductance rows of :func:`assembly.lane_parameters`
+must equal :func:`assembly.lane_conductance_rows` lane by lane, exactly.
 """
 
 from __future__ import annotations
@@ -174,3 +176,79 @@ class TestSparsityPatternCache:
         )
         np.testing.assert_array_equal(first.matrix.indptr, second.matrix.indptr)
         assert np.any(first.matrix.data != second.matrix.data)
+
+
+def _modulated(geometry, n_lanes):
+    """A different piecewise-constant width profile for every lane."""
+    return [
+        WidthProfile.piecewise_constant(
+            [geometry.max_width - 4e-6 * lane, geometry.min_width + 2e-6 * lane],
+            geometry.length,
+        )
+        for lane in range(n_lanes)
+    ]
+
+
+class TestBatchedLaneParameters:
+    def _assert_rows_match(self, cavity, n_points=41):
+        z_grid = np.linspace(0.0, cavity.geometry.length, n_points)
+        batched = assembly.lane_parameters(cavity, z_grid)
+        for lane in range(cavity.n_lanes):
+            g_v, g_w = assembly.lane_conductance_rows(cavity, z_grid, lane)
+            np.testing.assert_array_equal(batched.g_v[lane], g_v)
+            np.testing.assert_array_equal(batched.g_w[lane], g_w)
+
+    @pytest.mark.parametrize(
+        "name", ["single-lane", "multi-lane", "clustered", "reversed-flow"]
+    )
+    def test_uniform_width_cases(self, geometry, params, name):
+        self._assert_rows_match(_cases(geometry, params)[name])
+
+    @pytest.mark.parametrize("n_lanes", [1, 4])
+    @pytest.mark.parametrize("developing_flow", [False, True])
+    def test_per_lane_width_profiles(
+        self, geometry, params, n_lanes, developing_flow
+    ):
+        heat = [
+            HeatInputProfile.from_areal_flux(60.0, geometry.pitch, geometry.length)
+        ] * n_lanes
+        cavity = build_cavity(
+            geometry,
+            heat,
+            heat,
+            _modulated(geometry, n_lanes),
+            flow_rate=params.flow_rate_per_channel,
+            cluster_size=3,
+            developing_flow=developing_flow,
+        )
+        self._assert_rows_match(cavity)
+
+    @pytest.mark.parametrize("developing_flow", [False, True])
+    def test_two_flow_rate_groups_with_a_reversed_lane(
+        self, geometry, params, developing_flow
+    ):
+        heat = [
+            HeatInputProfile.from_areal_flux(60.0, geometry.pitch, geometry.length)
+        ] * 4
+        cavity = build_cavity(
+            geometry,
+            heat,
+            heat,
+            _modulated(geometry, 4),
+            flow_rate=params.flow_rate_per_channel,
+            developing_flow=developing_flow,
+        )
+        # Interleaved groups: lanes 1 and 3 carry half the flow, lane 2
+        # flows backwards, and every lane clusters a different number of
+        # channels.
+        lanes = tuple(
+            replace(
+                lane,
+                flow_rate=lane.flow_rate * (0.5 if index % 2 else 1.0),
+                flow_reversed=index == 2,
+            )
+            for index, lane in enumerate(cavity.lanes)
+        )
+        cavity = replace(cavity, lanes=lanes, lane_cluster_sizes=(2, 3, 1, 4))
+        self._assert_rows_match(cavity)
+        self._assert_rows_match(cavity, n_points=7)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Session
+from repro.floorplan import blocks
 from repro.floorplan.blocks import Block, Floorplan
 from repro.floorplan.niagara import (
     DIE_LENGTH,
@@ -135,6 +137,79 @@ class TestFloorplan:
         plan = self._simple()
         mirrored = plan.mirrored_y()
         assert mirrored.total_power("peak") == pytest.approx(plan.total_power("peak"))
+
+
+@pytest.fixture()
+def raster_cache():
+    """The process-wide raster memo, emptied and with zeroed statistics."""
+    cache = blocks._RASTER_CACHE
+    cache.clear()
+    cache.reset_stats()
+    yield cache
+    cache.clear()
+
+
+#: A perfbench-shaped campaign sweep: 2 flows x arch1-3 x {fdm, ice} at
+#: one power on the campaign grid (44 x 44 cells, 5 FDM lanes).
+CAMPAIGN_SWEEP = {
+    "name": "raster-memo",
+    "base": {
+        "name": "raster-memo-base",
+        "workload": {"kind": "architecture", "architecture": "arch1", "power": "peak"},
+        "grid": {"n_grid_points": 161, "n_lanes": 5, "n_rows": 44, "n_cols": 44},
+    },
+    "axes": [
+        {"field": "params.flow_rate_per_channel", "values": [6e-8, 9e-8]},
+        {"field": "workload.architecture", "values": ["arch1", "arch2", "arch3"]},
+        {"field": "solver.simulator", "values": ["fdm", "ice"]},
+    ],
+}
+
+
+class TestRasterMemo:
+    def test_campaign_sweep_rasterizes_each_map_once(self, raster_cache):
+        result = Session().run_many(CAMPAIGN_SWEEP, executor="serial")
+        assert result.n_failed == 0
+        stats = raster_cache.stats()
+        # 3 architectures x 2 dies x {40-row FDM, 44-row ICE} rasters, each
+        # built by the first flow rate and served to the second.
+        assert stats["n_misses"] == 12
+        assert stats["n_hits"] == 12
+
+    def test_repeated_calls_share_one_read_only_map(self, raster_cache):
+        plan = get_architecture("arch1").top_die
+        first = plan.power_density_map(12, 10, "peak")
+        assert plan.power_density_map(12, 10, "peak") is first
+        assert plan.power_density_map(12, 10, "average") is not first
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.0
+        assert raster_cache.stats()["n_hits"] == 1
+
+    def test_power_map_stays_writable(self, raster_cache):
+        plan = get_architecture("arch1").top_die
+        power = plan.power_map(12, 10, "peak")
+        power[0, 0] = 0.0
+        assert plan.power_density_map(12, 10, "peak")[0, 0] != 0.0
+
+    def test_invalid_grid_raises_before_the_lookup(self, raster_cache):
+        plan = get_architecture("arch1").top_die
+        with pytest.raises(ValueError, match="at least one cell"):
+            plan.power_density_map(0, 5)
+        stats = raster_cache.stats()
+        assert stats["n_misses"] == 0 and stats["size"] == 0
+
+    def test_unknown_scenario_is_not_cached(self, raster_cache):
+        plan = get_architecture("arch1").top_die
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown power scenario"):
+                plan.power_density_map(12, 10, "typical")
+        assert raster_cache.stats()["size"] == 0
+
+    def test_equal_floorplans_share_a_map(self, raster_cache):
+        plan = get_architecture("arch2").bottom_die
+        copy = plan.with_blocks(list(plan.blocks))
+        assert copy is not plan
+        assert copy.power_density_map(8, 8) is plan.power_density_map(8, 8)
 
 
 class TestNiagaraDies:

@@ -25,8 +25,10 @@ from repro.ice import (
     assemble_system,
     multi_die_stack_from_architecture,
     multi_die_stack_from_maps,
+    two_die_stack_from_architecture,
     two_die_stack_from_maps,
 )
+from repro.ice.solver import _cavity_row_widths
 from repro.core.linear_system import clear_pattern_cache, pattern_cache_info
 from repro.ice.transient import result_from_snapshots
 from repro.thermal.backends import SparseLUBackend
@@ -136,6 +138,61 @@ class TestBitIdenticalAssembly:
     def test_multi_die_requires_two_dies(self):
         with pytest.raises(ValueError):
             multi_die_stack_from_maps([50.0], die_length=0.01, die_width=0.001)
+
+
+def assert_row_widths_identical(stack):
+    cavity = stack.layers[1]
+    assert cavity.is_cavity
+    x_centers = stack.x_centers()
+    widths, per_row = _cavity_row_widths(stack, cavity, x_centers)
+    expected_widths, expected_per_row = oracle.cavity_row_widths(
+        stack, cavity, x_centers
+    )
+    np.testing.assert_array_equal(widths, expected_widths)
+    assert per_row == expected_per_row
+
+
+def _channel_profiles(n_channels, length):
+    """A distinct three-segment width profile for every physical channel."""
+    return [
+        WidthProfile.piecewise_constant(
+            [20e-6 + 1e-6 * (channel % 7), 50e-6 - 3e-6 * (channel % 5), 35e-6],
+            length,
+        )
+        for channel in range(n_channels)
+    ]
+
+
+class TestCavityRowWidths:
+    """Channel-to-row grouping equals the per-channel loop bit for bit."""
+
+    @pytest.mark.parametrize("grid", [(44, 44), (20, 22), (161, 55)])
+    @pytest.mark.parametrize("per_channel", [False, True])
+    @pytest.mark.parametrize("name", ["arch1", "arch2", "arch3"])
+    def test_architecture_stacks(self, name, per_channel, grid):
+        architecture = get_architecture(name)
+        profile = None
+        if per_channel:
+            n_channels = int(round(architecture.die_width / TABLE_I.channel_pitch))
+            profile = _channel_profiles(n_channels, architecture.die_length)
+        stack = two_die_stack_from_architecture(
+            architecture, n_cols=grid[0], n_rows=grid[1], width_profile=profile
+        )
+        assert_row_widths_identical(stack)
+
+    @pytest.mark.parametrize("n_channels", [1, 7, 30])
+    def test_die_narrower_than_its_row_count(self, n_channels):
+        # Fewer channels than rows: some rows get no channel at all.
+        stack = two_die_stack_from_maps(
+            60.0,
+            30.0,
+            die_length=0.01,
+            die_width=n_channels * TABLE_I.channel_pitch,
+            n_cols=9,
+            n_rows=40,
+            width_profile=_channel_profiles(n_channels, 0.01),
+        )
+        assert_row_widths_identical(stack)
 
 
 class TestStackPatternCache:

@@ -6,14 +6,21 @@ import numpy as np
 import pytest
 
 from oracles import flux_maps as oracle
+from repro.config import DEFAULT_EXPERIMENT
 from repro.core.engine import EvaluationEngine
+from repro.floorplan import get_architecture
 from repro.scenarios import get_scenario
 from repro.thermal.geometry import HeatInputProfile, WidthProfile
 from repro.thermal.multichannel import (
+    _channel_line_densities,
     build_cavity,
     cavity_from_flux_maps,
     cluster_line_densities,
 )
+
+#: ``(n_cols, n_rows)`` rasters: the campaign's FDM grid (44 columns, 40
+#: rows for five lanes), a coarse one and a fine one.
+PROJECTION_GRIDS = [(44, 40), (20, 22), (161, 55)]
 
 
 class TestClusterLineDensities:
@@ -174,3 +181,55 @@ class TestCavityFromFluxMaps:
         stats = engine.stats()
         assert stats["n_solves"] == 1
         assert stats["n_uncacheable"] == 0
+
+
+class TestChannelProjection:
+    """The sparse projection equals the per-channel loop bit for bit."""
+
+    @pytest.mark.parametrize("grid", PROJECTION_GRIDS)
+    @pytest.mark.parametrize("scenario", ["peak", "average"])
+    @pytest.mark.parametrize("name", ["arch1", "arch2", "arch3"])
+    def test_architecture_maps(self, name, scenario, grid):
+        architecture = get_architecture(name)
+        maps = architecture.flux_maps(*grid, scenario)
+        pitch = DEFAULT_EXPERIMENT.params.channel_pitch
+        n_channels = int(round(architecture.die_width / pitch))
+        projected = _channel_line_densities(maps, architecture.die_width, n_channels)
+        for flux, densities in zip(maps, projected):
+            np.testing.assert_array_equal(
+                densities,
+                oracle.channel_line_densities(
+                    flux, architecture.die_width, n_channels
+                ),
+            )
+
+    @pytest.mark.parametrize("scenario", ["peak", "average"])
+    @pytest.mark.parametrize("name", ["arch1", "arch2", "arch3"])
+    def test_cavity_heat_comes_from_the_loop_densities(self, name, scenario):
+        architecture = get_architecture(name)
+        cavity = architecture.cavity(scenario, n_lanes=5, n_cols=44)
+        top, bottom = architecture.flux_maps(44, 40, scenario)
+        pitch = DEFAULT_EXPERIMENT.params.channel_pitch
+        n_channels = int(round(architecture.die_width / pitch))
+        centers = (np.arange(44) + 0.5) * architecture.die_length / 44
+        for flux, side in ((top, "heat_top"), (bottom, "heat_bottom")):
+            expected = cluster_line_densities(
+                oracle.channel_line_densities(
+                    flux, architecture.die_width, n_channels
+                ),
+                cavity.cluster_size,
+            )
+            for lane, row in zip(cavity.lanes, expected):
+                np.testing.assert_array_equal(getattr(lane, side)(centers), row)
+
+    @pytest.mark.parametrize("n_channels", [1, 7, 30, 39])
+    def test_die_narrower_than_its_row_count(self, n_channels):
+        # Fewer channels than rows: every channel spans several row bands,
+        # partially at its edges.
+        rng = np.random.default_rng(n_channels)
+        flux = rng.uniform(0.0, 150.0, (40, 13))
+        die_width = n_channels * 100e-6
+        (densities,) = _channel_line_densities((flux,), die_width, n_channels)
+        np.testing.assert_array_equal(
+            densities, oracle.channel_line_densities(flux, die_width, n_channels)
+        )

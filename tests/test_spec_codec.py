@@ -2,8 +2,8 @@
 
 The frozen forms themselves are pinned in ``tests/test_frozen_forms.py``
 and ``tests/test_picard.py::TestFrozenSpecHashes``; this module covers
-construction-time coercion: non-finite numbers, non-integral integers,
-non-boolean booleans, non-string strings and the dotted paths of
+construction-time coercion: non-finite numbers, non-integral or boolean
+integers, non-boolean booleans, non-string strings and the dotted paths of
 nested-spec errors.
 """
 
@@ -174,6 +174,28 @@ class TestIntegerFields:
         assert GridSpec(n_grid_points=40.0).n_grid_points == 40
         assert GridSpec(n_grid_points=np.int64(40)).n_grid_points == 40
         assert type(GridSpec(n_grid_points=40.0).n_grid_points) is int
+
+    def test_boolean_is_not_an_integer(self):
+        with pytest.raises(
+            ValueError, match=r"^grid\.n_lanes must be an integer, got True$"
+        ):
+            GridSpec(n_lanes=True)
+        with pytest.raises(
+            ValueError, match=r"^optimizer\.n_segments must be an integer, got True$"
+        ):
+            OptimizerSpec(n_segments=True)
+
+    def test_numpy_boolean_is_not_an_integer(self):
+        with pytest.raises(ValueError, match=r"^grid\.n_lanes must be an integer"):
+            GridSpec(n_lanes=np.bool_(True))
+
+    def test_boolean_is_rejected_from_a_scenario_mapping(self):
+        payload = get_scenario("test-a").to_dict()
+        payload["grid"]["n_grid_points"] = True
+        with pytest.raises(
+            ValueError, match=r"^grid\.n_grid_points must be an integer, got True$"
+        ):
+            ScenarioSpec.from_dict(payload)
 
     def test_sweep_axis_of_non_integral_values_is_rejected(self):
         with pytest.raises(ValueError, match=r"grid\.n_grid_points must be an integer"):
