@@ -65,7 +65,7 @@ def registered_systems():
             systems.append(("fdm", fdm.matrix, fdm.pattern_token))
         stack = spec.build_stack()
         ice = assemble_stack(stack)
-        systems.append(("ice", ice.matrix(), ice.pattern_token))
+        systems.append(("ice", ice.matrix, ice.pattern_token))
         if spec.transient is not None:
             implicit, _, token = TransientSolver(stack).implicit_system(
                 spec.transient.time_step_s

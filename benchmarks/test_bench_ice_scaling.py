@@ -111,7 +111,7 @@ def test_ice_assembly_speedup_and_bit_identity(benchmark):
     vectorized = assemble_system(stack)
     matrix, rhs, capacitances = assemble_system_loop(stack)
 
-    a = canonical(vectorized.matrix())
+    a = canonical(vectorized.matrix)
     b = canonical(matrix)
     bit_identical = (
         np.array_equal(a.indptr, b.indptr)

@@ -242,7 +242,7 @@ def _ice_bench_record(spec: ScenarioSpec) -> Dict[str, object]:
     from .ice import SteadyStateSolver, assemble_system
 
     stack = spec.build_stack()
-    assemble_system(stack)  # warm the stack-pattern cache
+    assemble_system(stack)  # warm the shared sparsity-pattern cache
     vectorized_s = _time_once(lambda: assemble_system(stack))
     solver = SteadyStateSolver(stack, backend=spec.solver.backend)
     cold_solve_s = _time_once(lambda: solver.solve(compute_residual=False))

@@ -11,11 +11,9 @@ the classic segregated-coupling pattern:
 2. re-evaluate the coolant film properties from the bulk coolant
    temperature field of that solution
    (:meth:`repro.thermal.properties.CoolantModel.film`);
-3. refresh the conductance values -- the sparsity structure is fixed, so
-   each iteration is a cheap value refresh through the cached
-   :class:`~repro.core.linear_system.SparsityFold` plus one backend
-   factorization -- and repeat until the coolant temperature field moves
-   by less than ``tolerance_K`` in the infinity norm.
+3. refresh the conductance values and repeat until the coolant
+   temperature field moves by less than ``tolerance_K`` in the infinity
+   norm.
 
 Under-relaxation damps oscillatory property coupling; a divergence guard
 (non-finite iterates, or a residual that grows past
@@ -24,11 +22,18 @@ fall back to the constant-property solution with ``fell_back=True`` in
 the result, so a run never silently reports an unconverged
 temperature-dependent field.
 
-The loop is solver-agnostic: callers provide a ``resolve`` callback that
-maps a bulk coolant temperature field to ``(solution, new_field)``; the
-FDM path (:func:`repro.thermal.fdm.solve_finite_difference`) and the
-finite-volume path (:class:`repro.ice.solver.SteadyStateSolver`) each
-supply their own refresh around their shared pattern/backend machinery.
+Both model families go through one refresh seam, :func:`picard_solve`.
+Their assembled systems (:mod:`repro.thermal.assembly` for the FDM
+cavity, :mod:`repro.ice.solver` for the finite-volume stack) expose
+``matrix``, ``rhs`` and ``pattern_token`` alike, plus
+``coolant_field(vector)`` -- the bulk coolant temperatures, one row per
+lane or cavity -- and ``refreshed(films)``, a system that re-evaluates
+only the film-dependent values (FDM ``g_v``, the finite-volume cavity
+convection) and shares ``pattern``, ``pattern_token`` and ``rhs`` with
+the assembled one.  A pass is one value fold plus one
+``backend.solver_for(matrix, token).solve(rhs)``; none assembles a new
+system.  The system that produced the accepted iterate travels with it,
+so a fallback reports the assembled system.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ __all__ = [
     "PicardResult",
     "picard_iterate",
     "picard_metadata",
+    "picard_solve",
 ]
 
 
@@ -199,3 +205,28 @@ def picard_metadata(
         "max_iterations": settings.max_iterations,
         "relaxation": settings.relaxation,
     }
+
+
+def picard_solve(system, solution: np.ndarray, backend, coolant_model, settings=None):
+    """Picard-iterate ``system`` from its constant-property ``solution``.
+
+    Returns ``(solution, solved_system, metadata)``: the accepted iterate,
+    the system that produced it (``system`` itself after a fallback) and
+    the ``metadata["picard"]`` payload.  ``settings`` defaults to
+    :class:`PicardSettings()`.
+    """
+    settings = PicardSettings() if settings is None else settings
+
+    def resolve(field: np.ndarray):
+        refreshed = system.refreshed([coolant_model.film(cells) for cells in field])
+        vector = backend.solver_for(
+            refreshed.matrix, refreshed.pattern_token
+        ).solve(refreshed.rhs)
+        return (vector, refreshed), system.coolant_field(vector)
+
+    outcome = picard_iterate(
+        (solution, system), system.coolant_field(solution), resolve, settings
+    )
+    solution, solved_system = outcome.solution
+    info = picard_metadata(coolant_model.name, settings, outcome)
+    return solution, solved_system, info

@@ -27,7 +27,10 @@ the layer kinds and the zero-coefficient mask -- is folded once per shape
 into a :class:`~repro.core.linear_system.SparsityFold` kept in the pattern
 cache both model families share, so repeated assemblies of the same
 stack shape (width sweeps, an optimizer in the loop, transient re-runs)
-only recompute the coefficient values.
+only recompute the coefficient values.  The right-hand side and the
+capacitances are computed apart from the triplets, so
+:meth:`AssembledSystem.refreshed` can re-evaluate just the cavity
+convection values for a Picard pass and share everything else.
 
 The triplets are emitted in the per-cell order of the original
 triple-nested Python-loop assembly, which lives on as the reference oracle
@@ -44,13 +47,14 @@ each factorization.
 
 from __future__ import annotations
 
+import copy
 import hashlib
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
-from scipy import sparse
 
 from ..core.linear_system import SparsityFold, cached_pattern
+from ..core.picard import picard_solve
 from ..thermal import correlations
 from ..thermal.backends import SolverBackend, resolve_backend
 from .results import ThermalMapResult
@@ -117,38 +121,64 @@ def _cavity_row_widths(
     return row_widths, channels_per_row
 
 
+def _capacity_rate(stack: LayerStack, layer: CavityLayer) -> float:
+    """Coolant capacity rate (W/K) of the channels crossing one cell row."""
+    channels_per_row = stack.channels_per_cavity() / stack.n_rows
+    return (
+        layer.coolant.volumetric_heat_capacity
+        * layer.flow_rate_per_channel
+        * channels_per_row
+    )
+
+
+#: Coefficient signs of a two-node coupling's four triplet slots.
+_COUPLING = np.array([1.0, -1.0, 1.0, -1.0])
+
+#: Triplet slots per cavity cell; the first eight hold the film-dependent
+#: convection entries.
+_CAVITY_SLOTS = 14
+
+
 class AssembledSystem:
     """The assembled sparse system ``A T = b`` plus the cell bookkeeping.
 
-    Exposed separately so that the transient solver can reuse the exact same
-    conduction/convection/advection matrix and only add capacitances.
-
-    Parameters
-    ----------
-    stack:
-        The layer stack to assemble.
-    coolant_films:
-        Optional mapping of cavity layer index to a film coolant record
-        (an array-valued :class:`~repro.thermal.properties.CoolantState`)
-        used *only* for the Shah & London heat-transfer-coefficient
-        evaluation of that cavity.  The capacity rate, inlet enthalpy rhs
-        and fluid capacitance keep the layer's own constant coolant, so
-        the sparsity mask -- and hence the cached pattern token -- is
-        unchanged and each Picard iteration is a pure value refresh.
+    ``matrix``, ``rhs``, ``pattern`` and ``pattern_token`` are attributes,
+    as on the finite-difference
+    :class:`~repro.thermal.assembly.AssembledSystem`; ``capacitances``
+    holds the per-cell heat capacities of the transient solver.
+    :meth:`refreshed` re-evaluates the cavity convection against film
+    coolant properties and shares everything else.
     """
 
-    def __init__(
-        self,
-        stack: LayerStack,
-        coolant_films: Optional[Dict[int, object]] = None,
-    ) -> None:
+    def __init__(self, stack: LayerStack) -> None:
         self.stack = stack
-        self.coolant_films = coolant_films or {}
         self.n_cells_per_layer = stack.n_rows * stack.n_cols
         self.n_unknowns = stack.n_layers * self.n_cells_per_layer
-        self.rhs = np.zeros(self.n_unknowns)
-        self.capacitances = np.zeros(self.n_unknowns)
-        self._assemble()
+        self._cavity_layers = [
+            index for index, layer in enumerate(stack.layers) if layer.is_cavity
+        ]
+        self._block_starts, rows, cols, values, mask = self._triplets()
+        kinds = tuple(
+            "cavity" if layer.is_cavity else "solid" for layer in stack.layers
+        )
+        digest = hashlib.blake2b(
+            np.packbits(mask).tobytes(), digest_size=16
+        ).hexdigest()
+        #: Identity of the sparsity structure: stack shape, layer kinds and
+        #: a digest of the zero-coefficient mask.
+        self.pattern_token = ("ice", stack.n_rows, stack.n_cols, kinds, digest)
+        #: The cached canonical fold of this shape's triplet stream.
+        self.pattern = cached_pattern(
+            self.pattern_token,
+            lambda: SparsityFold(rows[mask], cols[mask], self.n_unknowns),
+        )
+        self._mask = mask
+        self._values = values[mask]
+        #: The steady-state matrix ``A`` (CSR, canonical form).
+        self.matrix = self.pattern.matrix(self._values)
+        #: Heat sources of the solid layers plus the cavities' inlet enthalpy.
+        self.rhs = self._rhs()
+        self.capacitances = self._capacitances()
 
     def index(self, layer: int, row: int, col: int) -> int:
         """Flat unknown index of cell ``(row, col)`` of ``layer``."""
@@ -156,7 +186,7 @@ class AssembledSystem:
 
     # -- assembly --------------------------------------------------------------
 
-    def _assemble(self) -> None:
+    def _triplets(self):
         """Whole-array triplet construction in the loop oracle's emission order.
 
         Every layer contributes a ``(n_rows, n_cols, n_slots)`` block of
@@ -168,28 +198,20 @@ class AssembledSystem:
         surviving entries are therefore element-for-element identical to the
         loop's triplet stream, which makes the folded matrix bit-identical to
         the loop-assembled one.
+
+        Returns the raw-stream offset of every layer's block and the raw
+        rows, columns, values and mask.
         """
         stack = self.stack
         x_centers = stack.x_centers()
-        kinds: List[str] = []
-        rows_parts: List[np.ndarray] = []
-        cols_parts: List[np.ndarray] = []
-        vals_parts: List[np.ndarray] = []
-        mask_parts: List[np.ndarray] = []
-
-        def emit(rows, cols, vals, mask):
-            rows_parts.append(rows.reshape(-1))
-            cols_parts.append(cols.reshape(-1))
-            vals_parts.append(vals.reshape(-1))
-            mask_parts.append(mask.reshape(-1))
-
+        blocks = []
+        starts: List[int] = []
         for layer_idx, layer in enumerate(stack.layers):
+            starts.append(sum(block[0].size for block in blocks))
             if layer.is_cavity:
-                kinds.append("cavity")
-                emit(*self._cavity_triplets(layer_idx, layer, x_centers))
+                blocks.append(self._cavity_triplets(layer_idx, layer, x_centers))
             else:
-                kinds.append("solid")
-                emit(*self._solid_triplets(layer_idx, layer))
+                blocks.append(self._solid_triplets(layer_idx, layer))
 
         # Vertical coupling between directly adjacent solid layers (no cavity
         # in between).
@@ -198,25 +220,41 @@ class AssembledSystem:
             upper = stack.layers[lower_idx + 1]
             if lower.is_cavity or upper.is_cavity:
                 continue
-            emit(*self._vertical_triplets(lower_idx, lower, upper))
+            blocks.append(self._vertical_triplets(lower_idx, lower, upper))
 
-        rows = np.concatenate(rows_parts)
-        cols = np.concatenate(cols_parts)
-        values = np.concatenate(vals_parts)
-        mask = np.concatenate(mask_parts)
-        mask &= values != 0.0
-        digest = hashlib.blake2b(
-            np.packbits(mask).tobytes(), digest_size=16
-        ).hexdigest()
-        #: Identity of the sparsity structure: stack shape, layer kinds and
-        #: a digest of the zero-coefficient mask.
-        self.pattern_token = ("ice", stack.n_rows, stack.n_cols, tuple(kinds), digest)
-        #: The cached canonical fold of this shape's triplet stream.
-        self.pattern = cached_pattern(
-            self.pattern_token,
-            lambda: SparsityFold(rows[mask], cols[mask], self.n_unknowns),
+        rows, cols, values, mask = (
+            np.concatenate([array.reshape(-1) for array in arrays])
+            for arrays in zip(*blocks)
         )
-        self._raw_values = values[mask]
+        mask &= values != 0.0
+        return starts, rows, cols, values, mask
+
+    def _rhs(self) -> np.ndarray:
+        stack = self.stack
+        rhs = np.zeros((stack.n_layers, stack.n_rows, stack.n_cols))
+        for layer_idx, layer in enumerate(stack.layers):
+            if layer.is_cavity:
+                rhs[layer_idx, :, 0] += (
+                    _capacity_rate(stack, layer) * layer.inlet_temperature
+                )
+            else:
+                rhs[layer_idx] += stack.cell_power(
+                    layer.heat_map(stack.n_rows, stack.n_cols)
+                )
+        return rhs.reshape(-1)
+
+    def _capacitances(self) -> np.ndarray:
+        stack = self.stack
+        per_layer = [
+            (
+                layer.coolant.volumetric_heat_capacity * layer.channel_height
+                if layer.is_cavity
+                else layer.material.volumetric_heat_capacity * layer.thickness
+            )
+            * stack.cell_area
+            for layer in stack.layers
+        ]
+        return np.repeat(per_layer, self.n_cells_per_layer)
 
     def _cell_indices(self, layer_idx: int) -> np.ndarray:
         """Flat unknown indices of one layer's cells, shape ``(n_rows, n_cols)``."""
@@ -231,17 +269,6 @@ class AssembledSystem:
         stack = self.stack
         n_rows, n_cols = stack.n_rows, stack.n_cols
         g_x, g_y = _lateral_conductances(stack, layer)
-        heat = layer.heat_map(n_rows, n_cols) * 1e4 * stack.cell_area  # W per cell
-        capacitance = (
-            layer.material.volumetric_heat_capacity
-            * layer.thickness
-            * stack.cell_area
-        )
-        start = layer_idx * self.n_cells_per_layer
-        stop = start + self.n_cells_per_layer
-        self.rhs[start:stop] += heat.reshape(-1)
-        self.capacitances[start:stop] = capacitance
-
         here = self._cell_indices(layer_idx)
         east = here + 1
         south = here + n_cols
@@ -252,20 +279,44 @@ class AssembledSystem:
             [here, east, east, here, here, south, south, here], axis=-1
         )
         vals = np.empty((n_rows, n_cols, 8))
-        vals[..., 0] = g_x
-        vals[..., 1] = -g_x
-        vals[..., 2] = g_x
-        vals[..., 3] = -g_x
-        vals[..., 4] = g_y
-        vals[..., 5] = -g_y
-        vals[..., 6] = g_y
-        vals[..., 7] = -g_y
+        vals[..., :4] = g_x * _COUPLING
+        vals[..., 4:] = g_y * _COUPLING
         has_east = np.arange(n_cols)[None, :, None] + 1 < n_cols
         has_south = np.arange(n_rows)[:, None, None] + 1 < n_rows
         mask = np.empty((n_rows, n_cols, 8), dtype=bool)
         mask[..., :4] = has_east
         mask[..., 4:] = has_south
         return rows, cols, vals, mask
+
+    def _set_convection(
+        self, block: np.ndarray, layer_idx: int, row_widths, channels_per_row, coolant
+    ) -> None:
+        """Write the convection slots (0-7) of one ``(n_rows, n_cols, 14)`` cavity block.
+
+        Convective conductance channel->coolant for the channels crossing
+        each cell, per adjacent die (half of the wetted perimeter each), in
+        series with the half-thickness conduction of that die.  The Shah &
+        London correlation is evaluated once over the whole per-cell width
+        grid, against ``coolant`` -- the layer's own record, or per-cell
+        film properties on a Picard refresh.
+        """
+        stack = self.stack
+        height = stack.layers[layer_idx].channel_height
+        h = correlations.heat_transfer_coefficient(row_widths, height, coolant)
+        wetted_per_layer = (row_widths + height) * (
+            stack.cell_length * channels_per_row
+        )
+        g_convection = h * wetted_per_layer
+        for offset, solid_idx in ((0, layer_idx - 1), (4, layer_idx + 1)):
+            solid = stack.layers[solid_idx]
+            half_resistance = solid.thickness / (
+                2.0 * solid.material.thermal_conductivity * stack.cell_area
+            )
+            g_solid = 1.0 / (half_resistance + 1.0 / g_convection)
+            block[..., offset] = g_solid
+            block[..., offset + 1] = -g_solid
+            block[..., offset + 2] = g_solid
+            block[..., offset + 3] = -g_solid
 
     def _cavity_triplets(
         self, layer_idx: int, layer: CavityLayer, x_centers: np.ndarray
@@ -278,48 +329,16 @@ class AssembledSystem:
         upper = stack.layers[upper_idx]
         if lower.is_cavity or upper.is_cavity:
             raise ValueError("a cavity layer must sit between two solid layers")
+        n_channels = stack.channels_per_cavity()
+        if n_channels < n_rows:
+            raise ValueError(
+                f"cavity layer {layer.name!r} has {n_channels} channels across "
+                f"the die but the grid has n_rows={n_rows}; rows without a "
+                f"channel cannot be assembled, so use n_rows <= {n_channels}"
+            )
 
         row_widths, channels_per_row = _cavity_row_widths(stack, layer, x_centers)
-        capacity_rate_cell = (
-            layer.coolant.volumetric_heat_capacity
-            * layer.flow_rate_per_channel
-            * channels_per_row
-        )
-        fluid_capacitance = (
-            layer.coolant.volumetric_heat_capacity
-            * layer.channel_height
-            * stack.cell_area
-        )
-        start = layer_idx * self.n_cells_per_layer
-        self.capacitances[start : start + self.n_cells_per_layer] = fluid_capacitance
-
-        coolant = self._cell_indices(layer_idx)
-        below = coolant - self.n_cells_per_layer
-        above = coolant + self.n_cells_per_layer
-        self.rhs[coolant[:, 0]] += capacity_rate_cell * layer.inlet_temperature
-
-        # Convective conductance channel->coolant for the channels crossing
-        # each cell, per adjacent die (half of the wetted perimeter each), in
-        # series with the half-thickness conduction of the adjacent solid
-        # layer.  The Shah & London correlation is evaluated once over the
-        # whole per-cell width grid -- against the per-cell film properties
-        # when a Picard iteration supplied an override for this cavity.
-        h = correlations.heat_transfer_coefficient(
-            row_widths,
-            layer.channel_height,
-            self.coolant_films.get(layer_idx, layer.coolant),
-        )
-        wetted_per_layer = (row_widths + layer.channel_height) * (
-            stack.cell_length * channels_per_row
-        )
-        g_convection = h * wetted_per_layer
-        g_solid = []
-        for solid in (lower, upper):
-            half_resistance = solid.thickness / (
-                2.0 * solid.material.thermal_conductivity * stack.cell_area
-            )
-            g_solid.append(1.0 / (half_resistance + 1.0 / g_convection))
-        g_lower, g_upper = g_solid
+        capacity_rate_cell = _capacity_rate(stack, layer)
 
         # Vertical conduction through the solid channel walls (fraction
         # 1 - w/W of the cell footprint), connecting the two dies directly.
@@ -336,6 +355,9 @@ class AssembledSystem:
             )
             g_wall = 1.0 / resistance
 
+        coolant = self._cell_indices(layer_idx)
+        below = coolant - self.n_cells_per_layer
+        above = coolant + self.n_cells_per_layer
         upstream = coolant - 1
         rows = np.stack(
             [
@@ -357,22 +379,17 @@ class AssembledSystem:
             ],
             axis=-1,
         )
-        vals = np.empty((n_rows, n_cols, 14))
-        vals[..., 0] = g_lower
-        vals[..., 1] = -g_lower
-        vals[..., 2] = g_lower
-        vals[..., 3] = -g_lower
-        vals[..., 4] = g_upper
-        vals[..., 5] = -g_upper
-        vals[..., 6] = g_upper
-        vals[..., 7] = -g_upper
+        vals = np.empty((n_rows, n_cols, _CAVITY_SLOTS))
+        self._set_convection(
+            vals, layer_idx, row_widths, channels_per_row, layer.coolant
+        )
         vals[..., 8] = g_wall
         vals[..., 9] = -g_wall
         vals[..., 10] = g_wall
         vals[..., 11] = -g_wall
         vals[..., 12] = capacity_rate_cell
         vals[..., 13] = -capacity_rate_cell
-        mask = np.ones((n_rows, n_cols, 14), dtype=bool)
+        mask = np.ones((n_rows, n_cols, _CAVITY_SLOTS), dtype=bool)
         mask[..., 8:12] = (wall_fraction > 0.0)[..., None]
         mask[:, 0, 13] = False  # the inlet column has no upstream neighbour
         return rows, cols, vals, mask
@@ -388,33 +405,60 @@ class AssembledSystem:
         rows = np.stack([a, a, b, b], axis=-1)
         cols = np.stack([a, b, b, a], axis=-1)
         vals = np.empty((stack.n_rows, stack.n_cols, 4))
-        vals[..., 0] = g_vertical
-        vals[..., 1] = -g_vertical
-        vals[..., 2] = g_vertical
-        vals[..., 3] = -g_vertical
+        vals[...] = g_vertical * _COUPLING
         mask = np.ones((stack.n_rows, stack.n_cols, 4), dtype=bool)
         return rows, cols, vals, mask
 
-    # -- matrix access -----------------------------------------------------------------------
+    # -- value refresh -----------------------------------------------------------
 
-    def matrix(self) -> sparse.csr_matrix:
-        """The assembled steady-state matrix ``A`` (CSR, canonical form)."""
-        return self.pattern.matrix(self._raw_values)
+    def refreshed(self, films) -> "AssembledSystem":
+        """This system with the cavity convection re-evaluated against films.
+
+        ``films`` holds one array-valued
+        :class:`~repro.thermal.properties.CoolantState` per cavity,
+        bottom-up, over the cavity's cells.  The capacity rate, the
+        inlet-enthalpy rhs and the fluid capacitance keep the layer's own
+        coolant, and ``h > 0`` keeps every convection entry in the mask, so
+        the result shares ``pattern``, ``pattern_token``, ``rhs`` and
+        ``capacitances`` with this system; only the matrix values differ.
+        """
+        stack = self.stack
+        raw = np.zeros(self._mask.size)
+        raw[self._mask] = self._values
+        for layer_idx, film in zip(self._cavity_layers, films):
+            start = self._block_starts[layer_idx]
+            block = raw[start : start + _CAVITY_SLOTS * self.n_cells_per_layer]
+            row_widths, channels_per_row = _cavity_row_widths(
+                stack, stack.layers[layer_idx], stack.x_centers()
+            )
+            self._set_convection(
+                block.reshape(stack.n_rows, stack.n_cols, _CAVITY_SLOTS),
+                layer_idx,
+                row_widths,
+                channels_per_row,
+                film,
+            )
+        system = copy.copy(self)
+        system._values = raw[self._mask]
+        system.matrix = self.pattern.matrix(system._values)
+        return system
 
     def split_solution(self, vector: np.ndarray) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
-        """Split a flat solution vector into per-layer maps."""
+        """Split a flat solution vector into per-layer maps (solid, coolant)."""
         stack = self.stack
+        grids = vector.reshape(stack.n_layers, stack.n_rows, stack.n_cols)
         layer_maps: Dict[str, np.ndarray] = {}
         coolant_maps: Dict[str, np.ndarray] = {}
-        for layer_idx, layer in enumerate(stack.layers):
-            start = self.index(layer_idx, 0, 0)
-            stop = start + self.n_cells_per_layer
-            grid = vector[start:stop].reshape(stack.n_rows, stack.n_cols)
-            if layer.is_cavity:
-                coolant_maps[layer.name] = grid
-            else:
-                layer_maps[layer.name] = grid
+        for layer, grid in zip(stack.layers, grids):
+            (coolant_maps if layer.is_cavity else layer_maps)[layer.name] = grid
         return layer_maps, coolant_maps
+
+    def coolant_field(self, vector: np.ndarray) -> np.ndarray:
+        """Bulk coolant temperatures of a solution, one grid per cavity."""
+        stack = self.stack
+        return vector.reshape(stack.n_layers, stack.n_rows, stack.n_cols)[
+            self._cavity_layers
+        ]
 
 
 def assemble_system(stack: LayerStack) -> AssembledSystem:
@@ -440,9 +484,10 @@ class SteadyStateSolver:
         Optional :class:`~repro.thermal.properties.CoolantModel`.  None or
         a constant-mode model leaves the solve bit-identical to the
         constant-property path; a polynomial model wraps it in a Picard
-        outer iteration (:mod:`repro.core.picard`) that refreshes the
-        convective conductances from film properties at the per-cell bulk
-        coolant temperatures.
+        outer iteration (:func:`repro.core.picard.picard_solve`) whose
+        passes solve :meth:`AssembledSystem.refreshed`: the cavity
+        convection at film properties of the per-cell bulk coolant
+        temperatures, over the assembled pattern and rhs.
     picard:
         Optional :class:`~repro.core.picard.PicardSettings` convergence
         knobs (defaults apply when omitted).  Ignored for constant models.
@@ -464,17 +509,6 @@ class SteadyStateSolver:
         self.coolant_model = coolant_model if temperature_dependent else None
         self.picard = picard
 
-    def _cavity_slices(self) -> List[Tuple[int, int, int]]:
-        """``(layer_idx, start, stop)`` of every cavity layer's cells."""
-        slices = []
-        for layer_idx, layer in enumerate(self.stack.layers):
-            if layer.is_cavity:
-                start = self.system.index(layer_idx, 0, 0)
-                slices.append(
-                    (layer_idx, start, start + self.system.n_cells_per_layer)
-                )
-        return slices
-
     def solve(self, compute_residual: bool = True) -> ThermalMapResult:
         """Assemble and solve ``A T = b``; return per-layer thermal maps.
 
@@ -485,86 +519,30 @@ class SteadyStateSolver:
             metadata.  The residual costs one extra sparse matrix-vector
             product per solve, so hot paths that solve the same stack shape
             repeatedly (width sweeps, benchmarks) pass False; the default
-            keeps the diagnostic on for tests and one-off runs.
+            keeps the diagnostic on for tests and one-off runs.  Under a
+            temperature-dependent coolant the residual is taken against
+            the system that produced the reported field.
         """
-        matrix = self.system.matrix()
-        solution = self.backend.solve(
-            matrix, self.system.rhs, self.system.pattern_token
-        )
+        system = self.system
+        solution = self.backend.solve(system.matrix, system.rhs, system.pattern_token)
         if not np.all(np.isfinite(solution)):
             raise RuntimeError("steady-state solve produced non-finite values")
-        picard_info = None
-        if self.coolant_model is not None:
-            solution, matrix, picard_info = self._solve_picard(solution)
         metadata = {
             "solver": "ice-steady",
             "backend": self.backend.name,
-            "n_unknowns": self.system.n_unknowns,
+            "n_unknowns": system.n_unknowns,
             "grid": (self.stack.n_rows, self.stack.n_cols),
         }
-        if picard_info is not None:
-            metadata["picard"] = picard_info
+        if self.coolant_model is not None:
+            solution, system, metadata["picard"] = picard_solve(
+                system, solution, self.backend, self.coolant_model, self.picard
+            )
         if compute_residual:
-            residual = matrix @ solution - self.system.rhs
+            residual = system.matrix @ solution - system.rhs
             metadata["residual_norm"] = float(np.max(np.abs(residual)))
-        layer_maps, coolant_maps = self.system.split_solution(solution)
+        layer_maps, coolant_maps = system.split_solution(solution)
         return ThermalMapResult(
             layer_maps=layer_maps,
             coolant_maps=coolant_maps,
             metadata=metadata,
         )
-
-    def _solve_picard(self, base_solution: np.ndarray):
-        """Picard outer iteration over the cavity coolant temperatures.
-
-        Each iteration builds a *fresh* :class:`AssembledSystem` with the
-        film-property overrides (the rhs is accumulated with ``+=`` during
-        assembly, so refreshing an existing system in place would
-        double-count it); the sparsity mask is unchanged by construction
-        (``h > 0``), so the pattern comes straight from the cache and only
-        the value fold plus one backend factorization are paid.
-        """
-        from ..core.picard import (
-            PicardSettings,
-            picard_iterate,
-            picard_metadata,
-        )
-
-        model = self.coolant_model
-        settings = (
-            self.picard if self.picard is not None else PicardSettings()
-        )
-        slices = self._cavity_slices()
-        stack = self.stack
-        shape = (stack.n_rows, stack.n_cols)
-        last = {"matrix": None}
-
-        def field_of(vector: np.ndarray) -> np.ndarray:
-            return np.concatenate(
-                [vector[start:stop] for _, start, stop in slices]
-            )
-
-        def refresh(field: np.ndarray):
-            films = {}
-            offset = 0
-            for layer_idx, start, stop in slices:
-                cells = field[offset : offset + (stop - start)]
-                films[layer_idx] = model.film(cells.reshape(shape))
-                offset += stop - start
-            refreshed = AssembledSystem(stack, coolant_films=films)
-            matrix = refreshed.matrix()
-            last["matrix"] = matrix
-            vector = self.backend.solve(
-                matrix, refreshed.rhs, refreshed.pattern_token
-            )
-            return vector, field_of(vector)
-
-        outcome = picard_iterate(
-            base_solution, field_of(base_solution), refresh, settings
-        )
-        if outcome.fell_back or last["matrix"] is None:
-            matrix = self.system.matrix()
-        else:
-            matrix = last["matrix"]
-        info = picard_metadata(model.name, settings, outcome)
-        return outcome.solution, matrix, info

@@ -218,6 +218,10 @@ class LayerStack:
         """Plan-view area of one cell (m^2)."""
         return self.cell_length * self.cell_width
 
+    def cell_power(self, flux: np.ndarray) -> np.ndarray:
+        """Heat per cell (W) of a heat-flux map in W/cm^2."""
+        return flux * 1e4 * self.cell_area
+
     def x_centers(self) -> np.ndarray:
         """x coordinates of the cell centers (m), shape ``(n_cols,)``."""
         return (np.arange(self.n_cols) + 0.5) * self.cell_length

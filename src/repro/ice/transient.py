@@ -103,20 +103,17 @@ class TransientSolver:
         self.system = AssembledSystem(stack)
         self.power_schedule = power_schedule
         self.backend = resolve_backend(backend)
-        self._matrix = self.system.matrix().tocsr()
-        self._base_rhs = self.system.rhs.copy()
         self._implicit: Dict[float, tuple] = {}
 
     # -- source updates -----------------------------------------------------------
 
     def rhs_at(self, time: float) -> np.ndarray:
         """Right-hand side with the power schedule applied at ``time``."""
-        if self.power_schedule is None:
-            return self._base_rhs
-        overrides = self.power_schedule(time)
+        schedule = self.power_schedule
+        overrides = None if schedule is None else schedule(time)
         if not overrides:
-            return self._base_rhs
-        rhs = self._base_rhs.copy()
+            return self.system.rhs
+        rhs = self.system.rhs.copy()
         stack = self.stack
         for name, heat_map in overrides.items():
             layer_idx = stack.layer_index(name)
@@ -133,7 +130,7 @@ class TransientSolver:
                         f"schedule map for layer {name!r} has shape "
                         f"{new_map.shape}, expected {default.shape}"
                     )
-            delta = (new_map - default) * 1e4 * stack.cell_area
+            delta = stack.cell_power(new_map - default)
             start = self.system.index(layer_idx, 0, 0)
             rhs[start : start + self.system.n_cells_per_layer] += delta.ravel()
         return rhs
@@ -160,7 +157,7 @@ class TransientSolver:
             capacitances[capacitances > 0.0]
         )
         c_over_dt = sparse.diags(capacitances / time_step)
-        implicit = (c_over_dt + self._matrix).tocsr()
+        implicit = (c_over_dt + self.system.matrix).tocsr()
         implicit_token = ("ice-implicit",) + self.system.pattern_token
         cached = (implicit, c_over_dt, implicit_token)
         self._implicit[time_step] = cached

@@ -19,7 +19,7 @@ discretize the identical equations (see the module docstring of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -213,6 +213,13 @@ def lateral_conductance_of(
     return 0.0
 
 
+def _pattern_token(n_lanes, n_points, lateral_coupling, reversed_flags) -> tuple:
+    """Hashable identity of the FDM sparsity structure of one problem shape."""
+    lateral = bool(lateral_coupling) and int(n_lanes) > 1
+    flags = tuple(bool(flag) for flag in reversed_flags)
+    return ("fdm", int(n_lanes), int(n_points), lateral, flags)
+
+
 class SparsityPattern:
     """Precomputed sparsity structure of the FDM system for one shape.
 
@@ -223,11 +230,12 @@ class SparsityPattern:
         index(variable, lane, point) = (variable * n_lanes + lane) * n_points + point
 
     The pattern owns the canonical CSR index arrays and the scatter map
-    from raw COO entry order to CSR data slots, so refreshing a system for
-    new parameter values is a single :func:`numpy.add.at` into a
-    preallocated data array -- no sorting, no duplicate folding, and a
-    bit-identical structure across solves (which the solver backends use to
-    recognize repeated matrices).
+    from raw COO entry order to CSR data slots (a
+    :class:`~repro.core.linear_system.SparsityFold`), so refreshing a system
+    for new parameter values is one ``np.bincount`` into the CSR data array
+    -- no sorting, no duplicate folding, and a bit-identical structure
+    across solves (which the solver backends use to recognize repeated
+    matrices).
     """
 
     def __init__(
@@ -243,20 +251,15 @@ class SparsityPattern:
             raise ValueError("n_lanes must be at least 1")
         if len(reversed_flags) != n_lanes:
             raise ValueError("reversed_flags must provide one flag per lane")
-        self.n_lanes = int(n_lanes)
-        self.n_points = int(n_points)
-        self.lateral_coupling = bool(lateral_coupling) and n_lanes > 1
-        self.reversed_flags = tuple(bool(flag) for flag in reversed_flags)
-        self.n_unknowns = 3 * self.n_lanes * self.n_points
         #: Hashable identity of this pattern; two systems assembled from the
         #: same token share indptr/indices arrays.
-        self.token = (
-            "fdm",
-            self.n_lanes,
-            self.n_points,
-            self.lateral_coupling,
-            self.reversed_flags,
+        self.token = _pattern_token(
+            n_lanes, n_points, lateral_coupling, reversed_flags
         )
+        _, self.n_lanes, self.n_points, self.lateral_coupling, self.reversed_flags = (
+            self.token
+        )
+        self.n_unknowns = 3 * self.n_lanes * self.n_points
 
         L, P = self.n_lanes, self.n_points
         lanes = np.arange(L)[:, None]
@@ -415,15 +418,8 @@ def get_pattern(
     reversed_flags: Tuple[bool, ...],
 ) -> SparsityPattern:
     """Fetch (or build and cache) the pattern for one problem shape."""
-    token = (
-        "fdm",
-        int(n_lanes),
-        int(n_points),
-        bool(lateral_coupling) and n_lanes > 1,
-        tuple(bool(flag) for flag in reversed_flags),
-    )
     return cached_pattern(
-        token,
+        _pattern_token(n_lanes, n_points, lateral_coupling, reversed_flags),
         lambda: SparsityPattern(n_lanes, n_points, lateral_coupling, reversed_flags),
     )
 
@@ -441,11 +437,38 @@ class AssembledSystem:
     #: Raw COO coefficient values in the pattern's entry order.  The adjoint
     #: path differentiates these directly.
     values: np.ndarray
+    #: The cavity the system was assembled from.
+    structure: MultiChannelStructure
 
     @property
     def pattern_token(self) -> tuple:
         """Identity of the sparsity structure."""
         return self.pattern.token
+
+    def refreshed(self, films) -> "AssembledSystem":
+        """This system with ``g_v`` re-evaluated against film coolant records.
+
+        ``films`` holds one array-valued
+        :class:`~repro.thermal.properties.CoolantState` per lane, over the
+        lane's grid points.  Only ``g_v`` depends on it
+        (``h = Nu k_f(T) / D_h``); the capacity rate keeps the base
+        coolant, so the result shares ``pattern`` and ``rhs``.
+        """
+        g_v = self.params.g_v.copy()
+        for lane_index, film in enumerate(films):
+            g_v[lane_index], _ = lane_conductance_rows(
+                self.structure, self.z_grid, lane_index, coolant=film
+            )
+        params = replace(self.params, g_v=g_v)
+        dz = self.z_grid[1] - self.z_grid[0]
+        values = self.pattern.values(params, self.lateral_conductance, dz)
+        matrix = self.pattern.matrix(values)
+        return replace(self, matrix=matrix, params=params, values=values)
+
+    def coolant_field(self, vector: np.ndarray) -> np.ndarray:
+        """Coolant temperatures of a solution, one row per lane."""
+        pattern = self.pattern
+        return vector.reshape(3, pattern.n_lanes, pattern.n_points)[2]
 
 
 def assemble_system(
@@ -479,4 +502,5 @@ def assemble_system(
         lateral_conductance=g_lat,
         pattern=pattern,
         values=values,
+        structure=structure,
     )

@@ -45,11 +45,11 @@ evaluation engine keeps both for the adjoint's transpose solve).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Optional, Union
 
 import numpy as np
 
+from ..core.picard import picard_solve
 from . import assembly
 from .backends import FactorizationHandle, SolverBackend, resolve_backend
 from .geometry import MultiChannelStructure, TestStructure
@@ -92,9 +92,11 @@ def solve_finite_difference(
         Optional :class:`~repro.thermal.properties.CoolantModel`.  None or
         a constant-mode model leaves this function bit-identical to the
         constant-property path; a polynomial model wraps the solve in a
-        Picard outer iteration (:mod:`repro.core.picard`) that refreshes
-        the layer-to-coolant conductances from film properties at the bulk
-        coolant temperatures.
+        Picard outer iteration (:func:`repro.core.picard.picard_solve`)
+        whose passes solve
+        :meth:`~repro.thermal.assembly.AssembledSystem.refreshed`: the
+        layer-to-coolant conductances ``g_v`` at film properties of the
+        bulk coolant temperatures, over the assembled pattern and rhs.
     picard:
         Optional :class:`~repro.core.picard.PicardSettings` convergence
         knobs (defaults apply when omitted).  Ignored for constant models.
@@ -118,44 +120,18 @@ def solve_finite_difference(
         raise RuntimeError("finite-difference solve produced non-finite values")
 
     n_lanes = structure.n_lanes
-    picard_info = None
+    metadata = {
+        "solver": "finite-difference",
+        "n_points": n_points,
+        "n_lanes": n_lanes,
+        "cluster_size": structure.cluster_size,
+        "lateral_conductance": float(system.lateral_conductance),
+        "backend": solver.name,
+    }
     if temperature_dependent:
-        from ..core.picard import (
-            PicardSettings,
-            picard_iterate,
-            picard_metadata,
+        solution_vector, system, metadata["picard"] = picard_solve(
+            system, solution_vector, solver, coolant_model, picard
         )
-
-        settings = picard if picard is not None else PicardSettings()
-        pattern = system.pattern
-        dz = system.z_grid[1] - system.z_grid[0]
-
-        def refresh(coolant_field: np.ndarray):
-            # Only the layer-to-coolant conductances g_v depend on the film
-            # properties (h = Nu k_f(T) / D_h); the capacity rate keeps the
-            # base volumetric heat capacity, so the rhs and the sparsity
-            # mask are unchanged and the refresh reuses the cached pattern.
-            g_v = np.empty_like(system.params.g_v)
-            for lane_index in range(n_lanes):
-                film = coolant_model.film(coolant_field[lane_index])
-                g_v[lane_index], _ = assembly.lane_conductance_rows(
-                    structure, system.z_grid, lane_index, coolant=film
-                )
-            params = replace(system.params, g_v=g_v)
-            values = pattern.values(params, system.lateral_conductance, dz)
-            vector = solver.solve(
-                pattern.matrix(values), system.rhs, pattern.token
-            )
-            return vector, vector.reshape(3, n_lanes, n_points)[2]
-
-        outcome = picard_iterate(
-            solution_vector,
-            solution_vector.reshape(3, n_lanes, n_points)[2],
-            refresh,
-            settings,
-        )
-        solution_vector = outcome.solution
-        picard_info = picard_metadata(coolant_model.name, settings, outcome)
     elif on_forward is not None:
         on_forward(system, handle)
 
@@ -166,17 +142,6 @@ def solve_finite_difference(
     # Longitudinal heat flows recovered from the temperature field.
     gradient = np.gradient(temperatures, system.z_grid, axis=2)
     heat_flows = -system.params.g_l[None, :, None] * gradient
-
-    metadata = {
-        "solver": "finite-difference",
-        "n_points": n_points,
-        "n_lanes": n_lanes,
-        "cluster_size": structure.cluster_size,
-        "lateral_conductance": float(system.lateral_conductance),
-        "backend": solver.name,
-    }
-    if picard_info is not None:
-        metadata["picard"] = picard_info
     return ThermalSolution(
         z=system.z_grid,
         temperatures=temperatures,

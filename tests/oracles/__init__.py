@@ -23,5 +23,8 @@ ratio:
   boundary-value problem (:mod:`repro.thermal.bvp`);
 * :mod:`oracles.adjoint` -- the adjoint gradient that re-assembles the
   forward system and looks its factorization up by content hash
-  (:mod:`repro.core.adjoint`).
+  (:mod:`repro.core.adjoint`);
+* :mod:`oracles.picard` -- water-coolant Picard solves that assemble the
+  finite-volume stack afresh and rebuild the FDM ``g_v`` rows lane by lane
+  on every pass (:func:`repro.core.picard.picard_solve`).
 """

@@ -6,7 +6,9 @@ every cell of every layer and emits one coefficient at a time, through the
 same conductance helpers the production assembly uses, so comparing the
 two checks the vectorized emission order and masking bit for bit:
 
-* :func:`assemble_system_loop` returns ``(matrix, rhs, capacitances)``;
+* :func:`assemble_system_loop` returns ``(matrix, rhs, capacitances)``,
+  optionally with film coolant records for the convection of some
+  cavities (the fresh assembly of a Picard pass);
 * :func:`cavity_row_widths` groups the channels onto the cell rows one
   channel at a time (production accumulates them in one ``np.add.at``);
 * :func:`backward_euler_states` integrates ``C dT/dt = -(A T - b)`` with the
@@ -14,6 +16,8 @@ two checks the vectorized emission order and masking bit for bit:
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 from scipy import sparse
@@ -46,9 +50,22 @@ def cavity_row_widths(stack, layer, x_centers):
     return row_widths, channels_per_row
 
 
+def _cell_film(film, row, col):
+    """One cell's record of an array-valued film ``CoolantState``."""
+    return dataclasses.replace(
+        film,
+        **{
+            field.name: np.asarray(getattr(film, field.name))[row, col]
+            for field in dataclasses.fields(film)
+            if field.name != "name"
+        },
+    )
+
+
 class _LoopAssembler:
-    def __init__(self, stack) -> None:
+    def __init__(self, stack, coolant_films=None) -> None:
         self.stack = stack
+        self.coolant_films = coolant_films or {}
         self.n_unknowns = stack.n_layers * stack.n_rows * stack.n_cols
         self.rows = []
         self.cols = []
@@ -147,6 +164,7 @@ class _LoopAssembler:
             * layer.channel_height
             * stack.cell_area
         )
+        film = self.coolant_films.get(layer_idx)
 
         for row in range(n_rows):
             for col in range(n_cols):
@@ -160,8 +178,11 @@ class _LoopAssembler:
                 # crossing this cell, per adjacent die (half of the wetted
                 # perimeter each), in series with the half-thickness
                 # conduction of the adjacent solid layer.
+                coolant = (
+                    layer.coolant if film is None else _cell_film(film, row, col)
+                )
                 h = correlations.heat_transfer_coefficient(
-                    width, layer.channel_height, layer.coolant
+                    width, layer.channel_height, coolant
                 )
                 wetted_per_layer = (width + layer.channel_height) * (
                     stack.cell_length * channels_per_row
@@ -214,9 +235,15 @@ class _LoopAssembler:
                     self.add(coolant_node, upstream, -capacity_rate_cell)
 
 
-def assemble_system_loop(stack):
-    """``(matrix, rhs, capacitances)`` of the stack, one cell at a time."""
-    return _LoopAssembler(stack).assemble()
+def assemble_system_loop(stack, coolant_films=None):
+    """``(matrix, rhs, capacitances)`` of the stack, one cell at a time.
+
+    ``coolant_films`` maps a cavity layer index to an array-valued film
+    ``CoolantState``; that cavity's convection then reads each cell's film
+    record, while its capacity rate, inlet enthalpy and fluid capacitance
+    keep the layer's own coolant.
+    """
+    return _LoopAssembler(stack, coolant_films).assemble()
 
 
 def backward_euler_states(

@@ -53,7 +53,7 @@ def _fdm_system(spec):
 
 def _ice_system(spec):
     system = assemble_stack(spec.build_stack())
-    return system.matrix(), system.rhs, system.pattern_token
+    return system.matrix, system.rhs, system.pattern_token
 
 
 def _implicit_system(spec):

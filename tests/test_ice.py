@@ -229,3 +229,32 @@ class TestTransientSolver:
         solver = TransientSolver(stack, power_schedule=lambda t: {"cavity": 1.0})
         with pytest.raises(ValueError):
             solver.run(duration=0.01, time_step=0.005)
+
+
+class TestFewerChannelsThanRows:
+    """A grid with rows that no channel crosses is rejected at assembly."""
+
+    @staticmethod
+    def _narrow_stack(n_rows):
+        # 7 channels at the 100 um pitch of Table I.
+        return two_die_stack_from_maps(
+            60.0, 30.0, die_length=0.01, die_width=7 * 100e-6, n_rows=n_rows
+        )
+
+    def test_steady_solver_names_the_layer_and_counts(self):
+        with pytest.raises(
+            ValueError, match=r"cavity layer 'cavity' has 7 channels.*n_rows=40"
+        ):
+            SteadyStateSolver(self._narrow_stack(40)).solve()
+
+    def test_transient_solver_names_the_layer_and_counts(self):
+        with pytest.raises(
+            ValueError, match=r"cavity layer 'cavity' has 7 channels.*n_rows=40"
+        ):
+            TransientSolver(self._narrow_stack(40)).run(
+                duration=0.01, time_step=0.005
+            )
+
+    def test_one_channel_per_row_still_solves(self):
+        result = SteadyStateSolver(self._narrow_stack(7)).solve()
+        assert result.metadata["residual_norm"] < 1e-8

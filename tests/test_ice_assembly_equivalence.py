@@ -48,7 +48,7 @@ def assert_bit_identical(stack, label):
     """The vectorized system must equal the loop system exactly."""
     vectorized = assemble_system(stack)
     matrix, rhs, capacitances = oracle.assemble_system_loop(stack)
-    a = _canonical(vectorized.matrix())
+    a = _canonical(vectorized.matrix)
     b = _canonical(matrix)
     assert np.array_equal(a.indptr, b.indptr), f"{label}: indptr differs"
     assert np.array_equal(a.indices, b.indices), f"{label}: sparsity differs"
@@ -213,10 +213,10 @@ class TestStackPatternCache:
         assert pattern_cache_info()["size"] == 2
 
     def test_matrix_structure_is_static_across_designs(self):
-        first = assemble_system(_strip_stack()).matrix()
+        first = assemble_system(_strip_stack()).matrix
         second = assemble_system(
             _strip_stack(WidthProfile.uniform(TABLE_I.min_channel_width, 0.01))
-        ).matrix()
+        ).matrix
         np.testing.assert_array_equal(first.indices, second.indices)
         np.testing.assert_array_equal(first.indptr, second.indptr)
         assert np.any(first.data != second.data)
