@@ -18,6 +18,11 @@ Setting ``REPRO_BENCH_SMOKE=1`` shrinks every problem to smoke-test size
 (used by the CI benchmark job to exercise the suite and archive the BENCH
 records in seconds).
 
+Every ICE system is a cached flow-free base of its stack geometry plus a
+flow/power write, so the assembly records time the full assembly with the
+base cache cleared before each timed call (``vectorized_assembly_s``) and,
+apart, a system at a new flow over a warm base (``flow_refresh_s``).
+
 Speed ratios are reported in the BENCH records only.  The asserts are
 deterministic: the vectorized assembly of a 4-die 64x64 stack is
 bit-identical to the loop oracle and reuses one cached pattern, cold and
@@ -28,6 +33,7 @@ gradient issues its ``n + 1`` perturbed solves through a single
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
@@ -44,6 +50,7 @@ from repro.floorplan import get_architecture
 from repro.ice import (
     SteadyStateSolver,
     assemble_system,
+    clear_base_cache,
     multi_die_stack_from_architecture,
 )
 from repro.thermal import backends
@@ -77,21 +84,52 @@ def emit_bench(record: dict) -> None:
     print("BENCH " + json.dumps(record, sort_keys=True))
 
 
-def best_time(function, repeats: int = 3) -> float:
-    """Minimum wall time of ``function`` over ``repeats`` calls (seconds)."""
+def best_time(function, repeats: int = 3, setup=None) -> float:
+    """Minimum wall time of ``function`` over ``repeats`` calls (seconds).
+
+    ``setup``, when given, runs untimed before each call.
+    """
     times = []
     for _ in range(repeats):
+        if setup is not None:
+            setup()
         start = time.perf_counter()
         function()
         times.append(time.perf_counter() - start)
     return min(times)
 
 
-def make_stack(n_dies: int, grid: int):
+def make_stack(n_dies: int, grid: int, flow_scale: float = 1.0):
     """An n-die Niagara stacking on a grid x grid cell mesh."""
-    return multi_die_stack_from_architecture(
-        get_architecture("arch1"), n_dies=n_dies, n_cols=grid, n_rows=grid
+    params = DEFAULT_EXPERIMENT.params
+    config = dataclasses.replace(
+        DEFAULT_EXPERIMENT,
+        params=dataclasses.replace(
+            params, flow_rate_per_channel=flow_scale * params.flow_rate_per_channel
+        ),
     )
+    return multi_die_stack_from_architecture(
+        get_architecture("arch1"),
+        n_dies=n_dies,
+        config=config,
+        n_cols=grid,
+        n_rows=grid,
+    )
+
+
+def assembly_times(n_dies: int, grid: int):
+    """(full assembly, flow refresh) best wall times of one stack shape.
+
+    The sparsity pattern is warm for both: the full assembly runs with the
+    flow-free base cache cleared, the flow refresh assembles the stack at
+    twice the flow over the base the full assembly left behind.
+    """
+    stack = make_stack(n_dies, grid)
+    refresh_stack = make_stack(n_dies, grid, flow_scale=2.0)
+    assemble_system(stack)  # warm the pattern for this shape
+    full = best_time(lambda: assemble_system(stack), setup=clear_base_cache)
+    refresh = best_time(lambda: assemble_system(refresh_stack))
+    return full, refresh
 
 
 def canonical(matrix):
@@ -105,6 +143,7 @@ def test_ice_assembly_speedup_and_bit_identity(benchmark):
     """Vectorized vs loop assembly at 4-die 64x64: bit-identical, one pattern."""
     stack = make_stack(REFERENCE_DIES, REFERENCE_GRID)
     clear_pattern_cache()
+    clear_base_cache()
     # Warm the pattern cache once: production solves amortize the fold over
     # every assembly of the same stack shape, so the steady-state cost is
     # what sweeps and transient re-runs actually pay.
@@ -123,7 +162,7 @@ def test_ice_assembly_speedup_and_bit_identity(benchmark):
     assert bit_identical
 
     loop_time = best_time(lambda: assemble_system_loop(stack), repeats=1)
-    vectorized_time = best_time(lambda: assemble_system(stack))
+    vectorized_time, refresh_time = assembly_times(REFERENCE_DIES, REFERENCE_GRID)
     benchmark(lambda: assemble_system(stack))
 
     speedup = loop_time / vectorized_time
@@ -135,6 +174,7 @@ def test_ice_assembly_speedup_and_bit_identity(benchmark):
             "n_unknowns": vectorized.n_unknowns,
             "loop_assembly_s": loop_time,
             "vectorized_assembly_s": vectorized_time,
+            "flow_refresh_s": refresh_time,
             "speedup": speedup,
             "bit_identical": bit_identical,
             "smoke": SMOKE,
@@ -144,7 +184,8 @@ def test_ice_assembly_speedup_and_bit_identity(benchmark):
     print(
         f"ice assembly, {REFERENCE_DIES} dies x {REFERENCE_GRID}x"
         f"{REFERENCE_GRID}: loop {loop_time * 1e3:.1f} ms, vectorized "
-        f"{vectorized_time * 1e3:.2f} ms ({speedup:.0f}x)"
+        f"{vectorized_time * 1e3:.2f} ms ({speedup:.0f}x), flow refresh "
+        f"{refresh_time * 1e3:.2f} ms"
     )
     # Every timed assembly reused the one cached pattern of this shape.
     assert assemble_system(stack).pattern is vectorized.pattern
@@ -156,8 +197,7 @@ def test_ice_assembly_grid_scaling(benchmark):
     rows = []
     for n_dies, grid in STACK_SIZES:
         stack = make_stack(n_dies, grid)
-        assemble_system(stack)  # warm the pattern for this shape
-        vectorized_time = best_time(lambda: assemble_system(stack))
+        vectorized_time, refresh_time = assembly_times(n_dies, grid)
         loop_time = best_time(lambda: assemble_system_loop(stack), repeats=1)
         rows.append(
             {
@@ -165,6 +205,7 @@ def test_ice_assembly_grid_scaling(benchmark):
                 "grid": f"{grid}x{grid}",
                 "loop_ms": loop_time * 1e3,
                 "vectorized_ms": vectorized_time * 1e3,
+                "flow_refresh_ms": refresh_time * 1e3,
                 "speedup": loop_time / vectorized_time,
             }
         )
@@ -175,6 +216,7 @@ def test_ice_assembly_grid_scaling(benchmark):
                 "grid": grid,
                 "loop_assembly_s": loop_time,
                 "vectorized_assembly_s": vectorized_time,
+                "flow_refresh_s": refresh_time,
                 "speedup": loop_time / vectorized_time,
                 "smoke": SMOKE,
             }

@@ -238,12 +238,23 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _ice_bench_record(spec: ScenarioSpec) -> Dict[str, object]:
-    """Finite-volume benchmark record: assembly + cold and warm solves."""
-    from .ice import SteadyStateSolver, assemble_system
+    """Finite-volume benchmark record: assembly + cold and warm solves.
+
+    ``assembly_vectorized_s`` times a full assembly (flow-free base cache
+    cleared, sparsity pattern warm); ``flow_refresh_s`` times a system at
+    twice the flow over the base that assembly left behind.
+    """
+    from .ice import SteadyStateSolver, assemble_system, clear_base_cache
 
     stack = spec.build_stack()
+    nominal = spec.experiment_config().params.flow_rate_per_channel
+    refresh_stack = spec.with_params(
+        flow_rate_per_channel=2.0 * nominal
+    ).build_stack()
     assemble_system(stack)  # warm the shared sparsity-pattern cache
+    clear_base_cache()
     vectorized_s = _time_once(lambda: assemble_system(stack))
+    flow_refresh_s = _time_once(lambda: assemble_system(refresh_stack))
     solver = SteadyStateSolver(stack, backend=spec.solver.backend)
     cold_solve_s = _time_once(lambda: solver.solve(compute_residual=False))
     warm_solve_s = _time_once(lambda: solver.solve(compute_residual=False))
@@ -253,6 +264,7 @@ def _ice_bench_record(spec: ScenarioSpec) -> Dict[str, object]:
         "grid": [stack.n_rows, stack.n_cols],
         "n_unknowns": solver.system.n_unknowns,
         "assembly_vectorized_s": vectorized_s,
+        "flow_refresh_s": flow_refresh_s,
         "solve_cold_s": cold_solve_s,
         "solve_warm_s": warm_solve_s,
     }
@@ -356,7 +368,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ice = payload["ice"]
         print(
             f"  ice assembly {ice['grid'][0]}x{ice['grid'][1]}: "
-            f"{ice['assembly_vectorized_s'] * 1e3:.2f} ms, solve cold "
+            f"{ice['assembly_vectorized_s'] * 1e3:.2f} ms (flow refresh "
+            f"{ice['flow_refresh_s'] * 1e3:.2f} ms), solve cold "
             f"{ice['solve_cold_s'] * 1e3:.2f} ms / warm "
             f"{ice['solve_warm_s'] * 1e3:.2f} ms [{ice['backend']}]"
         )

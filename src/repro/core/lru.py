@@ -2,8 +2,9 @@
 
 Every cache between a scenario and its linear solves -- the floorplan
 raster memo, the engine's solution/memo cache, the per-shape sparsity
-patterns of both model families, ``sparse-lu``'s factorization plans and
-factorizations, and the reduced-order model cache -- is a
+patterns of both model families, the finite-volume model's flow-free
+stack bases, ``sparse-lu``'s factorization plans and factorizations, and
+the reduced-order model cache -- is a
 :class:`BoundedLRU`, so they share one eviction policy, one locking
 discipline and one set of statistics.
 """

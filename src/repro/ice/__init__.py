@@ -13,6 +13,8 @@ from .solver import (
     AssembledSystem,
     SteadyStateSolver,
     assemble_system,
+    base_cache_info,
+    clear_base_cache,
 )
 from .transient import TransientSolver
 from .builders import (
@@ -34,6 +36,8 @@ __all__ = [
     "SteadyStateSolver",
     "TransientSolver",
     "assemble_system",
+    "base_cache_info",
+    "clear_base_cache",
     "multi_die_stack_from_architecture",
     "multi_die_stack_from_maps",
     "two_die_stack_from_architecture",

@@ -25,12 +25,25 @@ the Shah & London ``heat_transfer_coefficient`` over the per-cell channel
 widths.  The sparsity structure -- which depends only on the stack shape,
 the layer kinds and the zero-coefficient mask -- is folded once per shape
 into a :class:`~repro.core.linear_system.SparsityFold` kept in the pattern
-cache both model families share, so repeated assemblies of the same
-stack shape (width sweeps, an optimizer in the loop, transient re-runs)
-only recompute the coefficient values.  The right-hand side and the
-capacitances are computed apart from the triplets, so
-:meth:`AssembledSystem.refreshed` can re-evaluate just the cavity
-convection values for a Picard pass and share everything else.
+cache both model families share.
+
+The operator is affine in flow, ``A(q) = A_fixed + q A_adv`` and
+``b(q) = b_heat + q b_inlet``: the convection uses the fully developed
+Nusselt number, so only the advection slots and the inlet-enthalpy rhs
+see the flow rate, and power enters only the rhs.  Every
+:class:`AssembledSystem` is therefore a flow-free *base* of its stack
+geometry plus one write.  The base -- masked triplet values, pattern,
+capacitances, each cavity's row widths and advection/convection
+positions -- is built by the triplet emitters once per geometry and kept
+in a process-wide LRU keyed on the stack's flow- and power-free content
+(:func:`base_cache_info`, :func:`clear_base_cache`); a system copies the
+base values, writes ``±_capacity_rate`` at each cavity's advection
+positions, folds them and computes the rhs from the heat maps and inlet
+temperatures.  Flow sweeps, flow policies and power sweeps of one stack
+thus pay the triplet construction once per process.  Stacks with a
+callable width profile have no content key and build their base uncached.
+:meth:`AssembledSystem.refreshed` re-evaluates just the cavity convection
+values for a Picard pass over the same base and shares everything else.
 
 The triplets are emitted in the per-cell order of the original
 triple-nested Python-loop assembly, which lives on as the reference oracle
@@ -49,14 +62,16 @@ from __future__ import annotations
 
 import copy
 import hashlib
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from ..core.linear_system import SparsityFold, cached_pattern
+from ..core.lru import BoundedLRU
 from ..core.picard import picard_solve
 from ..thermal import correlations
 from ..thermal.backends import SolverBackend, resolve_backend
+from ..thermal.geometry import WidthProfile
 from .results import ThermalMapResult
 from .stack import CavityLayer, LayerStack, SolidLayer
 
@@ -64,6 +79,8 @@ __all__ = [
     "AssembledSystem",
     "SteadyStateSolver",
     "assemble_system",
+    "base_cache_info",
+    "clear_base_cache",
 ]
 
 
@@ -139,6 +156,108 @@ _COUPLING = np.array([1.0, -1.0, 1.0, -1.0])
 _CAVITY_SLOTS = 14
 
 
+class _CavityBase(NamedTuple):
+    """One cavity's flow-free share of a :class:`_StackBase`."""
+
+    layer: int
+    #: Mean channel width per cell and channels crossing each row.
+    row_widths: np.ndarray
+    channels_per_row: float
+    #: Masked-stream positions of the convection slots 0-7, ``(n_rows, n_cols, 8)``.
+    convection: np.ndarray
+    #: Masked-stream positions of the advection diagonal (slot 12) and of
+    #: the upwind neighbour (slot 13, absent in the inlet column).
+    diagonal: np.ndarray
+    upwind: np.ndarray
+
+
+class _StackBase(NamedTuple):
+    """Everything of an assembled stack that neither flow nor power touches.
+
+    Built once per stack geometry by :meth:`AssembledSystem._build_base`
+    and shared, read-only, by every system of that geometry; it holds
+    arrays, never the stack.
+    """
+
+    pattern_token: tuple
+    pattern: SparsityFold
+    #: Masked raw value stream; the advection slots hold the capacity rate
+    #: of the stack the base was built from and are overwritten per system.
+    values: np.ndarray
+    capacitances: np.ndarray
+    cavities: Tuple[_CavityBase, ...]
+
+
+#: Stack geometries whose flow-free base is kept.
+_BASE_CACHE_SIZE = 32
+_BASE_CACHE = BoundedLRU(_BASE_CACHE_SIZE)
+
+
+def clear_base_cache() -> None:
+    """Drop every cached flow-free stack base (used by tests and benchmarks)."""
+    _BASE_CACHE.clear()
+
+
+def base_cache_info() -> dict:
+    """Size, capacity and hit/miss/eviction counts of the stack-base cache."""
+    return _BASE_CACHE.stats()
+
+
+def _profile_key(profile) -> Optional[tuple]:
+    """Content key of a cavity's width profile(s), None when not keyable."""
+    if profile is None:
+        return ("default",)
+    shared = isinstance(profile, WidthProfile)
+    keys = tuple(
+        p.fingerprint() if isinstance(p, WidthProfile) else None
+        for p in ([profile] if shared else profile)
+    )
+    if any(key is None for key in keys):
+        return None
+    return ("shared" if shared else "per-channel", keys)
+
+
+def _base_key(stack: LayerStack) -> Optional[tuple]:
+    """The flow- and power-free content of ``stack``, None when not keyable.
+
+    Covers everything the triplets, the mask, the pattern and the
+    capacitances read -- die extents, grid, each solid layer's material and
+    thickness, each cavity's height, pitch, width profile(s), coolant and
+    wall material -- and nothing that only the flow/power write reads: the
+    flow rate, the inlet temperature, the heat sources and the layer
+    names.  Callable width profiles have no content key.
+    """
+    layers = []
+    for layer in stack.layers:
+        if not layer.is_cavity:
+            layers.append((layer.material, layer.thickness))
+            continue
+        profile = _profile_key(layer.width_profile)
+        if profile is None:
+            return None
+        layers.append(
+            (
+                layer.channel_height,
+                layer.channel_pitch,
+                profile,
+                layer.coolant,
+                layer.wall_material,
+            )
+        )
+    return (
+        stack.die_length,
+        stack.die_width,
+        stack.n_rows,
+        stack.n_cols,
+        tuple(layers),
+    )
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 class AssembledSystem:
     """The assembled sparse system ``A T = b`` plus the cell bookkeeping.
 
@@ -146,39 +265,45 @@ class AssembledSystem:
     as on the finite-difference
     :class:`~repro.thermal.assembly.AssembledSystem`; ``capacitances``
     holds the per-cell heat capacities of the transient solver.
-    :meth:`refreshed` re-evaluates the cavity convection against film
-    coolant properties and shares everything else.
+
+    Every system is a flow-free base of its stack geometry plus one
+    flow/power write: the base (masked triplet values, pattern,
+    capacitances, per-cavity row widths and slot positions) comes from a
+    process-wide LRU keyed on the
+    stack's flow- and power-free content and is built by :meth:`_triplets`
+    only on a miss; the system then writes ``±_capacity_rate`` into each
+    cavity's advection slots, folds the values and computes the rhs from
+    the heat maps and inlet temperatures.  :meth:`refreshed` re-evaluates
+    the cavity convection against film coolant properties and shares
+    everything else.
     """
 
     def __init__(self, stack: LayerStack) -> None:
         self.stack = stack
         self.n_cells_per_layer = stack.n_rows * stack.n_cols
         self.n_unknowns = stack.n_layers * self.n_cells_per_layer
-        self._cavity_layers = [
-            index for index, layer in enumerate(stack.layers) if layer.is_cavity
-        ]
-        self._block_starts, rows, cols, values, mask = self._triplets()
-        kinds = tuple(
-            "cavity" if layer.is_cavity else "solid" for layer in stack.layers
-        )
-        digest = hashlib.blake2b(
-            np.packbits(mask).tobytes(), digest_size=16
-        ).hexdigest()
+        key = _base_key(stack)
+        if key is None:
+            base = self._build_base()
+        else:
+            base = _BASE_CACHE.get_or_build(key, self._build_base)[0]
+        self._base = base
         #: Identity of the sparsity structure: stack shape, layer kinds and
         #: a digest of the zero-coefficient mask.
-        self.pattern_token = ("ice", stack.n_rows, stack.n_cols, kinds, digest)
+        self.pattern_token = base.pattern_token
         #: The cached canonical fold of this shape's triplet stream.
-        self.pattern = cached_pattern(
-            self.pattern_token,
-            lambda: SparsityFold(rows[mask], cols[mask], self.n_unknowns),
-        )
-        self._mask = mask
-        self._values = values[mask]
+        self.pattern = base.pattern
+        self.capacitances = base.capacitances
+        values = base.values.copy()
+        for cavity in base.cavities:
+            rate = _capacity_rate(stack, stack.layers[cavity.layer])
+            values[cavity.diagonal] = rate
+            values[cavity.upwind] = -rate
+        self._values = values
         #: The steady-state matrix ``A`` (CSR, canonical form).
-        self.matrix = self.pattern.matrix(self._values)
+        self.matrix = self.pattern.matrix(values)
         #: Heat sources of the solid layers plus the cavities' inlet enthalpy.
         self.rhs = self._rhs()
-        self.capacitances = self._capacitances()
 
     def index(self, layer: int, row: int, col: int) -> int:
         """Flat unknown index of cell ``(row, col)`` of ``layer``."""
@@ -199,17 +324,22 @@ class AssembledSystem:
         loop's triplet stream, which makes the folded matrix bit-identical to
         the loop-assembled one.
 
-        Returns the raw-stream offset of every layer's block and the raw
-        rows, columns, values and mask.
+        Returns the raw-stream offset of every layer's block, each cavity's
+        ``(row_widths, channels_per_row)`` by layer index, and the raw rows,
+        columns, values and mask.
         """
         stack = self.stack
         x_centers = stack.x_centers()
         blocks = []
         starts: List[int] = []
+        widths: Dict[int, Tuple[np.ndarray, float]] = {}
         for layer_idx, layer in enumerate(stack.layers):
             starts.append(sum(block[0].size for block in blocks))
             if layer.is_cavity:
-                blocks.append(self._cavity_triplets(layer_idx, layer, x_centers))
+                block, widths[layer_idx] = self._cavity_triplets(
+                    layer_idx, layer, x_centers
+                )
+                blocks.append(block)
             else:
                 blocks.append(self._solid_triplets(layer_idx, layer))
 
@@ -227,7 +357,46 @@ class AssembledSystem:
             for arrays in zip(*blocks)
         )
         mask &= values != 0.0
-        return starts, rows, cols, values, mask
+        return starts, widths, rows, cols, values, mask
+
+    def _build_base(self) -> _StackBase:
+        """The flow-free base of this system's stack geometry."""
+        stack = self.stack
+        starts, widths, rows, cols, values, mask = self._triplets()
+        kinds = tuple(
+            "cavity" if layer.is_cavity else "solid" for layer in stack.layers
+        )
+        digest = hashlib.blake2b(
+            np.packbits(mask).tobytes(), digest_size=16
+        ).hexdigest()
+        pattern_token = ("ice", stack.n_rows, stack.n_cols, kinds, digest)
+        pattern = cached_pattern(
+            pattern_token,
+            lambda: SparsityFold(rows[mask], cols[mask], self.n_unknowns),
+        )
+        # Masked-stream position of every raw entry (valid where kept).
+        position = np.cumsum(mask) - 1
+        shape = (stack.n_rows, stack.n_cols, _CAVITY_SLOTS)
+        cavities = []
+        for layer_idx, (row_widths, channels_per_row) in widths.items():
+            raw = starts[layer_idx] + np.arange(np.prod(shape)).reshape(shape)
+            cavities.append(
+                _CavityBase(
+                    layer_idx,
+                    _read_only(row_widths),
+                    channels_per_row,
+                    _read_only(position[raw[..., :8]]),
+                    _read_only(position[raw[..., 12]].ravel()),
+                    _read_only(position[raw[:, 1:, 13]].ravel()),
+                )
+            )
+        return _StackBase(
+            pattern_token,
+            pattern,
+            _read_only(values[mask]),
+            _read_only(self._capacitances()),
+            tuple(cavities),
+        )
 
     def _rhs(self) -> np.ndarray:
         stack = self.stack
@@ -291,7 +460,7 @@ class AssembledSystem:
     def _set_convection(
         self, block: np.ndarray, layer_idx: int, row_widths, channels_per_row, coolant
     ) -> None:
-        """Write the convection slots (0-7) of one ``(n_rows, n_cols, 14)`` cavity block.
+        """Write the convection slots 0-7 of one ``(n_rows, n_cols, >= 8)`` cavity block.
 
         Convective conductance channel->coolant for the channels crossing
         each cell, per adjacent die (half of the wetted perimeter each), in
@@ -321,7 +490,10 @@ class AssembledSystem:
     def _cavity_triplets(
         self, layer_idx: int, layer: CavityLayer, x_centers: np.ndarray
     ):
-        """Convection/wall/advection triplet block of one cavity (14 slots/cell)."""
+        """Convection/wall/advection triplet block of one cavity (14 slots/cell).
+
+        Returns the block and the cavity's ``(row_widths, channels_per_row)``.
+        """
         stack = self.stack
         n_rows, n_cols = stack.n_rows, stack.n_cols
         lower_idx, upper_idx = layer_idx - 1, layer_idx + 1
@@ -392,7 +564,7 @@ class AssembledSystem:
         mask = np.ones((n_rows, n_cols, _CAVITY_SLOTS), dtype=bool)
         mask[..., 8:12] = (wall_fraction > 0.0)[..., None]
         mask[:, 0, 13] = False  # the inlet column has no upstream neighbour
-        return rows, cols, vals, mask
+        return (rows, cols, vals, mask), (row_widths, channels_per_row)
 
     def _vertical_triplets(
         self, lower_idx: int, lower: SolidLayer, upper: SolidLayer
@@ -420,27 +592,25 @@ class AssembledSystem:
         inlet-enthalpy rhs and the fluid capacitance keep the layer's own
         coolant, and ``h > 0`` keeps every convection entry in the mask, so
         the result shares ``pattern``, ``pattern_token``, ``rhs`` and
-        ``capacitances`` with this system; only the matrix values differ.
+        ``capacitances`` with this system; only the convection values,
+        written at the base's positions over the row widths kept on it,
+        differ.
         """
         stack = self.stack
-        raw = np.zeros(self._mask.size)
-        raw[self._mask] = self._values
-        for layer_idx, film in zip(self._cavity_layers, films):
-            start = self._block_starts[layer_idx]
-            block = raw[start : start + _CAVITY_SLOTS * self.n_cells_per_layer]
-            row_widths, channels_per_row = _cavity_row_widths(
-                stack, stack.layers[layer_idx], stack.x_centers()
-            )
+        values = self._values.copy()
+        convection = np.empty((stack.n_rows, stack.n_cols, 8))
+        for cavity, film in zip(self._base.cavities, films):
             self._set_convection(
-                block.reshape(stack.n_rows, stack.n_cols, _CAVITY_SLOTS),
-                layer_idx,
-                row_widths,
-                channels_per_row,
+                convection,
+                cavity.layer,
+                cavity.row_widths,
+                cavity.channels_per_row,
                 film,
             )
+            values[cavity.convection] = convection
         system = copy.copy(self)
-        system._values = raw[self._mask]
-        system.matrix = self.pattern.matrix(system._values)
+        system._values = values
+        system.matrix = self.pattern.matrix(values)
         return system
 
     def split_solution(self, vector: np.ndarray) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
@@ -457,7 +627,7 @@ class AssembledSystem:
         """Bulk coolant temperatures of a solution, one grid per cavity."""
         stack = self.stack
         return vector.reshape(stack.n_layers, stack.n_rows, stack.n_cols)[
-            self._cavity_layers
+            [cavity.layer for cavity in self._base.cavities]
         ]
 
 

@@ -154,6 +154,8 @@ class TestBench:
         stats = next(iter(payload["session"].values()))
         assert stats["n_solves"] == 1
         assert stats["n_cache_hits"] == 2
+        assert payload["ice"]["assembly_vectorized_s"] > 0.0
+        assert payload["ice"]["flow_refresh_s"] > 0.0
 
     def test_bench_rejects_bad_repeat(self, capsys, small_spec_file):
         code, _, err = run_cli(

@@ -12,10 +12,13 @@ from repro.ice import (
     SolidLayer,
     SteadyStateSolver,
     TransientSolver,
+    base_cache_info,
+    clear_base_cache,
     two_die_stack_from_architecture,
     two_die_stack_from_maps,
     validate_against_analytical,
 )
+from repro.scenarios import get_scenario
 from repro.thermal.geometry import WidthProfile
 from repro.thermal.properties import SILICON, TABLE_I
 
@@ -258,3 +261,47 @@ class TestFewerChannelsThanRows:
     def test_one_channel_per_row_still_solves(self):
         result = SteadyStateSolver(self._narrow_stack(7)).solve()
         assert result.metadata["residual_norm"] < 1e-8
+
+
+class TestEnergyBalance:
+    """Steady ICE solves carry all injected power out with the coolant.
+
+    The adiabatic stack's only sink is advection, so the power of the heat
+    sources equals ``sum_rows capacity_rate * (T_outlet - T_inlet)`` over
+    the cavities -- a physical check of the advection write that every
+    system after the first of a geometry takes over a cached base.
+    """
+
+    @pytest.mark.parametrize("name", ["test-a", "niagara-arch1"])
+    def test_power_leaves_with_the_coolant_at_every_flow(self, name):
+        clear_base_cache()
+        misses = base_cache_info()["n_misses"]
+        spec = get_scenario(name)
+        nominal = spec.experiment_config().params.flow_rate_per_channel
+        for scale in (0.5, 1.0, 2.0):
+            stack = spec.with_params(
+                flow_rate_per_channel=nominal * scale
+            ).build_stack()
+            result = SteadyStateSolver(stack).solve(compute_residual=False)
+            injected = sum(
+                np.sum(layer.heat_map(stack.n_rows, stack.n_cols))
+                * 1e4
+                * stack.cell_area
+                for layer in stack.layers
+                if not layer.is_cavity
+            )
+            carried = 0.0
+            for layer in stack.layers:
+                if not layer.is_cavity:
+                    continue
+                capacity_rate = (
+                    layer.coolant.volumetric_heat_capacity
+                    * layer.flow_rate_per_channel
+                    * stack.channels_per_cavity()
+                    / stack.n_rows
+                )
+                outlet = result.coolant_maps[layer.name][:, -1]
+                carried += capacity_rate * np.sum(outlet - layer.inlet_temperature)
+            assert injected > 0.0
+            assert abs(carried - injected) <= 1e-10 * injected
+        assert base_cache_info()["n_misses"] == misses + 1

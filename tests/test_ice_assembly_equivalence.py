@@ -8,9 +8,19 @@ across every stack class the solver supports: solid-only stacks, the
 single-cavity strip and 2D two-die stacks, modulated and per-channel width
 profiles, and the 4-die / 3-cavity Niagara stackings.  A transient run must
 likewise produce identical histories.
+
+Every system is a cached flow-free base of its stack geometry plus a
+flow/power write, so the flow-refresh tests assemble the registered stacks
+at several flows in shuffled order over bases seeded at another flow, and
+check which stack changes share a base and which build their own.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,11 +28,14 @@ import pytest
 from oracles import ice_assembly as oracle
 from repro.floorplan import get_architecture
 from repro.ice import (
+    AssembledSystem,
     LayerStack,
     SolidLayer,
     SteadyStateSolver,
     TransientSolver,
     assemble_system,
+    base_cache_info,
+    clear_base_cache,
     multi_die_stack_from_architecture,
     multi_die_stack_from_maps,
     two_die_stack_from_architecture,
@@ -31,9 +44,10 @@ from repro.ice import (
 from repro.ice.solver import _cavity_row_widths
 from repro.core.linear_system import clear_pattern_cache, pattern_cache_info
 from repro.ice.transient import result_from_snapshots
+from repro.scenarios import get_scenario
 from repro.thermal.backends import SparseLUBackend
 from repro.thermal.geometry import WidthProfile
-from repro.thermal.properties import SILICON, TABLE_I
+from repro.thermal.properties import COPPER, SILICON, TABLE_I
 
 
 def _canonical(matrix):
@@ -198,6 +212,7 @@ class TestCavityRowWidths:
 class TestStackPatternCache:
     def test_pattern_reused_across_same_shape(self):
         clear_pattern_cache()
+        clear_base_cache()
         first = assemble_system(_strip_stack())
         modulated = assemble_system(
             _strip_stack(WidthProfile.uniform(TABLE_I.min_channel_width, 0.01))
@@ -207,6 +222,7 @@ class TestStackPatternCache:
 
     def test_distinct_shapes_get_distinct_patterns(self):
         clear_pattern_cache()
+        clear_base_cache()
         a = assemble_system(_strip_stack(n_cols=24))
         b = assemble_system(_strip_stack(n_cols=32))
         assert a.pattern_token != b.pattern_token
@@ -220,6 +236,228 @@ class TestStackPatternCache:
         np.testing.assert_array_equal(first.indices, second.indices)
         np.testing.assert_array_equal(first.indptr, second.indptr)
         assert np.any(first.data != second.data)
+
+
+FLOW_SCALES = (0.5, 1.0, 2.0)
+
+
+def _scenario_stack(name, scale, n_dies=2):
+    """A registered scenario's stack at ``scale`` x its nominal flow.
+
+    ``n_dies > 2`` stacks the scenario's architecture on a 14x14 grid.
+    """
+    spec = get_scenario(name)
+    nominal = spec.experiment_config().params.flow_rate_per_channel
+    spec = spec.with_params(flow_rate_per_channel=nominal * scale)
+    if n_dies == 2:
+        return spec.build_stack()
+    return multi_die_stack_from_architecture(
+        get_architecture(spec.workload.architecture),
+        n_dies=n_dies,
+        config=spec.experiment_config(),
+        n_cols=14,
+        n_rows=14,
+    )
+
+
+FLOW_STACKS = [
+    ("test-a", 2),
+    ("test-b", 2),
+    ("niagara-arch1", 2),
+    ("niagara-arch2", 2),
+    ("niagara-arch3", 2),
+    ("niagara-arch1", 4),
+    ("niagara-arch2", 4),
+    ("niagara-arch3", 4),
+]
+
+
+def _with_cavities(stack, **changes):
+    """``stack`` with ``changes`` applied to every cavity layer."""
+    layers = [
+        dataclasses.replace(layer, **changes) if layer.is_cavity else layer
+        for layer in stack.layers
+    ]
+    return dataclasses.replace(stack, layers=layers)
+
+
+def _with_heat(stack, scale):
+    """``stack`` with every heat source scaled by ``scale``."""
+    grid = (stack.n_rows, stack.n_cols)
+    layers = [
+        layer
+        if layer.is_cavity
+        else dataclasses.replace(layer, heat_source=scale * layer.heat_map(*grid))
+        for layer in stack.layers
+    ]
+    return dataclasses.replace(stack, layers=layers)
+
+
+def _grid_stack():
+    flux = np.linspace(20.0, 140.0, 6 * 9).reshape(6, 9)
+    return two_die_stack_from_maps(
+        flux, flux[::-1], die_length=0.01, die_width=0.002, n_cols=9, n_rows=6
+    )
+
+
+@pytest.fixture
+def triplet_runs(monkeypatch):
+    """Count the full triplet constructions (base builds) of a test."""
+    runs = []
+    original = AssembledSystem._triplets
+
+    def counting(self):
+        runs.append(self.stack)
+        return original(self)
+
+    monkeypatch.setattr(AssembledSystem, "_triplets", counting)
+    clear_base_cache()
+    return runs
+
+
+class TestFlowRefresh:
+    """Base-plus-write systems equal a fresh loop assembly at every flow."""
+
+    def test_any_flow_in_any_order_over_seeded_bases(self, triplet_runs):
+        for name, n_dies in FLOW_STACKS:
+            assemble_system(_scenario_stack(name, 1.37, n_dies))
+        n_bases = len(triplet_runs)
+        misses = base_cache_info()["n_misses"]
+        visits = [
+            (name, n_dies, scale)
+            for name, n_dies in FLOW_STACKS
+            for scale in FLOW_SCALES
+        ]
+        random.Random(26).shuffle(visits)
+        for name, n_dies, scale in visits:
+            assert_bit_identical(
+                _scenario_stack(name, scale, n_dies),
+                f"{name} x{n_dies} dies at flow scale {scale}",
+            )
+        assert len(triplet_runs) == n_bases
+        assert base_cache_info()["n_misses"] == misses
+
+    def test_flow_inlet_and_power_share_one_base(self, triplet_runs):
+        stack = _grid_stack()
+        variants = [
+            stack,
+            _with_cavities(stack, flow_rate_per_channel=3.3e-9),
+            _with_cavities(stack, inlet_temperature=310.0),
+            _with_heat(stack, 0.25),
+            _with_cavities(
+                _with_heat(stack, 3.0),
+                flow_rate_per_channel=2.0e-8,
+                inlet_temperature=290.0,
+            ),
+        ]
+        systems = [assemble_system(variant) for variant in variants]
+        assert len(triplet_runs) == 1
+        assert base_cache_info()["size"] == 1
+        for system, variant in zip(systems, variants):
+            assert system.pattern is systems[0].pattern
+            assert system.capacitances is systems[0].capacitances
+            assert_bit_identical(variant, "flow/power variant")
+        assert not np.array_equal(systems[0].rhs, systems[2].rhs)
+        assert np.any(systems[0].matrix.data != systems[1].matrix.data)
+
+    def test_geometry_and_materials_get_their_own_base(self, triplet_runs):
+        stack = _grid_stack()
+        coolant = dataclasses.replace(
+            TABLE_I.coolant,
+            name="coolant-b",
+            thermal_conductivity=0.45,
+            volumetric_heat_capacity=3.1e6,
+        )
+        variants = {
+            "base": stack,
+            "coolant": _with_cavities(stack, coolant=coolant),
+            "channel height": _with_cavities(stack, channel_height=75e-6),
+            "pitch": _with_cavities(stack, channel_pitch=125e-6),
+            "wall material": _with_cavities(stack, wall_material=COPPER),
+            "width profile": _with_cavities(
+                stack,
+                width_profile=WidthProfile.piecewise_constant(
+                    [50e-6, 30e-6, 15e-6], 0.01
+                ),
+            ),
+            "per-channel profiles": _with_cavities(
+                stack, width_profile=_channel_profiles(20, 0.01)
+            ),
+        }
+        for label, variant in variants.items():
+            assert_bit_identical(variant, label)
+        assert len(triplet_runs) == len(variants)
+        assert base_cache_info()["size"] == len(variants)
+        for label, variant in variants.items():
+            assert_bit_identical(variant, f"{label} (cached base)")
+        assert len(triplet_runs) == len(variants)
+
+    def test_callable_profiles_take_the_uncached_path(self, triplet_runs):
+        narrowing = WidthProfile.from_function(lambda z: 50e-6 - 3.8e-3 * z, 0.01)
+        stack = _with_cavities(_grid_stack(), width_profile=narrowing)
+        for scale in FLOW_SCALES:
+            assert_bit_identical(
+                _with_cavities(stack, flow_rate_per_channel=scale * 1e-8),
+                f"callable profile at flow scale {scale}",
+            )
+        assert len(triplet_runs) == len(FLOW_SCALES)
+        assert base_cache_info()["size"] == 0
+
+    def test_too_few_channels_raises_on_every_assembly(self, triplet_runs):
+        stack = _with_cavities(_grid_stack(), channel_pitch=0.002 / 4)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="4 channels across"):
+                assemble_system(stack)
+        assert base_cache_info()["size"] == 0
+
+    def test_threads_share_bases_bit_identically(self):
+        stacks = [
+            _with_cavities(_with_heat(stack, heat), flow_rate_per_channel=flow)
+            for stack in (_grid_stack(), _strip_stack())
+            for heat in (0.5, 2.0)
+            for flow in (4e-9, 1e-8, 2.5e-8)
+        ]
+        expected = [
+            (system.matrix.data.copy(), system.rhs.copy())
+            for system in map(assemble_system, stacks)
+        ]
+        clear_base_cache()
+        failures = []
+
+        def worker(offset):
+            for turn in range(4 * len(stacks)):
+                index = (offset + turn) % len(stacks)
+                system = assemble_system(stacks[index])
+                data, rhs = expected[index]
+                if not (
+                    np.array_equal(system.matrix.data, data)
+                    and np.array_equal(system.rhs, rhs)
+                ):
+                    failures.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(offset,))
+                for offset in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert base_cache_info()["size"] == 2
+
+    def test_base_arrays_are_read_only(self):
+        system = assemble_system(_grid_stack())
+        with pytest.raises(ValueError):
+            system.capacitances[0] = 0.0
+        system.matrix.data[0] = 0.0  # each system owns its values
+        assert assemble_system(_grid_stack()).matrix.data[0] != 0.0
 
 
 class TestSolverEquivalence:

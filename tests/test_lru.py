@@ -10,6 +10,7 @@ from repro.core import rom
 from repro.core.engine import EvaluationEngine
 from repro.core.lru import BoundedLRU
 from repro.core.linear_system import pattern_cache_info
+from repro.ice import base_cache_info
 from repro.thermal.backends import SparseLUBackend
 
 STATS_KEYS = {"size", "capacity", "n_hits", "n_misses", "n_evictions"}
@@ -131,3 +132,4 @@ class TestSolveStackCaches:
             assert isinstance(cache, BoundedLRU)
             assert set(cache.stats()) == STATS_KEYS
         assert set(pattern_cache_info()) == STATS_KEYS
+        assert set(base_cache_info()) == STATS_KEYS

@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro.core import linear_system
 from repro.core.linear_system import SparsityFold, clear_pattern_cache, pattern_cache_info
 from repro.ice import assemble_system as assemble_stack
+from repro.ice import base_cache_info, clear_base_cache
 from repro.ice import two_die_stack_from_maps
 from repro.thermal import assembly
 from repro.thermal.geometry import HeatInputProfile
@@ -41,18 +42,23 @@ def _stack(n_cols=18):
 class TestSharedPatternCache:
     def test_both_families_fill_one_cache(self, geometry, params):
         clear_pattern_cache()
+        clear_base_cache()
         cavity = _cavity(geometry, params)
         fdm = assembly.assemble_system(cavity, n_points=27)
         ice = assemble_stack(_stack())
         assert pattern_cache_info()["size"] == 2
         assert fdm.pattern_token[0] == "fdm" and ice.pattern_token[0] == "ice"
         assert isinstance(ice.pattern, SparsityFold)
-        # Re-assembling either shape hands back the cached object.
+        # Re-assembling either shape hands back the cached object: the FDM
+        # system through the pattern cache, the ICE system through the
+        # flow-free stack base that holds its pattern.
         hits = pattern_cache_info()["n_hits"]
+        base_hits = base_cache_info()["n_hits"]
         assert assembly.assemble_system(cavity, n_points=27).pattern is fdm.pattern
         assert assemble_stack(_stack()).pattern is ice.pattern
         info = pattern_cache_info()
-        assert info["size"] == 2 and info["n_hits"] == hits + 2
+        assert info["size"] == 2 and info["n_hits"] == hits + 1
+        assert base_cache_info()["n_hits"] == base_hits + 1
 
     def test_the_fdm_names_are_the_shared_functions(self):
         assert assembly.clear_pattern_cache is linear_system.clear_pattern_cache
