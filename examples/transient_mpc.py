@@ -97,8 +97,8 @@ def main() -> None:
     }
     print(
         f"\nROM work across the campaign: {counters['n_rom_builds']} model "
-        f"build(s), {counters['n_rom_steps']} reduced steps (the bounded "
-        "cache shares one basis across all four policies)."
+        f"build(s), {counters['n_rom_steps']} reduced steps (each run "
+        "builds one basis per flow scale it steps or plans at)."
     )
     print(
         "The planner spends pump energy only on the intervals where the "

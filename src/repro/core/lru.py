@@ -3,10 +3,10 @@
 Every cache between a scenario and its linear solves -- the floorplan
 raster memo, the engine's solution/memo cache, the per-shape sparsity
 patterns of both model families, the finite-volume model's flow-free
-stack bases, ``sparse-lu``'s factorization plans and factorizations, and
-the reduced-order model cache -- is a
-:class:`BoundedLRU`, so they share one eviction policy, one locking
-discipline and one set of statistics.
+stack bases, and ``sparse-lu``'s factorization plans and factorizations
+-- is a :class:`BoundedLRU`, so they share one eviction policy, one
+locking discipline and one set of statistics.  Reduced-order models are
+not cached: each belongs to the transient run that built it.
 """
 
 from __future__ import annotations

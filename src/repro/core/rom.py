@@ -34,11 +34,9 @@ Because the Arnoldi solves go through the scenario's solver backend with
 the implicit system's pattern token, building a model warms the very
 factorization the full path (and the checkpoint error probes) would use.
 
-:func:`reduced_model_for` keeps built models in a
-:class:`~repro.core.lru.BoundedLRU` keyed by content identity
-(implicit-matrix digest + input digests + build settings), so quantized
-flow-scale levels, control chunks, repeated scenarios and MPC rollout
-contexts reuse bases instead of rebuilding them.
+A model belongs to the transient run that built it: the engine builds
+at most one per flow scale the run visits and drops them all when the
+run ends, so no basis outlives its run.
 """
 
 from __future__ import annotations
@@ -48,32 +46,22 @@ from typing import Callable, Dict, Optional, Sequence
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .lru import BoundedLRU
-
 __all__ = [
     "ReducedTransientModel",
     "build_reduced_model",
-    "reduced_model_for",
-    "clear_rom_cache",
-    "rom_cache_stats",
 ]
 
 #: Deflation never goes below this, whatever ``tolerance`` says: directions
 #: at the roundoff floor carry no information and destabilize the basis.
 _DEFLATION_FLOOR = 1e-13
 
-#: Bound on the model cache: bases are dense ``n x order`` arrays, so a
-#: handful covers the flow-scale levels a controller visits without
-#: letting a scale-sweeping campaign hoard memory.
-_CACHE_MAX_ENTRIES = 8
-
 
 class ReducedTransientModel:
     """A projected backward-Euler integrator with peak-tracking outputs.
 
     Instances are immutable after construction and safe to share across
-    scenarios and threads: :meth:`step` only reads the factorized reduced
-    operators.  Build one with :func:`build_reduced_model`.
+    threads: :meth:`step` only reads the factorized reduced operators.
+    Build one with :func:`build_reduced_model`.
     """
 
     def __init__(
@@ -321,39 +309,3 @@ def build_reduced_model(
         n_build_solves=n_solves,
     )
 
-
-# -- bounded model cache -----------------------------------------------------
-
-_CACHE = BoundedLRU(_CACHE_MAX_ENTRIES)
-
-
-def reduced_model_for(
-    key: tuple, factory: Callable[[], ReducedTransientModel]
-) -> tuple:
-    """``(model, built)`` for a content key, through the bounded cache.
-
-    ``key`` must capture everything the build depends on (implicit-matrix
-    content, input content, order, tolerance, backend); the transient
-    engine derives it from the implicit matrix's pattern token and byte
-    digest plus the input digests.  The factory runs outside the
-    lock; when two threads race, the first insertion wins and the loser's
-    model is discarded (both are bit-identical by construction).
-    """
-    return _CACHE.get_or_build(key, factory)
-
-
-def clear_rom_cache() -> None:
-    """Empty the model cache and reset its statistics (tests, benchmarks)."""
-    _CACHE.clear()
-    _CACHE.reset_stats()
-
-
-def rom_cache_stats() -> Dict[str, int]:
-    """Snapshot of the cache counters plus its current size."""
-    stats = _CACHE.stats()
-    return {
-        "n_hits": stats["n_hits"],
-        "n_misses": stats["n_misses"],
-        "n_evictions": stats["n_evictions"],
-        "n_entries": stats["size"],
-    }

@@ -150,13 +150,7 @@ class TransientSolver:
         cached = self._implicit.get(time_step)
         if cached is not None:
             return cached
-        capacitances = self.system.capacitances.copy()
-        # Guard against zero capacitance (should not happen, but keeps the
-        # implicit matrix non-singular for degenerate stacks).
-        capacitances[capacitances <= 0.0] = np.min(
-            capacitances[capacitances > 0.0]
-        )
-        c_over_dt = sparse.diags(capacitances / time_step)
+        c_over_dt = sparse.diags(self.system.capacitances / time_step)
         implicit = (c_over_dt + self.system.matrix).tocsr()
         implicit_token = ("ice-implicit",) + self.system.pattern_token
         cached = (implicit, c_over_dt, implicit_token)

@@ -24,6 +24,13 @@ not once per step; scenarios run through one shared backend instance
 with content-identical implicit systems (traces and static heat maps may
 differ) share one factorization.
 
+Reduced models live for one run: each flow-scale context builds its
+Krylov basis on first use -- for the reduced trajectory or for an MPC
+rollout at that scale -- and the basis is dropped with the context when
+the run returns.  A repeated run rebuilds its bases over the backend's
+still-warm factorization; a :class:`~repro.api.Session` replays a
+repeated scenario from its engine's outcome memo without running it.
+
 Long traces do not blow memory: full-field snapshots are kept every
 ``store_every`` steps only, while the scalar observables driving metrics
 and policies are tracked at every step.
@@ -31,10 +38,9 @@ and policies are tracked at every step.
 
 from __future__ import annotations
 
-import hashlib
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, List, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -43,7 +49,7 @@ from .analysis.metrics import (
     thermal_cycling_amplitude,
     time_above_threshold,
 )
-from .core.rom import ReducedTransientModel, build_reduced_model, reduced_model_for
+from .core.rom import ReducedTransientModel, build_reduced_model
 from .ice.results import TransientResult
 from .ice.transient import TransientSolver, result_from_snapshots
 from .policies import FlowPolicy, policy_from_spec
@@ -102,7 +108,12 @@ class TransientOutcome:
 
 
 class _Context:
-    """One scenario's solver state at one flow scale."""
+    """One scenario's solver state at one flow scale.
+
+    The context also owns the scale's reduced model, built on first use
+    (:meth:`reduced_model`) and dropped with the context when the run
+    ends.
+    """
 
     def __init__(
         self,
@@ -152,6 +163,62 @@ class _Context:
         self.inlet_temperature = float(
             spec.experiment_config().params.inlet_temperature
         )
+        self._model: Optional[ReducedTransientModel] = None
+
+    def reduced_model(self, rom_stats: Dict[str, object]) -> ReducedTransientModel:
+        """This scale's Krylov model, built on the first call.
+
+        The build counts one ``n_rom_builds`` in ``rom_stats``.
+        """
+        if self._model is not None:
+            return self._model
+        transient = self.spec.transient
+        rom = transient.rom
+        solver = self.solver
+        system = solver.system
+        implicit, c_over_dt, token = solver.implicit_system(transient.time_step_s)
+        base_rhs = solver.rhs_at(0.0)
+        row_blocks = []
+        for trace in transient.traces:
+            start = system.index(self.stack.layer_index(trace.layer), 0, 0)
+            row_blocks.append(np.arange(start, start + system.n_cells_per_layer))
+        input_rows = (
+            np.unique(np.concatenate(row_blocks)) if row_blocks else None
+        )
+        # Sample the trace-driven load at a handful of times across the
+        # run (plus the first step) so the starting block spans every
+        # spatial pattern the schedule can produce.
+        directions = []
+        sample_times = sorted(
+            {transient.time_step_s}
+            | {
+                fraction * transient.duration_s
+                for fraction in (0.125, 0.375, 0.625, 0.875)
+            }
+        )
+        for sample_time in sample_times:
+            delta = solver.rhs_at(sample_time) - base_rhs
+            if float(np.linalg.norm(delta)) > 0.0:
+                directions.append(delta)
+
+        # One handle per build: the seeds and every Arnoldi block are one
+        # bare multi-RHS triangular solve each, never a content-hashed
+        # factorization lookup.
+        factorization = solver.backend.solver_for(implicit, token)
+        self._model = build_reduced_model(
+            implicit,
+            c_over_dt,
+            factorization.solve,
+            base_rhs,
+            directions,
+            solver.rhs_at,
+            order=rom.order,
+            tolerance=rom.tolerance,
+            input_rows=input_rows,
+            outputs={"solid": self.solid_cells, "coolant": self.coolant_cells},
+        )
+        rom_stats["n_rom_builds"] += 1
+        return self._model
 
     def peak(self, state: np.ndarray) -> float:
         """Peak silicon temperature of a state vector (K)."""
@@ -391,85 +458,6 @@ def simulate_transient(
     )
 
 
-def _reduced_model_for(
-    ctx: _Context, transient, backend: SolverBackend
-) -> tuple:
-    """``(model, built)`` for one context, through the bounded ROM cache.
-
-    The cache key is the implicit matrix's content (pattern token and
-    byte digest) extended with the input content (static-load digest,
-    trace specs, duration) and the build settings, so any two scenarios
-    that would build bit-identical bases share one.
-    """
-    solver = ctx.solver
-    rom = transient.rom
-    implicit, c_over_dt, token = solver.implicit_system(transient.time_step_s)
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(implicit.data.tobytes())
-    digest.update(implicit.indices.tobytes())
-    digest.update(implicit.indptr.tobytes())
-    base_rhs = solver.rhs_at(0.0)
-    rhs_digest = hashlib.blake2b(base_rhs.tobytes(), digest_size=16)
-    key = (
-        "transient-rom",
-        backend.name,
-        token,
-        digest.hexdigest(),
-        implicit.shape[0],
-        rhs_digest.hexdigest(),
-        transient.traces,
-        transient.time_step_s,
-        transient.duration_s,
-        rom.order,
-        rom.tolerance,
-    )
-
-    system = solver.system
-    row_blocks = []
-    for trace in transient.traces:
-        start = system.index(ctx.stack.layer_index(trace.layer), 0, 0)
-        row_blocks.append(np.arange(start, start + system.n_cells_per_layer))
-    input_rows = (
-        np.unique(np.concatenate(row_blocks)) if row_blocks else None
-    )
-
-    def factory() -> ReducedTransientModel:
-        # Sample the trace-driven load at a handful of times across the
-        # run (plus the first step) so the starting block spans every
-        # spatial pattern the schedule can produce.
-        directions = []
-        sample_times = sorted(
-            {transient.time_step_s}
-            | {
-                fraction * transient.duration_s
-                for fraction in (0.125, 0.375, 0.625, 0.875)
-            }
-        )
-        for sample_time in sample_times:
-            delta = solver.rhs_at(sample_time) - base_rhs
-            if float(np.linalg.norm(delta)) > 0.0:
-                directions.append(delta)
-
-        # One handle per build: the seeds and every Arnoldi block are one
-        # bare multi-RHS triangular solve each, never a content-hashed
-        # factorization lookup.
-        factorization = solver.backend.solver_for(implicit, token)
-        return build_reduced_model(
-            implicit,
-            c_over_dt,
-            factorization.solve,
-            base_rhs,
-            directions,
-            solver.rhs_at,
-            order=rom.order,
-            tolerance=rom.tolerance,
-            input_rows=input_rows,
-            outputs={"solid": ctx.solid_cells, "coolant": ctx.coolant_cells},
-        )
-
-    return reduced_model_for(key, factory)
-
-
 def _integrate_controlled(
     spec: ScenarioSpec, policy: FlowPolicy, backend: SolverBackend
 ) -> tuple:
@@ -486,7 +474,6 @@ def _integrate_controlled(
     n_steps = transient.n_steps
     dt = transient.time_step_s
     contexts: Dict[float, _Context] = {}
-    models: Dict[float, ReducedTransientModel] = {}
     rom_stats: Dict[str, object] = {"n_rom_builds": 0, "n_rom_steps": 0}
 
     def context_for(scale: float) -> _Context:
@@ -497,15 +484,6 @@ def _integrate_controlled(
             contexts[scale] = ctx
         return ctx
 
-    def model_for(ctx: _Context) -> ReducedTransientModel:
-        model = models.get(ctx.scale)
-        if model is None:
-            model, built = _reduced_model_for(ctx, transient, backend)
-            models[ctx.scale] = model
-            if built:
-                rom_stats["n_rom_builds"] += 1
-        return model
-
     ctx = context_for(policy.initial_scale())
     recorder = _Recorder(ctx, n_steps, transient.store_every)
 
@@ -513,7 +491,7 @@ def _integrate_controlled(
 
         def plan(scale: float, horizon_s: float) -> float:
             """Predicted peak T over the horizon at one candidate scale."""
-            model = model_for(context_for(_quantize(scale)))
+            model = context_for(scale).reduced_model(rom_stats)
             x = model.project(recorder.state)
             steps = max(1, int(round(horizon_s / dt)))
             base_step = int(round(recorder.step_times[-1] / dt))
@@ -537,7 +515,7 @@ def _integrate_controlled(
     while global_step < n_steps:
         chunk = min(transient.control_steps, n_steps - global_step)
         if transient.rom_active:
-            model = model_for(recorder.ctx)
+            model = recorder.ctx.reduced_model(rom_stats)
             _advance_reduced(
                 transient, recorder, model, global_step, chunk, rom_stats
             )

@@ -251,8 +251,9 @@ def backward_euler_states(
 ):
     """Every state of ``n_steps`` backward-Euler steps from ``initial``.
 
-    ``(C/dt + A) T_{n+1} = (C/dt) T_n + b`` with the zero-capacitance guard,
-    operand order and per-step solve of the production integrator.
+    ``(C/dt + A) T_{n+1} = (C/dt) T_n + b`` with the operand order and
+    per-step solve of the production integrator, plus a zero-capacitance
+    guard that is a no-op on any stack the layer validators accept.
     """
     capacitances = capacitances.copy()
     capacitances[capacitances <= 0.0] = np.min(capacitances[capacitances > 0.0])

@@ -19,7 +19,6 @@ import pytest
 from repro.api import ICESimulator
 from repro.core import ChannelModulationOptimizer, EvaluationEngine, OptimizerSettings
 from repro.core.engine import COUNTER_KEYS
-from repro.core.rom import clear_rom_cache
 from repro.scenarios import (
     GridSpec,
     PolicySpec,
@@ -426,7 +425,6 @@ class TestConcurrentCounters:
             EvaluationEngine().count(n_cache_hits=1)
 
     def _counters(self, specs, n_threads):
-        clear_rom_cache()
         engine = EvaluationEngine()
         simulator = ICESimulator(engine)
         if n_threads == 1:
@@ -435,7 +433,6 @@ class TestConcurrentCounters:
         else:
             with ThreadPoolExecutor(max_workers=n_threads) as pool:
                 list(pool.map(simulator.run, specs))
-        clear_rom_cache()
         stats = engine.stats()
         return {key: stats[key] for key in COUNTER_KEYS}
 

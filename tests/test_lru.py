@@ -6,7 +6,6 @@ import threading
 
 import pytest
 
-from repro.core import rom
 from repro.core.engine import EvaluationEngine
 from repro.core.lru import BoundedLRU
 from repro.core.linear_system import pattern_cache_info
@@ -126,7 +125,6 @@ class TestSolveStackCaches:
             EvaluationEngine()._cache,
             SparseLUBackend()._factorizations,
             SparseLUBackend()._plans,
-            rom._CACHE,
         ]
         for cache in caches:
             assert isinstance(cache, BoundedLRU)

@@ -1,4 +1,4 @@
-"""The Krylov reduced-order transient tier: accuracy, caching, MPC.
+"""The Krylov reduced-order transient tier: accuracy, lifetime, MPC.
 
 Covers the reduced-order acceptance criteria:
 
@@ -9,11 +9,14 @@ Covers the reduced-order acceptance criteria:
   round-off; truncated bases must agree to the measured error the engine
   itself reports);
 * ``mode: off`` stays bit-identical to the full path (the PR 5 contract);
-* the reduced path is bit-identical run to run, cold or warm cache;
+* the reduced path is bit-identical run to run, each run rebuilding its
+  basis;
 * the block Krylov build: an orthonormal basis of the expected order on
   the Test A burst and a Niagara arch1 ROM, one ``(n, k)`` solve per
   block with the last block clipped to the room left in the basis;
-* the bounded ROM cache: hits across repeated runs, eviction, stats;
+* model lifetime: no basis outlives the run that built it, and ROM
+  sweeps give equal results through the serial, thread and process
+  executors;
 * engine counters (``n_rom_builds`` / ``n_rom_steps``) through
   ``COUNTER_KEYS``, the Session and campaign summaries;
 * the MPC policy: planning picks the cheapest feasible candidate, beats
@@ -22,6 +25,8 @@ Covers the reduced-order acceptance criteria:
 
 from __future__ import annotations
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -30,13 +35,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles.krylov import krylov_basis
+from test_serve_service import physics
 from repro.core.engine import COUNTER_KEYS
-from repro.core.rom import (
-    build_reduced_model,
-    clear_rom_cache,
-    reduced_model_for,
-    rom_cache_stats,
-)
+from repro.core.rom import build_reduced_model
 from repro.policies import ModelPredictiveFlowPolicy, policy_from_spec
 import repro.transient_engine as transient_engine
 from repro.scenarios import (
@@ -95,13 +96,6 @@ def rom_scenario(
             rom=rom if rom is not None else RomSpec(),
         ),
     )
-
-
-@pytest.fixture(autouse=True)
-def fresh_rom_cache():
-    clear_rom_cache()
-    yield
-    clear_rom_cache()
 
 
 # -- spec surface ------------------------------------------------------------
@@ -191,7 +185,6 @@ class TestRomAccuracy:
         # error (one full reference step per checkpoint) must bound the
         # true trajectory error up to the tolerance contract, and a
         # generous absolute bound holds throughout.
-        clear_rom_cache()
         tolerance = 1e-9
         spec = rom_scenario(
             n_cols=n_cols,
@@ -254,43 +247,9 @@ class TestRomDeterminism:
     def test_run_to_run_bit_identical(self):
         spec = rom_scenario(rom=RomSpec(mode="rom", order=40))
         first = simulate_transient(spec)
-        again = simulate_transient(spec)  # warm cache: same model object
-        clear_rom_cache()
-        cold = simulate_transient(spec)  # rebuilt basis: same arithmetic
+        again = simulate_transient(spec)  # rebuilt basis: same arithmetic
+        assert again.metadata["n_rom_builds"] == 1
         assert np.array_equal(first.peak_history_K, again.peak_history_K)
-        assert np.array_equal(first.peak_history_K, cold.peak_history_K)
-
-
-# -- the bounded model cache -------------------------------------------------
-
-
-class TestRomCache:
-    def test_repeat_runs_hit_the_cache(self):
-        spec = rom_scenario(rom=RomSpec(mode="rom", order=30))
-        first = simulate_transient(spec)
-        assert first.metadata["n_rom_builds"] == 1
-        again = simulate_transient(spec)
-        assert again.metadata["n_rom_builds"] == 0
-        stats = rom_cache_stats()
-        assert stats["n_entries"] == 1
-        assert stats["n_hits"] >= 1
-
-    def test_eviction_is_bounded(self):
-        from repro.core import rom as rom_module
-
-        for index in range(rom_module._CACHE_MAX_ENTRIES + 3):
-            key = ("test-entry", index)
-            reduced_model_for(key, lambda: object())
-        stats = rom_cache_stats()
-        assert stats["n_entries"] == rom_module._CACHE_MAX_ENTRIES
-        assert stats["n_evictions"] == 3
-
-    def test_first_insertion_wins(self):
-        sentinel = object()
-        model, built = reduced_model_for(("k",), lambda: sentinel)
-        assert built and model is sentinel
-        other, built = reduced_model_for(("k",), lambda: object())
-        assert not built and other is sentinel
 
 
 # -- counters through the engine / Session / campaign ------------------------
@@ -399,6 +358,86 @@ class TestModelPredictiveFlowPolicy:
         outcome = simulate_transient(spec)
         assert outcome.metadata["rom"] is True
         assert outcome.metrics["rom_peak_abs_err_K"] <= 0.1
+
+
+# -- model lifetime ----------------------------------------------------------
+
+
+class TestRomLifetime:
+    @pytest.mark.parametrize(
+        "policy",
+        [None, mpc_policy_spec(threshold_K=316.0)],
+        ids=["constant", "mpc"],
+    )
+    def test_no_basis_outlives_its_run(self, monkeypatch, policy):
+        refs = []
+
+        def tracked_build(*args, **kwargs):
+            model = build_reduced_model(*args, **kwargs)
+            refs.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(transient_engine, "build_reduced_model", tracked_build)
+        spec = rom_scenario(
+            duration=0.3, policy=policy, rom=RomSpec(mode="rom", order=30)
+        )
+        outcome = simulate_transient(spec)
+        assert outcome.metadata["n_rom_builds"] == len(refs) >= 1
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def strip_rom_sweep():
+    """Test A strip ROM scenarios under bang-bang and MPC flow control."""
+    base = get_scenario("test-a-burst-rom")
+    policies = {
+        "bang-bang": PolicySpec(
+            kind="bang-bang",
+            control_interval_s=0.1,
+            threshold_K=318.0,
+            low_scale=1.0,
+            high_scale=1.5,
+        ),
+        "mpc": mpc_policy_spec(control_interval_s=0.1, horizon_s=0.1,
+                               threshold_K=318.0),
+    }
+    return [
+        replace(
+            base,
+            name=f"strip-{kind}-{high:g}",
+            transient=replace(
+                base.transient,
+                duration_s=0.5,
+                policy=policy,
+                traces=(replace(base.transient.traces[0], high=high),),
+            ),
+        )
+        for kind, policy in policies.items()
+        for high in (80.0, 120.0)
+    ]
+
+
+class TestRomExecutorParity:
+    def test_serial_thread_and_process_results_are_equal(self):
+        from repro.api import Session
+
+        specs = strip_rom_sweep()
+        payloads = {}
+        for executor, workers in (("serial", 1), ("thread", 2), ("process", 2)):
+            campaign = Session().run_many(specs, executor=executor, workers=workers)
+            assert campaign.n_ok == len(specs)
+            payloads[executor] = [
+                physics(record["result"]) for record in campaign.records
+            ]
+        serial = payloads["serial"]
+        assert payloads["thread"] == serial
+        assert payloads["process"] == serial
+        # Every run was reduced, and flow control switched contexts.
+        for result in serial:
+            assert result["transient"]["rom_order"] >= 1
+        assert any(
+            result["transient"]["n_flow_changes"] > 0 for result in serial
+        )
 
 
 # -- the block Krylov build ---------------------------------------------------
