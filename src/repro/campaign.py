@@ -10,9 +10,9 @@ whose hash is already present with ``status == "ok"``: interrupt a
 12-hour sweep after scenario 700 and the re-run computes only the
 remaining 300, whatever executor either run used.
 
-A torn final line (the process died mid-write) is tolerated and dropped;
-any other malformed line raises, because silently skipping a *complete*
-line would silently recompute -- or worse, double-report -- a scenario.
+The store is a JSONL journal of :mod:`repro.durable`: reading it and the
+first append to each file apply the torn-tail rule stated there, so an
+interrupted campaign resumes while a corrupt record fails loudly.
 
 Million-scenario campaigns do not fit one append-only file comfortably:
 every resume re-reads the whole history and every append contends on one
@@ -21,7 +21,7 @@ land in ``<path>.d/<xx>.jsonl`` (``xx`` = the first two hex digits of the
 record's ``spec_hash``, 256 shards).  :meth:`load` always reads the legacy
 single file *and* any shard directory, so old stores keep working and a
 single-file store can be migrated by simply re-running the campaign with
-``sharded=True``.  Torn-tail healing applies per physical file.
+``sharded=True``.  The torn-tail rule applies per physical file.
 
 :class:`CampaignResult` is what :meth:`Session.run_many` returns: the
 records in sweep order plus campaign-level provenance (executor, worker
@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .core.engine import EvaluationEngine
+from .durable import open_append, scan_jsonl
 
 __all__ = ["CampaignStore", "CampaignResult", "summarize_records"]
 
@@ -67,7 +68,7 @@ class CampaignStore:
         self._sharded = sharded
         self._handles: Dict[str, object] = {}
         self._closed = False
-        self.n_dropped_torn = 0
+        self._torn_paths: set = set()
 
     @property
     def is_sharded(self) -> bool:
@@ -75,6 +76,12 @@ class CampaignStore:
         if self._sharded is not None:
             return self._sharded
         return os.path.isdir(self.shard_dir)
+
+    @property
+    def n_dropped_torn(self) -> int:
+        """Torn tails dropped so far, each counted once however often its
+        file is read or healed (at most one per physical file)."""
+        return len(self._torn_paths)
 
     @property
     def closed(self) -> bool:
@@ -87,47 +94,14 @@ class CampaignStore:
 
     # -- reading -----------------------------------------------------------
 
-    def _scan_file(
-        self, path: str, count_torn: bool = True
-    ) -> Iterator[Tuple[int, Dict[str, object]]]:
-        """Yield ``(line_number, record)`` pairs from one physical file.
-
-        A malformed *final* line is treated as a torn write from an
-        interrupted campaign and dropped (counted in ``n_dropped_torn``
-        unless ``count_torn`` is ``False`` -- the second pass of
-        :meth:`iter_records` re-reads files already counted once);
-        malformed interior lines raise ``ValueError`` -- the file is not a
-        campaign store.
-        """
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        for number, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if number == len(lines):
-                    if count_torn:
-                        self.n_dropped_torn += 1
-                    continue
-                raise ValueError(
-                    f"{path}:{number}: malformed campaign record "
-                    "(not JSON); is this really a campaign JSONL file?"
-                ) from None
-            if not isinstance(record, dict) or "spec_hash" not in record:
-                raise ValueError(
-                    f"{path}:{number}: campaign records must be JSON "
-                    "objects with a 'spec_hash' key"
-                )
-            yield number, record
-
-    def _read_file(
-        self, path: str, records: Dict[str, Dict[str, object]]
-    ) -> None:
-        """Fold one physical JSONL file into ``records`` (later wins)."""
-        for _, record in self._scan_file(path):
-            records[record["spec_hash"]] = record
+    def _scan_file(self, path: str) -> Iterator[Tuple[int, Dict[str, object]]]:
+        """Yield ``(line_number, record)`` pairs from one physical file,
+        dropping a torn tail (see :mod:`repro.durable`)."""
+        for number, record in scan_jsonl(path, "spec_hash", "campaign record"):
+            if record is None:
+                self._torn_paths.add(path)
+            else:
+                yield number, record
 
     def _physical_paths(self) -> List[str]:
         """Every physical file of the store, legacy first then shards."""
@@ -141,25 +115,25 @@ class CampaignStore:
         """Stored records keyed by ``spec_hash`` (later records win).
 
         Reads the legacy single file first and any shard files second, so
-        a store migrated to shards prefers the sharded records; each
-        physical file gets its own torn-final-line tolerance.
+        a store migrated to shards prefers the sharded records; the
+        torn-tail rule applies to each physical file.
         """
         records: Dict[str, Dict[str, object]] = {}
         for path in self._physical_paths():
-            self._read_file(path, records)
+            for _, record in self._scan_file(path):
+                records[record["spec_hash"]] = record
         return records
 
     def iter_records(self) -> Iterator[Dict[str, object]]:
         """Stream the store's records one at a time, deduped by spec hash.
 
         Same later-wins / shard-over-legacy semantics as :meth:`load`
-        (including torn-final-line tolerance per physical file), but only
-        one record payload is held at a time: a first index pass notes
-        *where* each spec hash's winning record lives (a hash-to-position
-        map, no payloads), then a second pass re-reads the files in the
-        same order and yields only the winners.  Appends racing the
-        iteration are not guaranteed to be seen -- the view is the store
-        as it was when the call began.
+        (including the torn-tail rule per physical file), but only one
+        line is held at a time: a first index pass notes *where* each spec
+        hash's winning record lives (a hash-to-position map, no payloads),
+        then a second pass re-reads the files in the same order and yields
+        only the winners.  Appends racing the iteration are not guaranteed
+        to be seen -- the view is the store as it was when the call began.
 
         Records stream in physical order (legacy file first, then shards
         sorted by prefix; line order within a file), so consumers like
@@ -173,7 +147,7 @@ class CampaignStore:
                 winners[str(record["spec_hash"])] = (file_index, number)
         for file_index, path in enumerate(paths):
             try:
-                for number, record in self._scan_file(path, count_torn=False):
+                for number, record in self._scan_file(path):
                     key = str(record["spec_hash"])
                     if winners.get(key) == (file_index, number):
                         yield record
@@ -183,37 +157,6 @@ class CampaignStore:
                 continue
 
     # -- writing -----------------------------------------------------------
-
-    def _prepare_append(self, path: str) -> None:
-        """Heal an interrupted file before appending to it.
-
-        A campaign killed mid-write leaves a torn, newline-less final
-        line.  Appending straight after it would glue the next record
-        onto the partial one, corrupting *both*; so before the first
-        append, a trailing partial line is truncated away (it is counted
-        in ``n_dropped_torn``) -- unless it is actually a complete JSON
-        record that merely lacks its newline, which is completed instead.
-        """
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError:
-            return
-        if not data or data.endswith(b"\n"):
-            return
-        tail = data[data.rfind(b"\n") + 1:]
-        try:
-            json.loads(tail.decode("utf-8"))
-            heal = True
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            heal = False
-        with open(path, "r+b") as handle:
-            if heal:
-                handle.seek(0, os.SEEK_END)
-                handle.write(b"\n")
-            else:
-                handle.truncate(len(data) - len(tail))
-                self.n_dropped_torn += 1
 
     def _target_path(self, spec_hash: str) -> str:
         """The physical file a record belongs to (shard or legacy)."""
@@ -238,11 +181,9 @@ class CampaignStore:
         target = self._target_path(str(record["spec_hash"]))
         handle = self._handles.get(target)
         if handle is None:
-            directory = os.path.dirname(target)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            self._prepare_append(target)
-            handle = open(target, "a", encoding="utf-8")
+            handle, dropped = open_append(target)
+            if dropped:
+                self._torn_paths.add(target)
             self._handles[target] = handle
         handle.write(json.dumps(record, sort_keys=True) + "\n")
         handle.flush()

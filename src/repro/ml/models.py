@@ -25,7 +25,7 @@ pickle; :func:`save_model` / :func:`load_model` store them in a
 content-addressed model directory (``<dir>/<digest>/model.pkl`` plus a
 human-readable ``meta.json``) where the digest commits to the exact
 pickle bytes -- refitting on new data yields a new id, never a silent
-overwrite.
+overwrite.  Every file is written with :func:`repro.durable.atomic_write`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 from typing import (
     Dict,
     Iterable,
@@ -50,6 +49,7 @@ from typing import (
 import numpy as np
 import scipy.linalg
 
+from ..durable import atomic_write
 from ..scenarios import ScenarioSpec
 from .dataset import Dataset
 from .features import FeatureSchema
@@ -459,22 +459,6 @@ def make_surrogate(name: str = "gp", **options) -> Surrogate:
 # -- content-addressed persistence ------------------------------------------
 
 
-def _atomic_write(path: str, data: bytes) -> None:
-    directory = os.path.dirname(path)
-    os.makedirs(directory, exist_ok=True)
-    descriptor, temp_path = tempfile.mkstemp(prefix=".tmp-", dir=directory)
-    try:
-        with os.fdopen(descriptor, "wb") as handle:
-            handle.write(data)
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except FileNotFoundError:
-            pass
-        raise
-
-
 def save_model(model: Surrogate, directory: Union[str, os.PathLike]) -> str:
     """Persist a fitted surrogate into a content-addressed model dir.
 
@@ -490,14 +474,14 @@ def save_model(model: Surrogate, directory: Union[str, os.PathLike]) -> str:
     model_id = hashlib.sha256(payload).hexdigest()[:16]
     root = os.fspath(directory)
     bundle = os.path.join(root, model_id)
-    _atomic_write(os.path.join(bundle, "model.pkl"), payload)
+    atomic_write(os.path.join(bundle, "model.pkl"), payload)
     meta = dict(model.describe())
     meta["model_id"] = model_id
-    _atomic_write(
+    atomic_write(
         os.path.join(bundle, "meta.json"),
         (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8"),
     )
-    _atomic_write(
+    atomic_write(
         os.path.join(root, "latest.json"),
         (json.dumps({"model_id": model_id}, sort_keys=True) + "\n").encode("utf-8"),
     )

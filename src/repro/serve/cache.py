@@ -9,10 +9,10 @@ by construction the exact payload the solve would have produced.
 
 Entries are one JSON file each, fanned out over two directory levels by
 hash prefix (``<root>/<aa>/<bb>/<hash>.json``) so even million-entry
-caches keep directory listings small.  Writes are atomic (temp file +
-``os.replace``), which makes concurrent writers from different jobs,
-worker threads or processes safe: the worst case is the same content
-written twice.
+caches keep directory listings small.  Writes go through
+:func:`repro.durable.atomic_write` (temp file + atomic rename), which
+makes concurrent writers from different jobs, worker threads or processes
+safe: the worst case is the same content written twice.
 
 :meth:`repro.api.Session.run_many` consults a cache (when given one, see
 the ``cache`` argument) *before any solve*, which is how the serve layer
@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from typing import Dict, Iterator, Optional, Union
+
+from ..durable import atomic_write
 
 __all__ = ["ResultCache"]
 
@@ -119,23 +120,8 @@ class ResultCache:
                 "only status='ok' records are cacheable, got "
                 f"{record.get('status')!r}"
             )
-        path = self.path_for(key)
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
         payload = json.dumps(cacheable_record(record), sort_keys=True)
-        descriptor, temp_path = tempfile.mkstemp(
-            prefix=".tmp-", suffix=".json", dir=directory
-        )
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-            os.replace(temp_path, path)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except FileNotFoundError:
-                pass
-            raise
+        atomic_write(self.path_for(key), (payload + "\n").encode("utf-8"))
         self.n_puts += 1
 
     def __contains__(self, key: str) -> bool:
@@ -242,26 +228,13 @@ class ResultCache:
         }
 
     def _save_gc_stats(self) -> None:
-        """Atomically persist the cumulative gc counters (same temp +
-        ``os.replace`` discipline as entry writes)."""
-        os.makedirs(self.root, exist_ok=True)
+        """Atomically persist the cumulative gc counters (the same
+        :func:`~repro.durable.atomic_write` as entry writes)."""
         payload = json.dumps(
             {"n_gc_runs": self.n_gc_runs, "n_gc_removed": self.n_gc_removed},
             sort_keys=True,
         )
-        descriptor, temp_path = tempfile.mkstemp(
-            prefix=".tmp-", suffix=".json", dir=self.root
-        )
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-            os.replace(temp_path, self._gc_stats_path())
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except FileNotFoundError:
-                pass
-            raise
+        atomic_write(self._gc_stats_path(), (payload + "\n").encode("utf-8"))
 
     def stats(self) -> Dict[str, int]:
         """Counters of this cache handle.

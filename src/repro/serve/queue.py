@@ -12,9 +12,9 @@ so the queue's full state is reconstructible by folding the journal.  On
 startup, :class:`JobQueue` replays it: jobs whose last event is
 ``running`` were in flight when the previous process died -- they are
 requeued (``recovered: true``) and their campaign stores make the re-run
-cheap (every record already written is resumed, not recomputed).  A torn
-final line is tolerated exactly like the campaign store's; malformed
-interior lines raise.
+cheap (every record already written is resumed, not recomputed).  The
+journal is a JSONL journal of :mod:`repro.durable`, like the campaign
+store: replay and the first append apply the torn-tail rule stated there.
 
 Submission is **idempotent**: jobs are keyed by a content hash over their
 campaign task keys (the same sha256 resume keys the campaign store uses),
@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
+from ..durable import open_append, scan_jsonl
 from ..spec_codec import content_hash
 
 __all__ = ["Job", "JobQueue", "QueueFullError", "JOB_STATES"]
@@ -172,25 +173,9 @@ class JobQueue:
         """
         if not os.path.exists(self.path):
             return
-        with open(self.path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        for number, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                if number == len(lines):
-                    continue  # torn final line from a dying process
-                raise ValueError(
-                    f"{self.path}:{number}: malformed queue journal line"
-                ) from None
-            if not isinstance(event, dict) or "event" not in event:
-                raise ValueError(
-                    f"{self.path}:{number}: journal lines must be JSON "
-                    "objects with an 'event' key"
-                )
-            self._apply(event, f"{self.path}:{number}")
+        for number, event in scan_jsonl(self.path, "event", "queue journal line"):
+            if event is not None:  # None: a torn tail, dropped
+                self._apply(event, f"{self.path}:{number}")
         for job_id, job in self._jobs.items():
             if job.state == "running":
                 job.state = "submitted"
@@ -237,31 +222,9 @@ class JobQueue:
     def _append(self, event: Dict[str, object]) -> None:
         """Append one journal event and flush (caller holds the lock)."""
         if self._handle is None:
-            directory = os.path.dirname(self.path)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            self._heal_tail()
-            self._handle = open(self.path, "a", encoding="utf-8")
+            self._handle, _ = open_append(self.path)
         self._handle.write(json.dumps(event, sort_keys=True) + "\n")
         self._handle.flush()
-
-    def _heal_tail(self) -> None:
-        """Truncate a torn final journal line before the first append."""
-        try:
-            with open(self.path, "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError:
-            return
-        if not data or data.endswith(b"\n"):
-            return
-        tail = data[data.rfind(b"\n") + 1:]
-        with open(self.path, "r+b") as handle:
-            try:
-                json.loads(tail.decode("utf-8"))
-                handle.seek(0, os.SEEK_END)
-                handle.write(b"\n")
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                handle.truncate(len(data) - len(tail))
 
     # -- submission --------------------------------------------------------
 

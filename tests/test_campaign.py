@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -42,6 +43,13 @@ def small_sweep(small_base) -> SweepSpec:
             SweepAxis("grid.n_grid_points", (61, 81)),
         ),
     )
+
+
+#: One complete store line, and newline-less partial lines a writer killed
+#: mid-write can leave after it.
+RECORD_A = json.dumps({"spec_hash": "a", "status": "ok"}).encode() + b"\n"
+TORN_TAILS = [b'{"spec_ha', b'{"spec_hash": "b", "status": "ok"']
+TORN_TAIL_IDS = ["mid-key", "before-close"]
 
 
 def flux_architecture_sweep() -> SweepSpec:
@@ -164,32 +172,44 @@ class TestCampaignStore:
     def test_missing_file_loads_empty(self, tmp_path):
         assert CampaignStore(tmp_path / "missing.jsonl").load() == {}
 
-    def test_torn_final_line_is_dropped(self, tmp_path):
+    @pytest.mark.parametrize("tail", TORN_TAILS, ids=TORN_TAIL_IDS)
+    def test_torn_final_line_is_dropped(self, tmp_path, tail):
         path = tmp_path / "c.jsonl"
-        path.write_text(
-            json.dumps({"spec_hash": "a", "status": "ok"}) + "\n" + '{"spec_ha'
-        )
+        path.write_bytes(RECORD_A + tail)
         store = CampaignStore(path)
         assert set(store.load()) == {"a"}
         assert store.n_dropped_torn == 1
 
-    def test_append_after_torn_line_heals_the_store(self, tmp_path):
-        """Appending must not glue a record onto a torn final line."""
+    @pytest.mark.parametrize("load_first", [False, True], ids=["fresh", "loaded"])
+    @pytest.mark.parametrize("tail", TORN_TAILS, ids=TORN_TAIL_IDS)
+    def test_append_after_torn_line_heals_the_store(
+        self, tmp_path, tail, load_first
+    ):
+        """Appending must not glue a record onto a torn final line, and a
+        torn line that was both read and healed is counted once."""
         path = tmp_path / "c.jsonl"
-        path.write_text(
-            json.dumps({"spec_hash": "a", "status": "ok"}) + "\n" + '{"spec_ha'
-        )
+        path.write_bytes(RECORD_A + tail)
         store = CampaignStore(path)
+        if load_first:
+            assert set(store.load()) == {"a"}
         with store:
             store.append({"spec_hash": "b", "status": "ok"})
         assert store.n_dropped_torn == 1
         loaded = CampaignStore(path).load()
         assert set(loaded) == {"a", "b"}
+        assert [
+            json.loads(line)["spec_hash"] for line in path.read_text().splitlines()
+        ] == ["a", "b"]
 
-    def test_append_completes_a_record_missing_its_newline(self, tmp_path):
+    @pytest.mark.parametrize("load_first", [False, True], ids=["fresh", "loaded"])
+    def test_append_completes_a_record_missing_its_newline(
+        self, tmp_path, load_first
+    ):
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps({"spec_hash": "a", "status": "ok"}))  # no \n
         store = CampaignStore(path)
+        if load_first:
+            assert set(store.load()) == {"a"}
         with store:
             store.append({"spec_hash": "b", "status": "ok"})
         assert store.n_dropped_torn == 0
@@ -202,6 +222,22 @@ class TestCampaignStore:
         )
         with pytest.raises(ValueError, match="malformed"):
             CampaignStore(path).load()
+
+    @pytest.mark.parametrize("read", ["load", "iter_records"])
+    @pytest.mark.parametrize(
+        "final_line", [b"not json", b'{"spec_hash": "b", "sta'], ids=["text", "cut"]
+    )
+    def test_malformed_final_line_ending_in_newline_raises(
+        self, tmp_path, final_line, read
+    ):
+        """A newline-terminated line is complete, so a malformed one is
+        corruption even as the final line: the first read fails, naming
+        it, instead of dropping it and breaking a later read."""
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(RECORD_A + final_line + b"\n")
+        store = CampaignStore(path)
+        with pytest.raises(ValueError, match=r"c\.jsonl:2: malformed campaign record"):
+            list(getattr(store, read)())
 
     def test_records_without_hash_are_rejected(self, tmp_path):
         store = CampaignStore(tmp_path / "c.jsonl")
@@ -489,6 +525,47 @@ class TestIterRecords:
         for record in CampaignStore(out).iter_records():
             spec = ScenarioSpec.from_dict(record["spec"])
             assert spec.name == record["scenario"]
+
+
+class TestStoreMemory:
+    """Reading and appending stream the store: the traced allocation peak
+    stays below half the file size (a whole-file read would exceed it)."""
+
+    N_RECORDS = 2000
+
+    @pytest.fixture()
+    def big_store(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        with open(path, "w", encoding="utf-8") as handle:
+            for index in range(self.N_RECORDS):
+                record = {"spec_hash": f"{index:064x}", "pad": "x" * 1000}
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
+        return path
+
+    @staticmethod
+    def traced_peak(action):
+        """``(action(), peak traced allocation in bytes)``."""
+        tracemalloc.start()
+        try:
+            return action(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_iter_records_holds_one_line_at_a_time(self, big_store):
+        store = CampaignStore(big_store)
+        count, peak = self.traced_peak(lambda: sum(1 for _ in store.iter_records()))
+        assert count == self.N_RECORDS
+        assert peak < big_store.stat().st_size / 2
+
+    def test_first_append_reads_only_the_tail(self, big_store):
+        size = big_store.stat().st_size
+        store = CampaignStore(big_store)
+        with store:
+            _, peak = self.traced_peak(
+                lambda: store.append({"spec_hash": "ff" * 32, "status": "ok"})
+            )
+        assert peak < size / 2
+        assert len(CampaignStore(big_store).load()) == self.N_RECORDS + 1
 
 
 class TestProcessExecutorGuard:

@@ -157,13 +157,18 @@ class TestJournalDurability:
         assert recovered.job_id == job.job_id
         assert recovered.recovered
 
-    def test_torn_final_line_is_tolerated_and_healed(self, tmp_path):
+    @pytest.mark.parametrize(
+        "torn",
+        ['{"event": "running", "job_id"', '{"event": "running"'],
+        ids=["mid-key", "before-close"],
+    )
+    def test_torn_final_line_is_tolerated_and_healed(self, tmp_path, torn):
         path = tmp_path / "queue.jsonl"
         queue = JobQueue(path)
         job, _ = queue.submit("sweep", {"x": 1}, task_keys=["a1" * 32])
         queue.close()
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"event": "running", "job_id"')  # torn write
+            handle.write(torn)  # torn write
 
         replayed = JobQueue(path)
         assert replayed.get(job.job_id).state == "submitted"
@@ -171,6 +176,40 @@ class TestJournalDurability:
         replayed.close()
         lines = path.read_text().splitlines()
         assert all(json.loads(line) for line in lines)
+
+    def test_complete_final_event_missing_its_newline_is_completed(
+        self, tmp_path
+    ):
+        path = tmp_path / "queue.jsonl"
+        queue = JobQueue(path)
+        job, _ = queue.submit("sweep", {"x": 1}, task_keys=["a1" * 32])
+        queue.close()
+        path.write_text(path.read_text().rstrip("\n"))  # newline lost
+
+        replayed = JobQueue(path)
+        assert replayed.claim(timeout=0.1).job_id == job.job_id
+        replayed.close()
+        events = [json.loads(line)["event"] for line in path.read_text().splitlines()]
+        assert events == ["submitted", "running"]
+
+    @pytest.mark.parametrize(
+        "final_line", ["not json", '{"event": "running", "job_id"'], ids=["text", "cut"]
+    )
+    def test_malformed_final_line_ending_in_newline_raises(
+        self, tmp_path, final_line
+    ):
+        """A newline-terminated line is complete, so a malformed one is
+        corruption even as the final line: replay fails at once, naming
+        it, instead of dropping it and failing the restart after the next
+        append."""
+        path = tmp_path / "queue.jsonl"
+        queue = JobQueue(path)
+        queue.submit("sweep", {"x": 1}, task_keys=["a1" * 32])
+        queue.close()
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(final_line + "\n")
+        with pytest.raises(ValueError, match=r"queue\.jsonl:2: malformed queue journal"):
+            JobQueue(path)
 
     def test_malformed_interior_line_raises(self, tmp_path):
         path = tmp_path / "queue.jsonl"
