@@ -23,6 +23,12 @@ a warm run that re-solves only its build and its checkpoints, and the
 solve count (``build_solves``) are reported alongside, with no
 wall-clock assert; ``rom_warm_s`` times a warm factorization with a
 rebuilt basis.
+
+A proportional-policy run of the same scenario (``proportional_*`` keys)
+checks that a policy moving the flow still builds one model: every scale
+it visits is served from that model's affine flow split, at the reduced
+setup cost ``proportional_setup_ms_per_scale`` (one order-sized dense
+LU), and factorizes only where checkpoint probes take full steps.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from dataclasses import replace
 import numpy as np
 
 import repro.transient_engine as transient_engine
-from repro.core.rom import build_reduced_model
+from repro.core.rom import ReducedTransientModel, build_reduced_model
 from repro.scenarios import GridSpec, ScenarioSpec, SolverSpec, WorkloadSpec
 from repro.thermal.backends import SparseLUBackend
 from repro.transient import PolicySpec, RomSpec, TraceSpec, TransientSpec
@@ -175,6 +181,41 @@ def test_transient_rom_speedup(benchmark, monkeypatch):
     assert warm["n_content_hashes"] == 4
     assert warm["n_solves"] - cold["n_solves"] == build_solves + n_checkpoints
 
+    # A proportional policy around the constant run's mean peak, with a
+    # gain spanning its peak range, moves the flow every control interval.
+    peaks = rom_outcome.peak_history_K
+    proportional_spec = replace(
+        rom_spec,
+        transient=replace(
+            rom_spec.transient,
+            policy=PolicySpec(
+                kind="proportional",
+                control_interval_s=max(N_STEPS // 8, 1) * 0.01,
+                setpoint_K=float(np.mean(peaks)),
+                gain_per_K=2.0 / max(float(np.ptp(peaks)), 1e-6),
+                min_scale=0.5,
+                max_scale=2.0,
+            ),
+        ),
+    )
+    setup_s = []
+    at_flow = ReducedTransientModel.at_flow
+
+    def timed_at_flow(model, factor):
+        start = time.perf_counter()
+        scaled = at_flow(model, factor)
+        setup_s.append(time.perf_counter() - start)
+        return scaled
+
+    proportional_backend = SparseLUBackend()
+    with monkeypatch.context() as patch:
+        patch.setattr(ReducedTransientModel, "at_flow", timed_at_flow)
+        proportional = simulate_transient(
+            proportional_spec, backend=proportional_backend
+        )
+    n_scales = len(set(proportional.flow_scales.tolist()))
+    assert proportional.metadata["n_rom_builds"] == 1
+
     benchmark(lambda: simulate_transient(rom_spec, backend=rom_backend))
 
     record = {
@@ -193,6 +234,15 @@ def test_transient_rom_speedup(benchmark, monkeypatch):
         "speedup_cold": full_s / rom_cold_s,
         "rom_peak_abs_err_K": measured_err,
         "true_peak_abs_err_K": true_err,
+        "proportional_n_rom_builds": proportional.metadata["n_rom_builds"],
+        "proportional_n_factorizations": proportional_backend.n_factorizations,
+        "proportional_n_scales": n_scales,
+        "proportional_setup_ms_per_scale": (
+            1e3 * float(np.mean(setup_s)) if setup_s else 0.0
+        ),
+        "proportional_rom_peak_abs_err_K": proportional.metrics[
+            "rom_peak_abs_err_K"
+        ],
         "smoke": SMOKE,
     }
     emit_bench(record)
@@ -201,5 +251,8 @@ def test_transient_rom_speedup(benchmark, monkeypatch):
         f"transient rom {N_STEPS} steps ({record['n_unknowns']} unknowns, "
         f"order {record['rom_order']}): full {full_s * 1e3:.1f} ms, rom "
         f"cold {rom_cold_s * 1e3:.1f} ms, warm {rom_warm_s * 1e3:.1f} ms "
-        f"({record['speedup_warm']:.1f}x warm, err {measured_err:.2e} K)"
+        f"({record['speedup_warm']:.1f}x warm, err {measured_err:.2e} K); "
+        f"proportional: {n_scales} scales from 1 build, "
+        f"{record['proportional_setup_ms_per_scale']:.2f} ms per scale, "
+        f"{record['proportional_n_factorizations']} factorizations"
     )

@@ -98,7 +98,14 @@ def main() -> None:
     print(
         f"\nROM work across the campaign: {counters['n_rom_builds']} model "
         f"build(s), {counters['n_rom_steps']} reduced steps (each run "
-        "builds one basis per flow scale it steps or plans at)."
+        "builds one basis and serves every flow scale it steps or plans at "
+        "from it)."
+    )
+    # One basis per run, whatever the policy does to the flow: a run that
+    # rebuilt its model per flow scale would show up here.
+    assert counters["n_rom_builds"] == len(campaign.records), (
+        f"{counters['n_rom_builds']} ROM builds for "
+        f"{len(campaign.records)} runs; expected one per run"
     )
     print(
         "The planner spends pump energy only on the intervals where the "

@@ -34,14 +34,33 @@ Because the Arnoldi solves go through the scenario's solver backend with
 the implicit system's pattern token, building a model warms the very
 factorization the full path (and the checkpoint error probes) would use.
 
-A model belongs to the transient run that built it: the engine builds
-at most one per flow scale the run visits and drops them all when the
-run ends, so no basis outlives its run.
+*One basis per run, every flow from it.*  The ICE operator is affine in
+flow, ``C/dt + A(s) = K + (s - 1) A_adv`` and ``b(s) = b0 + (s - 1)
+b_inlet`` relative to the build flow
+(:meth:`repro.ice.solver.AssembledSystem.flow_split`).  Given that split,
+:func:`build_reduced_model` builds a *flow-parametric* model: the inlet
+response ``K^{-1} b_inlet`` joins the starting block, and the recurrence
+pairs every propagated column ``K^{-1} (C/dt) v`` with its flow derivative
+``K^{-1} A_adv v``, so the basis matches moments in time and in flow
+(multi-parameter moment matching: Daniel et al., IEEE TCAD 23(5), 2004)
+through the one factorization, inside the same ``order`` budget.  Those
+columns are orthonormalized against the whole basis, not only against
+their own block: the flow derivatives of neighbouring columns are nearly
+parallel, and without the full passes the basis loses orthogonality.  The
+build precomputes ``VᵀA_adv V`` and ``Vᵀb_inlet`` next to ``Vᵀ(C/dt + A)V``
+and ``Vᵀb0``; :meth:`ReducedTransientModel.at_flow` then serves any flow
+with one dense LU of order ~48 and no sparse work.  Without a split (a run
+whose flow never changes) the build is the plain Krylov recurrence above.
+
+A model belongs to the transient run that built it: the engine builds at
+most one, at the run's initial flow scale, derives every other scale from
+it, and drops it when the run ends, so no basis outlives its run.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+import copy
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -56,18 +75,30 @@ __all__ = [
 _DEFLATION_FLOOR = 1e-13
 
 
+class _FlowTerms(NamedTuple):
+    """The build-flow operators and the flow share of a flow-parametric model."""
+
+    #: ``Vᵀ(C/dt + A)V`` and ``Vᵀb0`` at the flow the model was built at.
+    reduced_implicit: np.ndarray
+    projected_base_rhs: np.ndarray
+    #: ``Vᵀ A_adv V`` and ``Vᵀ b_inlet``: the flow-proportional shares.
+    reduced_advection: np.ndarray
+    projected_inlet: np.ndarray
+
+
 class ReducedTransientModel:
     """A projected backward-Euler integrator with peak-tracking outputs.
 
     Instances are immutable after construction and safe to share across
-    threads: :meth:`step` only reads the factorized reduced operators.
-    Build one with :func:`build_reduced_model`.
+    threads: :meth:`step` only reads the factorized reduced operators, and
+    :meth:`at_flow` returns a new model.  Build one with
+    :func:`build_reduced_model`.
     """
 
     def __init__(
         self,
         basis: np.ndarray,
-        reduced_implicit_lu,
+        reduced_implicit: np.ndarray,
         reduced_c_over_dt: np.ndarray,
         projected_base_rhs: np.ndarray,
         base_rhs: np.ndarray,
@@ -75,28 +106,66 @@ class ReducedTransientModel:
         input_rows: Optional[np.ndarray],
         outputs: Dict[str, np.ndarray],
         n_build_solves: int,
+        flow_terms: Optional[_FlowTerms] = None,
     ) -> None:
         self.basis = basis
-        self._lu = reduced_implicit_lu
         self._c_over_dt_r = reduced_c_over_dt
-        # Dense propagation matrix of the reduced recurrence
-        # ``x' = P x + M^{-1} Vᵀb``: precomputing ``P = M^{-1} Cr`` turns
-        # the per-step triangular solve into one tiny matvec, and lets
-        # the engine advance whole control chunks with BLAS-level loops.
-        self._propagation = lu_solve(reduced_implicit_lu, reduced_c_over_dt)
+        self._factor_implicit(reduced_implicit)
         self._projected_base_rhs = projected_base_rhs
         self._base_rhs = base_rhs
         self._rhs_fn = rhs_fn
         self._input_rows = input_rows
         self._basis_input_rows = (
-            None if input_rows is None else basis[input_rows, :].copy()
+            None if input_rows is None else basis[input_rows, :]
         )
         # Output maps: the basis restricted to a named cell selection, so
-        # observables are small dense matvecs instead of full lifts.
-        self._outputs = {
-            name: basis[rows, :].copy() for name, rows in outputs.items()
-        }
+        # observables are small dense matvecs instead of full lifts.  (Index
+        # arrays select rows into new arrays: no copy is needed.)
+        self._outputs = {name: basis[rows, :] for name, rows in outputs.items()}
         self.n_build_solves = int(n_build_solves)
+        self._flow = flow_terms
+        #: Flow of this model relative to the flow it was built at.
+        self.flow_factor = 1.0
+
+    def _factor_implicit(self, reduced_implicit: np.ndarray) -> None:
+        self._lu = lu_factor(reduced_implicit)
+        # Dense propagation matrix of the reduced recurrence
+        # ``x' = P x + M^{-1} Vᵀb``: precomputing ``P = M^{-1} Cr`` turns
+        # the per-step triangular solve into one tiny matvec, and lets
+        # the engine advance whole control chunks with BLAS-level loops.
+        self._propagation = lu_solve(self._lu, self._c_over_dt_r)
+
+    def at_flow(self, factor: float) -> "ReducedTransientModel":
+        """This model at ``factor`` times the flow it was built at.
+
+        The implicit operator and the static load are affine in flow
+        (:class:`~repro.ice.solver.FlowSplit`), and so are their
+        projections: with ``d = factor - 1`` the reduced operator is
+        ``Vᵀ(C/dt + A)V + d VᵀA_adv V`` and the projected load
+        ``Vᵀb0 + d Vᵀb_inlet``, all precomputed at build time.  A new flow
+        therefore costs one dense LU of order :attr:`order` and no sparse
+        work; the result shares the basis, the output maps and the input
+        rows with this model.
+        """
+        factor = float(factor)
+        if factor == self.flow_factor:
+            return self
+        flow = self._flow
+        if flow is None:
+            raise ValueError(
+                "this reduced model was built without a flow split and "
+                "serves only the flow it was built at"
+            )
+        offset = factor - 1.0
+        model = copy.copy(self)
+        model.flow_factor = factor
+        model._factor_implicit(
+            flow.reduced_implicit + offset * flow.reduced_advection
+        )
+        model._projected_base_rhs = (
+            flow.projected_base_rhs + offset * flow.projected_inlet
+        )
+        return model
 
     @property
     def order(self) -> int:
@@ -124,15 +193,16 @@ class ReducedTransientModel:
         """``Vᵀ b(time)`` without touching rows the traces cannot reach.
 
         The right-hand side differs from the static load only on the
-        trace-driven rows, so the projection is the precomputed
-        ``Vᵀ b0`` plus a small correction over those rows; a model built
-        without ``input_rows`` falls back to the full projection.
+        trace-driven rows, at every flow (the inlet load sits on coolant
+        rows, the traces on solid ones), so the projection is this flow's
+        precomputed ``Vᵀ b0`` plus a small correction over those rows; a
+        model built without ``input_rows`` projects the whole difference.
         """
         rhs = self._rhs_fn(time)
         if rhs is self._base_rhs:
             return self._projected_base_rhs
         if self._basis_input_rows is None:
-            return self.basis.T @ rhs
+            return self._projected_base_rhs + self.basis.T @ (rhs - self._base_rhs)
         rows = self._input_rows
         delta = rhs[rows] - self._base_rhs[rows]
         return self._projected_base_rhs + self._basis_input_rows.T @ delta
@@ -185,7 +255,11 @@ class ReducedTransientModel:
 
 
 def _orthonormalize_block(
-    basis: np.ndarray, count: int, block: np.ndarray, tolerance: float
+    basis: np.ndarray,
+    count: int,
+    block: np.ndarray,
+    tolerance: float,
+    reorthogonalize: bool = False,
 ) -> int:
     """Append ``block``'s surviving directions to ``basis``; the new count.
 
@@ -196,6 +270,11 @@ def _orthonormalize_block(
     already accepted, again twice.  A column whose residual norm is at most
     ``max(tolerance, floor)`` relative to its pre-projection norm is
     deflated; appending stops once ``basis`` is full.
+
+    ``reorthogonalize`` runs the per-column passes against the whole basis
+    instead.  A nearly dependent column keeps a roundoff-sized component
+    along the existing columns after the block passes, which normalizing
+    its small residual would amplify; the full passes remove it.
     """
     norms = np.linalg.norm(block, axis=0)
     existing = basis[:, :count]
@@ -209,7 +288,7 @@ def _orthonormalize_block(
         if norm0 == 0.0 or not np.isfinite(norm0):
             continue
         vector = column / norm0
-        accepted = basis[:, start:count]
+        accepted = basis[:, 0 if reorthogonalize else start : count]
         for _ in range(2):
             vector -= accepted @ (accepted.T @ vector)
         norm = float(np.linalg.norm(vector))
@@ -232,6 +311,7 @@ def build_reduced_model(
     tolerance: float,
     input_rows: Optional[np.ndarray] = None,
     outputs: Optional[Dict[str, np.ndarray]] = None,
+    flow_split: Optional[Tuple[object, np.ndarray]] = None,
 ) -> ReducedTransientModel:
     """Block-Arnoldi projection of one implicit backward-Euler system.
 
@@ -264,6 +344,14 @@ def build_reduced_model(
     outputs:
         Named cell selections to build output maps for (e.g. solid /
         coolant cells).
+    flow_split:
+        ``(A_adv, b_inlet)``, the flow-proportional shares of ``implicit``
+        and ``base_rhs`` (:meth:`repro.ice.solver.AssembledSystem.flow_split`),
+        or None for a model of this flow only.  With it the recurrence
+        also spans the flow moments (the inlet response joins the starting
+        block, and every propagated column is paired with its flow
+        derivative ``implicit^{-1} A_adv v``), and the model serves every
+        flow through :meth:`ReducedTransientModel.at_flow`.
     """
     n = int(implicit.shape[0])
     order = max(1, min(int(order), n))
@@ -272,8 +360,13 @@ def build_reduced_model(
 
     # Starting block: the uniform-state direction (any uniform initial
     # condition is then represented exactly), then the static-load and
-    # trace input responses, solved in one block.
+    # trace input responses, solved in one block -- and, for a
+    # flow-parametric model, the response to the inlet load.
     directions = [np.asarray(d, dtype=float) for d in (base_rhs, *input_directions)]
+    if flow_split is not None:
+        advection, inlet = flow_split
+        inlet = np.asarray(inlet, dtype=float)
+        directions.append(inlet)
     directions = [d for d in directions if float(np.linalg.norm(d)) != 0.0]
     seeds = np.ones((n, 1 + len(directions)), order="F")
     if directions:
@@ -283,23 +376,46 @@ def build_reduced_model(
 
     # Arnoldi recurrence on the propagation operator P = implicit^{-1} C/dt:
     # each block of accepted columns is propagated by one block solve, of
-    # only as many columns as the basis still has room for.
+    # only as many columns as the basis still has room for.  A
+    # flow-parametric build maps every source column by P and by the flow
+    # derivative D = implicit^{-1} A_adv side by side, so the columns the
+    # room admits first are the lowest-degree moments in time and in flow.
     block = slice(0, count)
     while count < order and block.stop > block.start:
-        width = min(block.stop - block.start, order - count)
-        propagated = solve(c_over_dt @ basis[:, block.start : block.start + width])
-        n_solves += width
-        accepted = _orthonormalize_block(basis, count, propagated, tolerance)
+        room = order - count
+        if flow_split is None:
+            sources = basis[:, block.start : block.start + min(block.stop - block.start, room)]
+            images = c_over_dt @ sources
+        else:
+            width = min(block.stop - block.start, -(-room // 2))
+            sources = basis[:, block.start : block.start + width]
+            images = np.empty((n, 2 * width), order="F")
+            images[:, 0::2] = c_over_dt @ sources
+            images[:, 1::2] = advection @ sources
+        propagated = solve(images)
+        n_solves += images.shape[1]
+        accepted = _orthonormalize_block(
+            basis, count, propagated, tolerance, reorthogonalize=flow_split is not None
+        )
         block, count = slice(count, accepted), accepted
 
     basis = np.ascontiguousarray(basis[:, :count])
     reduced_implicit = basis.T @ (implicit @ basis)
     reduced_c = basis.T @ (c_over_dt @ basis)
+    projected_base_rhs = basis.T @ np.asarray(base_rhs, dtype=float)
+    flow_terms = None
+    if flow_split is not None:
+        flow_terms = _FlowTerms(
+            reduced_implicit=reduced_implicit,
+            projected_base_rhs=projected_base_rhs,
+            reduced_advection=basis.T @ (advection @ basis),
+            projected_inlet=basis.T @ inlet,
+        )
     return ReducedTransientModel(
         basis=basis,
-        reduced_implicit_lu=lu_factor(reduced_implicit),
+        reduced_implicit=reduced_implicit,
         reduced_c_over_dt=reduced_c,
-        projected_base_rhs=basis.T @ np.asarray(base_rhs, dtype=float),
+        projected_base_rhs=projected_base_rhs,
         base_rhs=np.asarray(base_rhs),
         rhs_fn=rhs_fn,
         input_rows=(
@@ -307,5 +423,5 @@ def build_reduced_model(
         ),
         outputs=outputs or {},
         n_build_solves=n_solves,
+        flow_terms=flow_terms,
     )
-

@@ -77,6 +77,7 @@ from .stack import CavityLayer, LayerStack, SolidLayer
 
 __all__ = [
     "AssembledSystem",
+    "FlowSplit",
     "SteadyStateSolver",
     "assemble_system",
     "base_cache_info",
@@ -188,6 +189,25 @@ class _StackBase(NamedTuple):
     cavities: Tuple[_CavityBase, ...]
 
 
+class FlowSplit(NamedTuple):
+    """A system's operator and rhs split into flow-free and flow-proportional shares.
+
+    At ``s`` times the system's flow the matrix is ``fixed + s * advection``
+    and the rhs is ``heat + s * inlet``; the four arrays are exact pieces of
+    the system's own values (the shares have disjoint support in the raw
+    triplet stream and in the rhs), so ``s = 1`` gives its matrix and rhs.
+    """
+
+    #: Conduction, convection and wall entries (CSR, the system's pattern).
+    fixed: object
+    #: ``±_capacity_rate`` at each cavity's advection positions (CSR).
+    advection: object
+    #: Heat sources of the solid layers.
+    heat: np.ndarray
+    #: The cavities' inlet enthalpy.
+    inlet: np.ndarray
+
+
 #: Stack geometries whose flow-free base is kept.
 _BASE_CACHE_SIZE = 32
 _BASE_CACHE = BoundedLRU(_BASE_CACHE_SIZE)
@@ -295,10 +315,7 @@ class AssembledSystem:
         self.pattern = base.pattern
         self.capacitances = base.capacitances
         values = base.values.copy()
-        for cavity in base.cavities:
-            rate = _capacity_rate(stack, stack.layers[cavity.layer])
-            values[cavity.diagonal] = rate
-            values[cavity.upwind] = -rate
+        self._write_advection(values, 1.0)
         self._values = values
         #: The steady-state matrix ``A`` (CSR, canonical form).
         self.matrix = self.pattern.matrix(values)
@@ -396,6 +413,41 @@ class AssembledSystem:
             _read_only(values[mask]),
             _read_only(self._capacitances()),
             tuple(cavities),
+        )
+
+    def _write_advection(self, values: np.ndarray, factor: float) -> None:
+        """Write ``±factor * _capacity_rate`` at every cavity's advection positions."""
+        stack = self.stack
+        for cavity in self._base.cavities:
+            rate = factor * _capacity_rate(stack, stack.layers[cavity.layer])
+            values[cavity.diagonal] = rate
+            values[cavity.upwind] = -rate
+
+    def flow_split(self) -> FlowSplit:
+        """The :class:`FlowSplit` of this system at its own flow.
+
+        Computed on request only: assembly never pays for it.  The
+        advection share holds the values this system wrote at the base's
+        advection positions, the fixed share the rest; the inlet share is
+        the cavities' inlet columns of the rhs.
+        """
+        stack = self.stack
+        advection = np.zeros_like(self._values)
+        self._write_advection(advection, 1.0)
+        fixed = self._values.copy()
+        self._write_advection(fixed, 0.0)
+        inlet = np.zeros((stack.n_layers, stack.n_rows, stack.n_cols))
+        for cavity in self._base.cavities:
+            layer = stack.layers[cavity.layer]
+            inlet[cavity.layer, :, 0] = (
+                _capacity_rate(stack, layer) * layer.inlet_temperature
+            )
+        inlet = inlet.reshape(-1)
+        return FlowSplit(
+            fixed=self.pattern.matrix(fixed),
+            advection=self.pattern.matrix(advection),
+            heat=self.rhs - inlet,
+            inlet=inlet,
         )
 
     def _rhs(self) -> np.ndarray:

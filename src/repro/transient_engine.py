@@ -14,9 +14,9 @@ per control interval.  Each chunk advances through either the full
 backward-Euler integrator
 (:meth:`repro.ice.transient.TransientSolver.integrate`) or the reduced
 Krylov model, as the spec's ``rom`` block selects; between chunks the flow
-policy observes the peak temperature and may change the flow scale.  A
-scale change rebuilds the stack at the scaled flow (the assembly's cached
-sparsity pattern makes this cheap) and the solver backend's keyed
+policy observes the peak temperature and may change the flow scale.  Full
+steps at a new scale build the stack at the scaled flow (the assembly's
+cached flow-free base makes this cheap) and the solver backend's keyed
 factorization cache makes revisited scales -- e.g. the two levels of a
 bang-bang controller -- pay only triangular solves.  Each chunk acquires
 one factorization handle, so the matrix is content-hashed once per chunk,
@@ -24,12 +24,20 @@ not once per step; scenarios run through one shared backend instance
 with content-identical implicit systems (traces and static heat maps may
 differ) share one factorization.
 
-Reduced models live for one run: each flow-scale context builds its
-Krylov basis on first use -- for the reduced trajectory or for an MPC
-rollout at that scale -- and the basis is dropped with the context when
-the run returns.  A repeated run rebuilds its bases over the backend's
-still-warm factorization; a :class:`~repro.api.Session` replays a
-repeated scenario from its engine's outcome memo without running it.
+One reduced model per run: the run builds its Krylov basis once, at its
+initial flow scale, on first use -- for the reduced trajectory or for an
+MPC rollout -- and serves every other scale from it through the operator's
+affine flow split (:meth:`repro.core.rom.ReducedTransientModel.at_flow`,
+one small dense LU per scale).  A policy that can change the flow gets a
+flow-parametric basis; a constant policy gets the plain Krylov basis of
+its one scale.  Planning at a candidate scale therefore builds no stack,
+no assembly and no factorization; full-order state (a stack, a
+:class:`~repro.ice.transient.TransientSolver`, a factorization) exists
+only at the scales where full steps run -- the chunks of a full run and
+the checkpoint probes of a reduced one.  The basis is dropped when the run
+returns; a repeated run rebuilds it over the backend's still-warm
+factorization, and a :class:`~repro.api.Session` replays a repeated
+scenario from its engine's outcome memo without running it.
 
 Long traces do not blow memory: full-field snapshots are kept every
 ``store_every`` steps only, while the scalar observables driving metrics
@@ -40,7 +48,8 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from functools import partial
+from typing import Callable, Dict, List, Union
 
 import numpy as np
 
@@ -52,7 +61,7 @@ from .analysis.metrics import (
 from .core.rom import ReducedTransientModel, build_reduced_model
 from .ice.results import TransientResult
 from .ice.transient import TransientSolver, result_from_snapshots
-from .policies import FlowPolicy, policy_from_spec
+from .policies import ConstantFlowPolicy, FlowPolicy, policy_from_spec
 from .scenarios import ScenarioSpec, resolve_scenario
 from .thermal.backends import SolverBackend, resolve_backend
 from .thermal.correlations import LAMINAR_REYNOLDS_LIMIT, reynolds_number
@@ -63,9 +72,10 @@ __all__ = [
 ]
 
 #: Flow scales are quantized to this many decimals before a stack is built
-#: for them, so revisited levels (bang-bang toggling, a proportional
-#: controller hovering at its clip) reuse contexts and factorizations
-#: instead of accumulating near-duplicate matrices.
+#: or a reduced model is derived for them, so revisited levels (bang-bang
+#: toggling, a proportional controller hovering at its clip) reuse
+#: contexts, factorizations and reduced operators instead of accumulating
+#: near-duplicates.
 _SCALE_DECIMALS = 6
 
 
@@ -108,11 +118,14 @@ class TransientOutcome:
 
 
 class _Context:
-    """One scenario's solver state at one flow scale.
+    """One scenario's full-order solver state at one flow scale.
 
-    The context also owns the scale's reduced model, built on first use
-    (:meth:`reduced_model`) and dropped with the context when the run
-    ends.
+    A context (stack, :class:`~repro.ice.transient.TransientSolver` and,
+    through the backend, a factorization) exists only where full-order
+    work runs: every chunk of a full run, the checkpoint probes of a
+    reduced run, and the run's initial scale, whose implicit system the
+    run's reduced model is built from.  Every context of a run shares the
+    cell bookkeeping, which the recorder reads from the initial one.
     """
 
     def __init__(
@@ -163,15 +176,14 @@ class _Context:
         self.inlet_temperature = float(
             spec.experiment_config().params.inlet_temperature
         )
-        self._model: Optional[ReducedTransientModel] = None
 
-    def reduced_model(self, rom_stats: Dict[str, object]) -> ReducedTransientModel:
-        """This scale's Krylov model, built on the first call.
+    def reduced_model(self, flow_parametric: bool) -> ReducedTransientModel:
+        """The Krylov model of this scale's implicit system.
 
-        The build counts one ``n_rom_builds`` in ``rom_stats``.
+        ``flow_parametric`` enriches the basis with flow derivatives and
+        hands the model the system's flow split, so it serves every scale
+        through :meth:`~repro.core.rom.ReducedTransientModel.at_flow`.
         """
-        if self._model is not None:
-            return self._model
         transient = self.spec.transient
         rom = transient.rom
         solver = self.solver
@@ -200,12 +212,16 @@ class _Context:
             delta = solver.rhs_at(sample_time) - base_rhs
             if float(np.linalg.norm(delta)) > 0.0:
                 directions.append(delta)
+        flow_split = None
+        if flow_parametric:
+            split = system.flow_split()
+            flow_split = (split.advection, split.inlet)
 
         # One handle per build: the seeds and every Arnoldi block are one
         # bare multi-RHS triangular solve each, never a content-hashed
         # factorization lookup.
         factorization = solver.backend.solver_for(implicit, token)
-        self._model = build_reduced_model(
+        return build_reduced_model(
             implicit,
             c_over_dt,
             factorization.solve,
@@ -216,9 +232,8 @@ class _Context:
             tolerance=rom.tolerance,
             input_rows=input_rows,
             outputs={"solid": self.solid_cells, "coolant": self.coolant_cells},
+            flow_split=flow_split,
         )
-        rom_stats["n_rom_builds"] += 1
-        return self._model
 
     def peak(self, state: np.ndarray) -> float:
         """Peak silicon temperature of a state vector (K)."""
@@ -239,10 +254,15 @@ class _Context:
 
 
 class _Recorder:
-    """Per-scenario history bookkeeping of one run."""
+    """Per-scenario history bookkeeping of one run.
+
+    ``ctx`` is the run's initial context, whose cell bookkeeping every
+    scale shares; ``scale`` is the flow scale currently applied.
+    """
 
     def __init__(self, ctx: _Context, n_steps: int, store_every: int) -> None:
         self.ctx = ctx
+        self.scale = ctx.scale
         self.n_steps = int(n_steps)
         self.store_every = int(store_every)
         start = np.full(
@@ -266,11 +286,11 @@ class _Recorder:
             self.times.append(time)
             self.snapshots.append(state.copy())
 
-    def change_flow(self, time: float, ctx: _Context) -> None:
-        """Record a policy-driven context (flow-scale) switch."""
-        self.ctx = ctx
+    def change_flow(self, time: float, scale: float) -> None:
+        """Record a policy-driven flow-scale switch."""
+        self.scale = scale
         self.flow_times.append(time)
-        self.flow_scales.append(ctx.scale)
+        self.flow_scales.append(scale)
 
 
 def _quantize(scale: float) -> float:
@@ -469,29 +489,48 @@ def _integrate_controlled(
     policy may switch the flow scale.  Either way, a planning policy (one
     exposing ``bind_planner``) is handed a reduced-rollout planner, so MPC
     control is affordable even over full trajectories.
+
+    The run builds at most one reduced model, at its initial scale, and
+    serves every other scale from it (:meth:`ReducedTransientModel.at_flow`);
+    a policy that can change the flow gets a flow-parametric model, a
+    constant one the plain Krylov model of its only scale.
     """
     transient = spec.transient
     n_steps = transient.n_steps
     dt = transient.time_step_s
     contexts: Dict[float, _Context] = {}
+    models: Dict[float, ReducedTransientModel] = {}
     rom_stats: Dict[str, object] = {"n_rom_builds": 0, "n_rom_steps": 0}
+    flow_varies = transient.policy.control_interval_s > 0.0 and not isinstance(
+        policy, ConstantFlowPolicy
+    )
 
     def context_for(scale: float) -> _Context:
-        scale = _quantize(scale)
         ctx = contexts.get(scale)
         if ctx is None:
             ctx = _Context(spec, scale, backend)
             contexts[scale] = ctx
         return ctx
 
-    ctx = context_for(policy.initial_scale())
-    recorder = _Recorder(ctx, n_steps, transient.store_every)
+    initial = context_for(_quantize(policy.initial_scale()))
+    recorder = _Recorder(initial, n_steps, transient.store_every)
+
+    def model_at(scale: float) -> ReducedTransientModel:
+        """The run's reduced model at one (quantized) flow scale."""
+        if not models:
+            models[initial.scale] = initial.reduced_model(flow_varies)
+            rom_stats["n_rom_builds"] += 1
+        model = models.get(scale)
+        if model is None:
+            model = models[initial.scale].at_flow(scale / initial.scale)
+            models[scale] = model
+        return model
 
     if hasattr(policy, "bind_planner"):
 
         def plan(scale: float, horizon_s: float) -> float:
             """Predicted peak T over the horizon at one candidate scale."""
-            model = context_for(scale).reduced_model(rom_stats)
+            model = model_at(_quantize(scale))
             x = model.project(recorder.state)
             steps = max(1, int(round(horizon_s / dt)))
             base_step = int(round(recorder.step_times[-1] / dt))
@@ -514,32 +553,40 @@ def _integrate_controlled(
     global_step = 0
     while global_step < n_steps:
         chunk = min(transient.control_steps, n_steps - global_step)
+        scale = recorder.scale
         if transient.rom_active:
-            model = recorder.ctx.reduced_model(rom_stats)
             _advance_reduced(
-                transient, recorder, model, global_step, chunk, rom_stats
+                transient,
+                recorder,
+                model_at(scale),
+                partial(context_for, scale),
+                global_step,
+                chunk,
+                rom_stats,
             )
         else:
-            _advance_full(transient, recorder, global_step, chunk)
+            _advance_full(
+                transient, recorder, context_for(scale), global_step, chunk
+            )
         global_step += chunk
         if global_step < n_steps and transient.policy.control_interval_s > 0.0:
             scale = _quantize(
                 policy.update(recorder.step_times[-1], recorder.peaks[-1])
             )
-            if scale != recorder.ctx.scale:
-                recorder.change_flow(recorder.step_times[-1], context_for(scale))
+            if scale != recorder.scale:
+                recorder.change_flow(recorder.step_times[-1], scale)
     return recorder, rom_stats
 
 
 def _advance_full(
-    transient, recorder: _Recorder, first_step: int, chunk: int
+    transient, recorder: _Recorder, ctx: _Context, first_step: int, chunk: int
 ) -> None:
-    """One chunk of full-state backward-Euler steps."""
+    """One chunk of full-state backward-Euler steps at ``ctx``'s scale."""
 
     def on_step(step: int, time: float, state: np.ndarray) -> None:
         recorder.observe(first_step + step, time, state)
 
-    recorder.state = recorder.ctx.solver.integrate(
+    recorder.state = ctx.solver.integrate(
         recorder.state,
         step_offset=first_step,
         n_steps=chunk,
@@ -552,6 +599,7 @@ def _advance_reduced(
     transient,
     recorder: _Recorder,
     model: ReducedTransientModel,
+    probe_context: Callable[[], _Context],
     first_step: int,
     chunk: int,
     rom_stats: Dict[str, object],
@@ -562,9 +610,11 @@ def _advance_reduced(
     model's output maps every step; full states are reconstructed only at
     stored-snapshot steps and at the chunk's end.  At every
     ``rom_check_stride`` steps (and at the final step) one *full* implicit
-    step is taken from the lifted reduced state and its peak is compared
-    to the reduced prediction -- the running maximum discrepancy is
-    ``rom_stats["rom_peak_abs_err_K"]``.
+    step at the chunk's flow scale is taken from the lifted reduced state
+    and its peak is compared to the reduced prediction -- the running
+    maximum discrepancy is ``rom_stats["rom_peak_abs_err_K"]``.
+    ``probe_context()`` supplies that scale's full-order context; a chunk
+    without a checkpoint never asks for it.
     """
     n_steps = transient.n_steps
     dt = transient.time_step_s
@@ -573,10 +623,9 @@ def _advance_reduced(
     ctx = recorder.ctx
     rom_stats["rom_order"] = max(rom_stats["rom_order"], model.order)
     max_abs_err = rom_stats["rom_peak_abs_err_K"]
-    implicit, c_over_dt, token = ctx.solver.implicit_system(dt)
     x = model.project(recorder.state)
     # Acquired at the chunk's first checkpoint, if it has one.
-    reference_solver = None
+    probe = reference_solver = None
     # The chunk advances through the factored recurrence
     # ``x_{k+1} = P x_k + M^{-1} Vᵀ b_k``: all rhs projections solve
     # in one dense call, each step is one order-sized matvec, and the
@@ -612,11 +661,13 @@ def _advance_reduced(
         if checkpoint:
             x_prev = states[:, column - 1] if column else x_start
             if reference_solver is None:
-                reference_solver = ctx.solver.backend.solver_for(
+                probe = probe_context()
+                implicit, c_over_dt, token = probe.solver.implicit_system(dt)
+                reference_solver = probe.solver.backend.solver_for(
                     implicit, token
                 )
             reference = reference_solver.solve(
-                ctx.solver.rhs_at(float(times[column]))
+                probe.solver.rhs_at(float(times[column]))
                 + c_over_dt @ model.lift(x_prev)
             )
             max_abs_err = max(

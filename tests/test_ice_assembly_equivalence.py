@@ -460,6 +460,56 @@ class TestFlowRefresh:
         assert assemble_system(_grid_stack()).matrix.data[0] != 0.0
 
 
+class TestFlowSplit:
+    """``fixed + s * advection`` and ``heat + s * inlet`` are the system at ``s`` x its flow."""
+
+    @pytest.mark.parametrize(
+        "name, n_dies",
+        [("test-a", 2), ("niagara-arch1", 2), ("niagara-arch2", 4)],
+    )
+    def test_affine_split_reproduces_every_scaled_flow(self, name, n_dies):
+        system = assemble_system(_scenario_stack(name, 1.0, n_dies))
+        split = system.flow_split()
+        for share in (split.fixed, split.advection):
+            assert np.array_equal(share.indices, system.matrix.indices)
+            assert np.array_equal(share.indptr, system.matrix.indptr)
+        # Exact scales: a power-of-two flow factor scales every capacity
+        # rate without rounding, so the split is bit for bit the system.
+        for scale in FLOW_SCALES:
+            scaled = assemble_system(_scenario_stack(name, scale, n_dies))
+            assert np.array_equal(
+                split.fixed.data + scale * split.advection.data, scaled.matrix.data
+            ), f"{name} x{n_dies} matrix at flow scale {scale}"
+            assert np.array_equal(
+                split.heat + scale * split.inlet, scaled.rhs
+            ), f"{name} x{n_dies} rhs at flow scale {scale}"
+        for scale in (0.71, 1.43):
+            scaled = assemble_system(_scenario_stack(name, scale, n_dies))
+            np.testing.assert_allclose(
+                split.fixed.data + scale * split.advection.data,
+                scaled.matrix.data,
+                rtol=1e-14,
+                atol=0.0,
+            )
+            np.testing.assert_allclose(
+                split.heat + scale * split.inlet, scaled.rhs, rtol=1e-14, atol=0.0
+            )
+
+    def test_shares_have_disjoint_support(self):
+        system = assemble_system(_scenario_stack("niagara-arch1", 1.0))
+        split = system.flow_split()
+        assert np.all(split.inlet[split.heat != 0.0] == 0.0)
+        assert np.count_nonzero(split.inlet) == system.stack.n_rows
+        # The advection share is the only flow-dependent part: it vanishes
+        # on every solid row.
+        is_coolant = np.repeat(
+            [layer.is_cavity for layer in system.stack.layers],
+            system.n_cells_per_layer,
+        )
+        advection = split.advection.tocoo()
+        assert np.all(is_coolant[advection.row[advection.data != 0.0]])
+
+
 class TestSolverEquivalence:
     def test_steady_solutions_identical(self):
         stack = _strip_stack(n_cols=20)

@@ -17,6 +17,11 @@ Covers the reduced-order acceptance criteria:
 * model lifetime: no basis outlives the run that built it, and ROM
   sweeps give equal results through the serial, thread and process
   executors;
+* one flow-parametric model per run: a policy that changes the flow
+  builds one basis, serves every scale from the affine flow split, and
+  pays full-order work (a context, an assembly, a factorization) only at
+  the scales where full steps run; a model built at one flow tracks full
+  integration at flows from 0.5x to 2x;
 * engine counters (``n_rom_builds`` / ``n_rom_steps``) through
   ``COUNTER_KEYS``, the Session and campaign summaries;
 * the MPC policy: planning picks the cheapest feasible candidate, beats
@@ -38,6 +43,7 @@ from oracles.krylov import krylov_basis
 from test_serve_service import physics
 from repro.core.engine import COUNTER_KEYS
 from repro.core.rom import build_reduced_model
+from repro.ice import AssembledSystem
 from repro.policies import ModelPredictiveFlowPolicy, policy_from_spec
 import repro.transient_engine as transient_engine
 from repro.scenarios import (
@@ -54,6 +60,7 @@ from repro.transient import (
     TraceSpec,
     TransientSpec,
 )
+from repro.thermal.backends import SparseLUBackend
 from repro.transient_engine import simulate_transient
 
 
@@ -556,6 +563,186 @@ class TestBlockBuild:
         assert model.order == 5
         assert model.n_build_solves == 4
         assert np.max(np.abs(model.basis.T @ model.basis - np.eye(5))) <= 1e-12
+
+
+# -- one flow-parametric model per run ----------------------------------------
+
+
+def proportional_rom_spec():
+    """A strip ROM run whose proportional policy visits four flow scales."""
+    return rom_scenario(
+        duration=0.4,
+        policy=PolicySpec(
+            kind="proportional",
+            control_interval_s=0.05,
+            setpoint_K=310.0,
+            gain_per_K=0.1,
+            min_scale=0.5,
+            max_scale=2.0,
+        ),
+        rom=RomSpec(mode="rom"),
+    )
+
+
+def checkpoint_scales(outcome):
+    """Flow scales of the steps a reduced run checked with a full step."""
+    n_steps = outcome.metadata["n_steps"]
+    stride = outcome.metadata["rom_check_stride"]
+    scales = set()
+    for step in range(1, n_steps + 1):
+        if step % stride == 0 or step == n_steps:
+            start = outcome.step_times_s[step - 1]
+            index = np.searchsorted(outcome.flow_times_s, start, side="right") - 1
+            scales.add(float(outcome.flow_scales[index]))
+    return scales
+
+
+def nominal_flow(spec):
+    return spec.experiment_config().params.flow_rate_per_channel
+
+
+@pytest.fixture
+def assembled_flows(monkeypatch):
+    """Per-channel flow of every ICE system the run assembles."""
+    flows = []
+    original = AssembledSystem.__init__
+
+    def recording_init(self, stack):
+        flows.append(
+            next(layer.flow_rate_per_channel for layer in stack.layers if layer.is_cavity)
+        )
+        original(self, stack)
+
+    monkeypatch.setattr(AssembledSystem, "__init__", recording_init)
+    return flows
+
+
+class TestOneModelPerRun:
+    def test_proportional_run_builds_once_and_factorizes_at_probe_scales(self):
+        backend = SparseLUBackend()
+        outcome = simulate_transient(proportional_rom_spec(), backend=backend)
+        visited = set(outcome.flow_scales.tolist())
+        assert len(visited) >= 3
+        assert outcome.metadata["n_rom_builds"] == 1
+        # Full steps run at the build scale (the Krylov solves) and at the
+        # checkpoints; a scale the reduced trajectory only passes through
+        # costs no factorization.
+        full_step_scales = checkpoint_scales(outcome) | {outcome.flow_scales[0]}
+        assert backend.n_factorizations == len(full_step_scales) < len(visited)
+
+    def test_mpc_plans_candidates_without_full_order_work(self, assembled_flows):
+        spec = rom_scenario(duration=0.3, policy=mpc_policy_spec(threshold_K=316.0))
+        backend = SparseLUBackend()
+        outcome = simulate_transient(spec, backend=backend)
+        stepped = set(outcome.flow_scales.tolist())
+        candidates = set(policy_from_spec(spec.transient.policy).candidates)
+        assert stepped < candidates  # some candidate was only ever planned
+        assert outcome.metadata["n_rom_builds"] == 1
+        # A full run steps every applied scale and nothing else.
+        assert backend.n_factorizations == len(stepped)
+        assert assembled_flows == [
+            nominal_flow(spec) * scale
+            for scale in dict.fromkeys(outcome.flow_scales.tolist())
+        ]
+
+    def test_mpc_over_a_reduced_trajectory_probes_only(self, assembled_flows):
+        spec = rom_scenario(
+            duration=0.3,
+            policy=mpc_policy_spec(threshold_K=316.0),
+            rom=RomSpec(mode="rom"),
+        )
+        backend = SparseLUBackend()
+        outcome = simulate_transient(spec, backend=backend)
+        full_step_scales = checkpoint_scales(outcome) | {outcome.flow_scales[0]}
+        assert outcome.metadata["n_rom_builds"] == 1
+        assert backend.n_factorizations == len(full_step_scales)
+        assert len(assembled_flows) == len(full_step_scales)
+        assert set(assembled_flows) == {
+            nominal_flow(spec) * scale for scale in full_step_scales
+        }
+
+    @pytest.mark.parametrize(
+        "policy, parametric",
+        [
+            (PolicySpec(kind="constant", control_interval_s=0.05), False),
+            (PolicySpec(kind="constant", control_interval_s=0.0, scale=1.5), False),
+            (
+                PolicySpec(
+                    kind="bang-bang",
+                    threshold_K=315.0,
+                    high_scale=2.0,
+                    control_interval_s=0.05,
+                ),
+                True,
+            ),
+        ],
+        ids=["constant", "constant-scaled", "bang-bang"],
+    )
+    def test_only_a_flow_changing_policy_gets_the_flow_split(
+        self, recorded_builds, policy, parametric
+    ):
+        outcome = simulate_transient(
+            rom_scenario(policy=policy, rom=RomSpec(mode="rom"))
+        )
+        ((_, kwargs, _),) = recorded_builds
+        assert outcome.metadata["n_rom_builds"] == 1
+        assert (kwargs["flow_split"] is not None) is parametric
+
+
+def step_peaks(model, start, n_steps, dt):
+    """Per-step reduced peak predictions from a full initial state."""
+    x = model.project(start)
+    peaks = []
+    for step in range(1, n_steps + 1):
+        x = model.step(x, step * dt)
+        peaks.append(model.output_max("solid", x))
+    return np.asarray(peaks)
+
+
+class TestFlowParametricAccuracy:
+    @pytest.mark.parametrize(
+        "make_spec",
+        [
+            lambda: rom_scenario(n_cols=40, duration=1.0, rom=RomSpec(mode="rom")),
+            arch1_rom_scenario,
+        ],
+        ids=["test-a-strip", "arch1"],
+    )
+    def test_one_basis_tracks_full_integration_across_flows(self, make_spec):
+        spec = make_spec()
+        dt = spec.transient.time_step_s
+        n_steps = spec.transient.n_steps
+        backend = SparseLUBackend()
+        nominal = transient_engine._Context(spec, 1.0, backend)
+        model = nominal.reduced_model(flow_parametric=True)
+        assert model.order <= spec.transient.rom.order
+        for scale in (0.5, 0.71, 1.0, 1.43, 2.0):
+            ctx = transient_engine._Context(spec, scale, backend)
+            start = np.full(ctx.solver.system.n_unknowns, ctx.start_temperature())
+            full = []
+            ctx.solver.integrate(
+                start,
+                step_offset=0,
+                n_steps=n_steps,
+                time_step=dt,
+                on_step=lambda step, time, state: full.append(ctx.peak(state)),
+            )
+            reduced = step_peaks(model.at_flow(scale), start, n_steps, dt)
+            error = float(np.max(np.abs(np.asarray(full) - reduced)))
+            assert error <= 1e-3, f"scale {scale}: peak error {error:.2e} K"
+
+    def test_at_flow_serves_the_build_flow_unchanged(self):
+        spec = rom_scenario(rom=RomSpec(mode="rom"))
+        ctx = transient_engine._Context(spec, 1.0, SparseLUBackend())
+        parametric = ctx.reduced_model(flow_parametric=True)
+        assert parametric.at_flow(1.0) is parametric
+        scaled = parametric.at_flow(2.0)
+        assert scaled.basis is parametric.basis
+        assert scaled.flow_factor == 2.0
+        plain = ctx.reduced_model(flow_parametric=False)
+        assert plain.at_flow(1.0) is plain
+        with pytest.raises(ValueError, match="flow split"):
+            plain.at_flow(2.0)
 
 
 # -- unit surface of core/rom ------------------------------------------------
