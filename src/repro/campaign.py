@@ -393,13 +393,6 @@ class CampaignResult:
         """Scenarios whose record is an error."""
         return sum(1 for r in self.records if r.get("status") == "error")
 
-    def record_for(self, scenario: str) -> Dict[str, object]:
-        """The record of a scenario by its expanded name."""
-        for record in self.records:
-            if record.get("scenario") == scenario:
-                return record
-        raise KeyError(f"no campaign record for scenario {scenario!r}")
-
     def results(self) -> List[Optional[Dict[str, object]]]:
         """The per-scenario result payloads in sweep order (None on error)."""
         return [record.get("result") for record in self.records]

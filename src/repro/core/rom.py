@@ -7,9 +7,8 @@ questions campaigns actually ask -- "peak temperature over this trace",
 the thermal operator is strongly dissipative and the inputs (static heat
 maps plus a handful of per-layer traces) span a few directions.  This
 module projects the implicit system onto a block-Krylov subspace built
-from exactly those directions, so a step becomes one small dense
-triangular solve (order ~tens) instead of a sparse back-substitution over
-every cell.
+from exactly those directions, so a step becomes one small dense matvec
+(order ~tens) instead of a sparse back-substitution over every cell.
 
 :func:`build_reduced_model` runs a block-Arnoldi recurrence on the
 backward-Euler propagation operator ``P = (C/dt + A)^{-1} C/dt``: the
@@ -24,11 +23,11 @@ accepted columns).  Directions whose residual norm falls below
 ``tolerance`` (relative to their pre-projection norm) are deflated, so the
 realized order adapts to how much of the space the inputs actually
 excite.  The dense reduced operators ``Vᵀ(C/dt + A)V``
-(LU-factorized once) and ``Vᵀ(C/dt)V`` step the reduced state; *output
-maps* -- the basis restricted to the solid and coolant cells -- track the
-per-step peak temperature and coolant rise without lifting the full
-state, which is reconstructed (``T ≈ V x``) only for stored snapshots and
-on demand.
+(LU-factorized once) and ``Vᵀ(C/dt)V`` step the reduced state through
+one recurrence, :meth:`ReducedTransientModel.advance`; *output maps* --
+the basis restricted to the solid and coolant cells -- track the per-step
+peak temperature and coolant rise without lifting the full state, which
+is reconstructed (``T ≈ V x``) only for stored snapshots and on demand.
 
 Because the Arnoldi solves go through the scenario's solver backend with
 the implicit system's pattern token, building a model warms the very
@@ -90,8 +89,8 @@ class ReducedTransientModel:
     """A projected backward-Euler integrator with peak-tracking outputs.
 
     Instances are immutable after construction and safe to share across
-    threads: :meth:`step` only reads the factorized reduced operators, and
-    :meth:`at_flow` returns a new model.  Build one with
+    threads: :meth:`advance` only reads the factorized reduced operators,
+    and :meth:`at_flow` returns a new model.  Build one with
     :func:`build_reduced_model`.
     """
 
@@ -131,8 +130,8 @@ class ReducedTransientModel:
         self._lu = lu_factor(reduced_implicit)
         # Dense propagation matrix of the reduced recurrence
         # ``x' = P x + M^{-1} Vᵀb``: precomputing ``P = M^{-1} Cr`` turns
-        # the per-step triangular solve into one tiny matvec, and lets
-        # the engine advance whole control chunks with BLAS-level loops.
+        # the per-step triangular solve into one tiny matvec, so
+        # :meth:`advance` steps whole control chunks with BLAS-level loops.
         self._propagation = lu_solve(self._lu, self._c_over_dt_r)
 
     def at_flow(self, factor: float) -> "ReducedTransientModel":
@@ -207,38 +206,26 @@ class ReducedTransientModel:
         delta = rhs[rows] - self._base_rhs[rows]
         return self._projected_base_rhs + self._basis_input_rows.T @ delta
 
-    def step(self, reduced_state: np.ndarray, time: float) -> np.ndarray:
-        """One reduced backward-Euler step to absolute ``time``."""
-        rhs = self.project_rhs(time) + self._c_over_dt_r @ reduced_state
-        return lu_solve(self._lu, rhs)
+    def advance(self, reduced_state: np.ndarray, times) -> np.ndarray:
+        """Reduced backward-Euler states at each of ``times``, ``(order, k)``.
 
-    @property
-    def propagation(self) -> np.ndarray:
-        """The dense reduced propagation matrix ``P = M^{-1} Vᵀ(C/dt)V``."""
-        return self._propagation
-
-    def solve_projected(self, projected_rhs: np.ndarray) -> np.ndarray:
-        """``M^{-1} r`` for one projected rhs vector or a matrix of them.
-
-        With the propagation matrix this factors the recurrence as
-        ``x_{k+1} = P x_k + M^{-1} Vᵀ b_k``: callers batch every ``b_k``
-        of a control chunk into one dense solve, then advance with one
-        tiny matvec per step.
+        The factored recurrence ``x_{k+1} = P x_k + M^{-1} Vᵀ b_k`` from
+        ``reduced_state``: the rhs projections of all ``times`` solve in
+        one dense call, then each step is one order-sized matvec.
         """
-        return lu_solve(self._lu, projected_rhs)
+        n_times = len(times)
+        projected = np.empty((self.order, n_times))
+        for column, time in enumerate(times):
+            projected[:, column] = self.project_rhs(float(time))
+        forced = lu_solve(self._lu, projected)
+        states = np.empty((self.order, n_times))
+        x = reduced_state
+        for column in range(n_times):
+            x = self._propagation @ x + forced[:, column]
+            states[:, column] = x
+        return states
 
     # -- outputs ------------------------------------------------------------
-
-    def output(self, name: str, reduced_state: np.ndarray) -> np.ndarray:
-        """The named output map applied to a reduced state."""
-        return self._outputs[name] @ reduced_state
-
-    def output_max(self, name: str, reduced_state: np.ndarray) -> float:
-        """Max of an output map (empty selections are ``-inf``-free 0.0)."""
-        values = self._outputs[name] @ reduced_state
-        if values.size == 0:
-            return 0.0
-        return float(np.max(values))
 
     def output_max_many(
         self, name: str, reduced_states: np.ndarray
@@ -246,7 +233,7 @@ class ReducedTransientModel:
         """Per-column maxima of an output map over a ``(order, k)`` block.
 
         One BLAS-3 product covers a whole control chunk of states; empty
-        selections yield zeros (mirroring :meth:`output_max`).
+        selections yield zeros.
         """
         output_map = self._outputs[name]
         if output_map.shape[0] == 0:
@@ -332,7 +319,7 @@ def build_reduced_model(
         Extra input directions (sampled trace deltas); each is solved
         through ``implicit`` and joins the starting block.
     rhs_fn:
-        ``time -> b(time)``, evaluated by :meth:`ReducedTransientModel.step`.
+        ``time -> b(time)``, evaluated by :meth:`ReducedTransientModel.advance`.
     order:
         Maximum basis size; the realized order may be smaller when the
         Krylov space closes or ``tolerance`` deflates directions.

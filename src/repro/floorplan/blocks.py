@@ -261,10 +261,6 @@ class Floorplan:
 
     # -- transformations -------------------------------------------------------------
 
-    def renamed(self, name: str) -> "Floorplan":
-        """A copy of the floorplan with a different name."""
-        return replace(self, name=name)
-
     def mirrored_y(self) -> "Floorplan":
         """Mirror the floorplan across the horizontal midline of the die."""
         mirrored = tuple(

@@ -39,9 +39,10 @@ in a process-wide LRU keyed on the stack's flow- and power-free content
 (:func:`base_cache_info`, :func:`clear_base_cache`); a system copies the
 base values, writes ``±_capacity_rate`` at each cavity's advection
 positions, folds them and computes the rhs from the heat maps and inlet
-temperatures.  Flow sweeps, flow policies and power sweeps of one stack
-thus pay the triplet construction once per process.  Stacks with a
-callable width profile have no content key and build their base uncached.
+temperatures; :meth:`AssembledSystem.at_flow` redoes just that flow
+write.  Flow sweeps, flow policies and power sweeps of one stack thus pay
+the triplet construction once per process.  Stacks with a callable width
+profile have no content key and build their base uncached.
 :meth:`AssembledSystem.refreshed` re-evaluates just the cavity convection
 values for a Picard pass over the same base and shares everything else.
 
@@ -293,8 +294,9 @@ class AssembledSystem:
     stack's flow- and power-free content and is built by :meth:`_triplets`
     only on a miss; the system then writes ``±_capacity_rate`` into each
     cavity's advection slots, folds the values and computes the rhs from
-    the heat maps and inlet temperatures.  :meth:`refreshed` re-evaluates
-    the cavity convection against film coolant properties and shares
+    the heat maps and inlet temperatures.  :meth:`at_flow` redoes the
+    flow write at another flow and :meth:`refreshed` re-evaluates the
+    cavity convection against film coolant properties; both share
     everything else.
     """
 
@@ -314,6 +316,8 @@ class AssembledSystem:
         #: The cached canonical fold of this shape's triplet stream.
         self.pattern = base.pattern
         self.capacitances = base.capacitances
+        #: This system's flow relative to its stack's (:meth:`at_flow`).
+        self.flow_factor = 1.0
         values = base.values.copy()
         self._write_advection(values, 1.0)
         self._values = values
@@ -423,6 +427,38 @@ class AssembledSystem:
             values[cavity.diagonal] = rate
             values[cavity.upwind] = -rate
 
+    def _write_inlet(self, rhs: np.ndarray, factor: float) -> None:
+        """Write ``factor * _capacity_rate * T_inlet`` at every cavity's inlet column."""
+        stack = self.stack
+        grid = rhs.reshape(stack.n_layers, stack.n_rows, stack.n_cols)
+        for cavity in self._base.cavities:
+            layer = stack.layers[cavity.layer]
+            grid[cavity.layer, :, 0] = (
+                factor * _capacity_rate(stack, layer) * layer.inlet_temperature
+            )
+
+    def at_flow(self, factor: float) -> "AssembledSystem":
+        """This system at ``factor`` times its stack's flow.
+
+        The advection slots and the inlet rhs are rewritten at ``factor``
+        over copies; the base, ``pattern``, ``pattern_token`` and
+        ``capacitances`` are shared.  It equals a fresh assembly at the
+        scaled flow up to the rounding of the capacity-rate product.
+        """
+        factor = float(factor)
+        if factor == self.flow_factor:
+            return self
+        values = self._values.copy()
+        self._write_advection(values, factor)
+        rhs = self.rhs.copy()
+        self._write_inlet(rhs, factor)
+        system = copy.copy(self)
+        system.flow_factor = factor
+        system._values = values
+        system.matrix = self.pattern.matrix(values)
+        system.rhs = rhs
+        return system
+
     def flow_split(self) -> FlowSplit:
         """The :class:`FlowSplit` of this system at its own flow.
 
@@ -431,18 +467,12 @@ class AssembledSystem:
         advection positions, the fixed share the rest; the inlet share is
         the cavities' inlet columns of the rhs.
         """
-        stack = self.stack
         advection = np.zeros_like(self._values)
-        self._write_advection(advection, 1.0)
+        self._write_advection(advection, self.flow_factor)
         fixed = self._values.copy()
         self._write_advection(fixed, 0.0)
-        inlet = np.zeros((stack.n_layers, stack.n_rows, stack.n_cols))
-        for cavity in self._base.cavities:
-            layer = stack.layers[cavity.layer]
-            inlet[cavity.layer, :, 0] = (
-                _capacity_rate(stack, layer) * layer.inlet_temperature
-            )
-        inlet = inlet.reshape(-1)
+        inlet = np.zeros(self.n_unknowns)
+        self._write_inlet(inlet, self.flow_factor)
         return FlowSplit(
             fixed=self.pattern.matrix(fixed),
             advection=self.pattern.matrix(advection),
@@ -454,15 +484,13 @@ class AssembledSystem:
         stack = self.stack
         rhs = np.zeros((stack.n_layers, stack.n_rows, stack.n_cols))
         for layer_idx, layer in enumerate(stack.layers):
-            if layer.is_cavity:
-                rhs[layer_idx, :, 0] += (
-                    _capacity_rate(stack, layer) * layer.inlet_temperature
-                )
-            else:
+            if not layer.is_cavity:
                 rhs[layer_idx] += stack.cell_power(
                     layer.heat_map(stack.n_rows, stack.n_cols)
                 )
-        return rhs.reshape(-1)
+        rhs = rhs.reshape(-1)
+        self._write_inlet(rhs, 1.0)
+        return rhs
 
     def _capacitances(self) -> np.ndarray:
         stack = self.stack

@@ -226,10 +226,6 @@ class LayerStack:
         """x coordinates of the cell centers (m), shape ``(n_cols,)``."""
         return (np.arange(self.n_cols) + 0.5) * self.cell_length
 
-    def y_centers(self) -> np.ndarray:
-        """y coordinates of the cell centers (m), shape ``(n_rows,)``."""
-        return (np.arange(self.n_rows) + 0.5) * self.cell_width
-
     def layer_index(self, name: str) -> int:
         """Index of the layer with the given name."""
         for index, layer in enumerate(self.layers):

@@ -23,11 +23,13 @@ factorizes it on a miss) and every step is a bare triangular solve
 through it.  The backend's keyed factorization cache carries the
 factorization across chunks and repeated runs of the same stack and time
 step (re-running a transient after a parameter sweep pays only
-triangular solves).
+triangular solves), and :meth:`TransientSolver.at_flow` serves another
+flow scale of the same stack as a flow write on its assembled system.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Dict, Optional, Union
 
 import numpy as np
@@ -104,6 +106,21 @@ class TransientSolver:
         self.power_schedule = power_schedule
         self.backend = resolve_backend(backend)
         self._implicit: Dict[float, tuple] = {}
+
+    def at_flow(self, factor: float) -> "TransientSolver":
+        """This solver at ``factor`` times its stack's flow.
+
+        Shares the stack, power schedule and backend; the system is
+        :meth:`AssembledSystem.at_flow` of this one, with its own
+        implicit-system cache.
+        """
+        system = self.system.at_flow(factor)
+        if system is self.system:
+            return self
+        solver = copy.copy(self)
+        solver.system = system
+        solver._implicit = {}
+        return solver
 
     # -- source updates -----------------------------------------------------------
 

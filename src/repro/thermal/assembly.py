@@ -65,6 +65,22 @@ class LaneParameters:
     reversed_flags: Tuple[bool, ...]
 
 
+def _conductance_rows(
+    geometry, silicon, coolant, widths, flow_rate, z_grid, developing, scale
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(g_v, g_w)`` of one width row or a ``(k, n_points)`` stack, times ``scale``.
+
+    The conductance functions are elementwise, so a stacked call gives
+    each row exactly what a call on that row alone gives; ``scale`` is the
+    cluster size (a scalar, or a ``(k, 1)`` column for a stack).
+    """
+    g_v = conductances.layer_to_coolant_conductance(
+        geometry, silicon, coolant, widths, flow_rate, z_grid, developing
+    )
+    g_w = conductances.sidewall_conductance(geometry, silicon, widths)
+    return np.asarray(g_v, dtype=float) * scale, np.asarray(g_w, dtype=float) * scale
+
+
 def lane_conductance_rows(
     structure: MultiChannelStructure,
     z_grid: np.ndarray,
@@ -90,32 +106,16 @@ def lane_conductance_rows(
     if widths is None:
         widths = lane.width_profile(z_grid)
     widths = np.atleast_1d(np.asarray(widths, dtype=float))
-    scale = float(structure.cluster_size_of_lane(lane_index))
-    g_v = (
-        np.asarray(
-            conductances.layer_to_coolant_conductance(
-                lane.geometry,
-                lane.silicon,
-                lane.coolant if coolant is None else coolant,
-                widths,
-                lane.flow_rate,
-                z_grid,
-                lane.developing_flow,
-            ),
-            dtype=float,
-        )
-        * scale
+    return _conductance_rows(
+        lane.geometry,
+        lane.silicon,
+        lane.coolant if coolant is None else coolant,
+        widths,
+        lane.flow_rate,
+        z_grid,
+        lane.developing_flow,
+        float(structure.cluster_size_of_lane(lane_index)),
     )
-    g_w = (
-        np.asarray(
-            conductances.sidewall_conductance(
-                lane.geometry, lane.silicon, widths
-            ),
-            dtype=float,
-        )
-        * scale
-    )
-    return g_v, g_w
 
 
 def lane_parameters(
@@ -126,9 +126,10 @@ def lane_parameters(
     Channel clustering scales every parameter of a lane by the number of
     physical channels the lane represents, exactly as in Sec. III of the
     paper.  Lanes that share geometry, materials, flow rate and flow
-    regime get their ``g_v``/``g_w`` rows from one call on the stacked
-    ``(k, n_points)`` widths; the conductance functions are elementwise,
-    so each row equals :func:`lane_conductance_rows` of its lane.
+    regime get their ``g_v``/``g_w`` rows from one :func:`_conductance_rows`
+    call on the stacked ``(k, n_points)`` widths, the evaluation
+    :func:`lane_conductance_rows` makes for one lane, so each row equals
+    that function's rows for its lane.
     """
     n_lanes = structure.n_lanes
     n_points = z_grid.size
@@ -166,22 +167,9 @@ def lane_parameters(
                 for i in members
             ]
         )
-        member_scales = scales[members, None]
-        g_v[members] = (
-            np.asarray(
-                conductances.layer_to_coolant_conductance(
-                    geometry, silicon, coolant, widths, flow_rate, z_grid, developing
-                ),
-                dtype=float,
-            )
-            * member_scales
-        )
-        g_w[members] = (
-            np.asarray(
-                conductances.sidewall_conductance(geometry, silicon, widths),
-                dtype=float,
-            )
-            * member_scales
+        g_v[members], g_w[members] = _conductance_rows(
+            geometry, silicon, coolant, widths, flow_rate, z_grid, developing,
+            scales[members, None],
         )
     return LaneParameters(
         g_v=g_v,

@@ -181,10 +181,6 @@ class ThermalSolution:
 
     # -- extraction helpers -----------------------------------------------------
 
-    def layer_profile(self, layer: int, lane: int = 0) -> np.ndarray:
-        """Temperature profile of one layer of one lane (K)."""
-        return self.temperatures[layer, lane].copy()
-
     def lane_maximum(self) -> np.ndarray:
         """Per-lane maximum silicon temperature, shape ``(n_lanes,)`` (K)."""
         return np.max(self.temperatures, axis=(0, 2))

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -307,11 +307,6 @@ class PolicySpec(Spec, section="policy"):
                 f"positive horizon_s, got {self.horizon_s}"
             )
 
-    @property
-    def is_reactive(self) -> bool:
-        """True when the policy can change the flow during the run."""
-        return self.control_interval_s > 0.0 and self.kind != "constant"
-
 
 @dataclass(frozen=True)
 class RomSpec(Spec, section="rom"):
@@ -495,9 +490,3 @@ class TransientSpec(Spec, section="transient"):
             return {trace.layer: trace.flux_at(time_s) for trace in traces}
 
         return power_schedule
-
-    # -- functional updates -------------------------------------------------
-
-    def with_policy(self, policy: Union[PolicySpec, Mapping]) -> "TransientSpec":
-        """Return a copy with the flow-control policy replaced."""
-        return replace(self, policy=policy)

@@ -14,15 +14,16 @@ per control interval.  Each chunk advances through either the full
 backward-Euler integrator
 (:meth:`repro.ice.transient.TransientSolver.integrate`) or the reduced
 Krylov model, as the spec's ``rom`` block selects; between chunks the flow
-policy observes the peak temperature and may change the flow scale.  Full
-steps at a new scale build the stack at the scaled flow (the assembly's
-cached flow-free base makes this cheap) and the solver backend's keyed
-factorization cache makes revisited scales -- e.g. the two levels of a
-bang-bang controller -- pay only triangular solves.  Each chunk acquires
-one factorization handle, so the matrix is content-hashed once per chunk,
-not once per step; scenarios run through one shared backend instance
-with content-identical implicit systems (traces and static heat maps may
-differ) share one factorization.
+policy observes the peak temperature and may change the flow scale.  A
+run builds one stack and one assembly, at the spec's nominal flow; every
+flow scale it steps, probes or builds its reduced model at is a flow write
+on that system (:meth:`repro.ice.transient.TransientSolver.at_flow`), and
+the solver backend's keyed factorization cache makes revisited scales --
+e.g. the two levels of a bang-bang controller -- pay only triangular
+solves.  Each chunk acquires one factorization handle, so the matrix is
+content-hashed once per chunk, not once per step; scenarios run through
+one shared backend instance with content-identical implicit systems
+(traces and static heat maps may differ) share one factorization.
 
 One reduced model per run: the run builds its Krylov basis once, at its
 initial flow scale, on first use -- for the reduced trajectory or for an
@@ -30,14 +31,12 @@ MPC rollout -- and serves every other scale from it through the operator's
 affine flow split (:meth:`repro.core.rom.ReducedTransientModel.at_flow`,
 one small dense LU per scale).  A policy that can change the flow gets a
 flow-parametric basis; a constant policy gets the plain Krylov basis of
-its one scale.  Planning at a candidate scale therefore builds no stack,
-no assembly and no factorization; full-order state (a stack, a
-:class:`~repro.ice.transient.TransientSolver`, a factorization) exists
-only at the scales where full steps run -- the chunks of a full run and
-the checkpoint probes of a reduced one.  The basis is dropped when the run
-returns; a repeated run rebuilds it over the backend's still-warm
-factorization, and a :class:`~repro.api.Session` replays a repeated
-scenario from its engine's outcome memo without running it.
+its one scale.  The reduced trajectory and MPC rollouts both step
+through :meth:`~repro.core.rom.ReducedTransientModel.advance`.  The basis
+is dropped when the run returns; a repeated run rebuilds it over the
+backend's still-warm factorization, and a :class:`~repro.api.Session`
+replays a repeated scenario from its engine's outcome memo without
+running it.
 
 Long traces do not blow memory: full-field snapshots are kept every
 ``store_every`` steps only, while the scalar observables driving metrics
@@ -48,8 +47,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Dict, List, Union
+from typing import Dict, List, Union
 
 import numpy as np
 
@@ -71,10 +69,10 @@ __all__ = [
     "simulate_transient",
 ]
 
-#: Flow scales are quantized to this many decimals before a stack is built
-#: or a reduced model is derived for them, so revisited levels (bang-bang
+#: Flow scales are quantized to this many decimals before a solver or a
+#: reduced model is derived for them, so revisited levels (bang-bang
 #: toggling, a proportional controller hovering at its clip) reuse
-#: contexts, factorizations and reduced operators instead of accumulating
+#: solvers, factorizations and reduced operators instead of accumulating
 #: near-duplicates.
 _SCALE_DECIMALS = 6
 
@@ -118,33 +116,19 @@ class TransientOutcome:
 
 
 class _Context:
-    """One scenario's full-order solver state at one flow scale.
+    """One scenario's full-order state: one stack, one assembly, every flow.
 
-    A context (stack, :class:`~repro.ice.transient.TransientSolver` and,
-    through the backend, a factorization) exists only where full-order
-    work runs: every chunk of a full run, the checkpoint probes of a
-    reduced run, and the run's initial scale, whose implicit system the
-    run's reduced model is built from.  Every context of a run shares the
-    cell bookkeeping, which the recorder reads from the initial one.
+    A run builds its stack and its :class:`~repro.ice.solver.AssembledSystem`
+    once, at the spec's nominal flow.  :meth:`solver_at` serves every flow
+    scale the run steps or probes as a flow write on that system
+    (:meth:`repro.ice.transient.TransientSolver.at_flow`), one solver per
+    quantized scale; the cell bookkeeping is the same at every scale.
     """
 
-    def __init__(
-        self,
-        spec: ScenarioSpec,
-        scale: float,
-        backend: SolverBackend,
-    ) -> None:
+    def __init__(self, spec: ScenarioSpec, backend: SolverBackend) -> None:
         self.spec = spec
-        self.scale = float(scale)
         transient = spec.transient
-        if self.scale == 1.0:
-            scaled = spec
-        else:
-            base_flow = spec.experiment_config().params.flow_rate_per_channel
-            scaled = spec.with_params(
-                flow_rate_per_channel=base_flow * self.scale
-            )
-        stack = scaled.build_stack()
+        stack = spec.build_stack()
         for trace in transient.traces:
             try:
                 index = stack.layer_index(trace.layer)
@@ -160,10 +144,11 @@ class _Context:
                     "a cavity; traces drive solid layers only"
                 )
         self.stack = stack
-        self.solver = TransientSolver(
+        self._nominal = TransientSolver(
             stack, power_schedule=transient.schedule(), backend=backend
         )
-        system = self.solver.system
+        self._solvers: Dict[float, TransientSolver] = {}
+        system = self.system = self._nominal.system
         solid, coolant = [], []
         for layer_index, layer in enumerate(stack.layers):
             start = system.index(layer_index, 0, 0)
@@ -177,16 +162,27 @@ class _Context:
             spec.experiment_config().params.inlet_temperature
         )
 
-    def reduced_model(self, flow_parametric: bool) -> ReducedTransientModel:
-        """The Krylov model of this scale's implicit system.
+    def solver_at(self, scale: float) -> TransientSolver:
+        """The transient solver at ``scale`` times the nominal flow."""
+        solver = self._solvers.get(scale)
+        if solver is None:
+            solver = self._solvers[scale] = self._nominal.at_flow(scale)
+        return solver
+
+    def reduced_model(
+        self, scale: float, flow_parametric: bool
+    ) -> ReducedTransientModel:
+        """The Krylov model of the implicit system at flow ``scale``.
 
         ``flow_parametric`` enriches the basis with flow derivatives and
-        hands the model the system's flow split, so it serves every scale
-        through :meth:`~repro.core.rom.ReducedTransientModel.at_flow`.
+        hands the model the system's flow split, taken at ``scale``, so it
+        serves every scale through
+        :meth:`~repro.core.rom.ReducedTransientModel.at_flow` (relative to
+        ``scale``).
         """
         transient = self.spec.transient
         rom = transient.rom
-        solver = self.solver
+        solver = self.solver_at(scale)
         system = solver.system
         implicit, c_over_dt, token = solver.implicit_system(transient.time_step_s)
         base_rhs = solver.rhs_at(0.0)
@@ -256,18 +252,18 @@ class _Context:
 class _Recorder:
     """Per-scenario history bookkeeping of one run.
 
-    ``ctx`` is the run's initial context, whose cell bookkeeping every
-    scale shares; ``scale`` is the flow scale currently applied.
+    ``ctx`` is the run's context; ``scale`` is the flow scale currently
+    applied, starting at the policy's initial one.
     """
 
-    def __init__(self, ctx: _Context, n_steps: int, store_every: int) -> None:
+    def __init__(
+        self, ctx: _Context, scale: float, n_steps: int, store_every: int
+    ) -> None:
         self.ctx = ctx
-        self.scale = ctx.scale
+        self.scale = scale
         self.n_steps = int(n_steps)
         self.store_every = int(store_every)
-        start = np.full(
-            ctx.solver.system.n_unknowns, ctx.start_temperature()
-        )
+        start = np.full(ctx.system.n_unknowns, ctx.start_temperature())
         self.state = start
         self.times: List[float] = [0.0]
         self.snapshots: List[np.ndarray] = [start.copy()]
@@ -275,7 +271,7 @@ class _Recorder:
         self.peaks: List[float] = [ctx.peak(start)]
         self.rises: List[float] = [ctx.coolant_rise(start)]
         self.flow_times: List[float] = [0.0]
-        self.flow_scales: List[float] = [ctx.scale]
+        self.flow_scales: List[float] = [scale]
 
     def observe(self, global_step: int, time: float, state: np.ndarray) -> None:
         """Record one completed step (scalars always, fields subsampled)."""
@@ -330,7 +326,7 @@ def _finalize(
     """Assemble histories, metrics and provenance into the outcome."""
     transient = spec.transient
     ctx = recorder.ctx
-    system = ctx.solver.system
+    system = ctx.system
     result = result_from_snapshots(
         system,
         ctx.stack,
@@ -490,39 +486,32 @@ def _integrate_controlled(
     exposing ``bind_planner``) is handed a reduced-rollout planner, so MPC
     control is affordable even over full trajectories.
 
-    The run builds at most one reduced model, at its initial scale, and
-    serves every other scale from it (:meth:`ReducedTransientModel.at_flow`);
+    The run builds one context (one stack, one assembly) and at most one
+    reduced model, at its initial scale, and serves every other scale from
+    them (:meth:`_Context.solver_at`, :meth:`ReducedTransientModel.at_flow`);
     a policy that can change the flow gets a flow-parametric model, a
     constant one the plain Krylov model of its only scale.
     """
     transient = spec.transient
     n_steps = transient.n_steps
     dt = transient.time_step_s
-    contexts: Dict[float, _Context] = {}
     models: Dict[float, ReducedTransientModel] = {}
     rom_stats: Dict[str, object] = {"n_rom_builds": 0, "n_rom_steps": 0}
     flow_varies = transient.policy.control_interval_s > 0.0 and not isinstance(
         policy, ConstantFlowPolicy
     )
-
-    def context_for(scale: float) -> _Context:
-        ctx = contexts.get(scale)
-        if ctx is None:
-            ctx = _Context(spec, scale, backend)
-            contexts[scale] = ctx
-        return ctx
-
-    initial = context_for(_quantize(policy.initial_scale()))
-    recorder = _Recorder(initial, n_steps, transient.store_every)
+    ctx = _Context(spec, backend)
+    initial_scale = _quantize(policy.initial_scale())
+    recorder = _Recorder(ctx, initial_scale, n_steps, transient.store_every)
 
     def model_at(scale: float) -> ReducedTransientModel:
         """The run's reduced model at one (quantized) flow scale."""
         if not models:
-            models[initial.scale] = initial.reduced_model(flow_varies)
+            models[initial_scale] = ctx.reduced_model(initial_scale, flow_varies)
             rom_stats["n_rom_builds"] += 1
         model = models.get(scale)
         if model is None:
-            model = models[initial.scale].at_flow(scale / initial.scale)
+            model = models[initial_scale].at_flow(scale / initial_scale)
             models[scale] = model
         return model
 
@@ -531,15 +520,12 @@ def _integrate_controlled(
         def plan(scale: float, horizon_s: float) -> float:
             """Predicted peak T over the horizon at one candidate scale."""
             model = model_at(_quantize(scale))
-            x = model.project(recorder.state)
             steps = max(1, int(round(horizon_s / dt)))
             base_step = int(round(recorder.step_times[-1] / dt))
-            predicted = -np.inf
-            for ahead in range(1, steps + 1):
-                x = model.step(x, (base_step + ahead) * dt)
-                predicted = max(predicted, model.output_max("solid", x))
+            times = (base_step + np.arange(1, steps + 1)) * dt
+            states = model.advance(model.project(recorder.state), times)
             rom_stats["n_rom_steps"] += steps
-            return float(predicted)
+            return float(np.max(model.output_max_many("solid", states)))
 
         policy.bind_planner(plan)
 
@@ -556,17 +542,11 @@ def _integrate_controlled(
         scale = recorder.scale
         if transient.rom_active:
             _advance_reduced(
-                transient,
-                recorder,
-                model_at(scale),
-                partial(context_for, scale),
-                global_step,
-                chunk,
-                rom_stats,
+                transient, recorder, model_at(scale), global_step, chunk, rom_stats
             )
         else:
             _advance_full(
-                transient, recorder, context_for(scale), global_step, chunk
+                transient, recorder, ctx.solver_at(scale), global_step, chunk
             )
         global_step += chunk
         if global_step < n_steps and transient.policy.control_interval_s > 0.0:
@@ -579,14 +559,18 @@ def _integrate_controlled(
 
 
 def _advance_full(
-    transient, recorder: _Recorder, ctx: _Context, first_step: int, chunk: int
+    transient,
+    recorder: _Recorder,
+    solver: TransientSolver,
+    first_step: int,
+    chunk: int,
 ) -> None:
-    """One chunk of full-state backward-Euler steps at ``ctx``'s scale."""
+    """One chunk of full-state backward-Euler steps through ``solver``."""
 
     def on_step(step: int, time: float, state: np.ndarray) -> None:
         recorder.observe(first_step + step, time, state)
 
-    recorder.state = ctx.solver.integrate(
+    recorder.state = solver.integrate(
         recorder.state,
         step_offset=first_step,
         n_steps=chunk,
@@ -599,22 +583,22 @@ def _advance_reduced(
     transient,
     recorder: _Recorder,
     model: ReducedTransientModel,
-    probe_context: Callable[[], _Context],
     first_step: int,
     chunk: int,
     rom_stats: Dict[str, object],
 ) -> None:
     """One chunk of reduced steps: project, step in the subspace, lift.
 
-    Scalar observables (peak temperature, coolant rise) come from the
-    model's output maps every step; full states are reconstructed only at
-    stored-snapshot steps and at the chunk's end.  At every
-    ``rom_check_stride`` steps (and at the final step) one *full* implicit
-    step at the chunk's flow scale is taken from the lifted reduced state
-    and its peak is compared to the reduced prediction -- the running
-    maximum discrepancy is ``rom_stats["rom_peak_abs_err_K"]``.
-    ``probe_context()`` supplies that scale's full-order context; a chunk
-    without a checkpoint never asks for it.
+    The chunk's states come from one :meth:`ReducedTransientModel.advance`
+    call; scalar observables (peak temperature, coolant rise) come from
+    the model's output maps over all of them at once, and full states are
+    reconstructed only at stored-snapshot steps and at the chunk's end.
+    At every ``rom_check_stride`` steps (and at the final step) one *full*
+    implicit step at the chunk's flow scale is taken from the lifted
+    reduced state and its peak is compared to the reduced prediction --
+    the running maximum discrepancy is ``rom_stats["rom_peak_abs_err_K"]``.
+    The probe solver is the run context's at that scale; a chunk without
+    a checkpoint never asks for it.
     """
     n_steps = transient.n_steps
     dt = transient.time_step_s
@@ -623,25 +607,11 @@ def _advance_reduced(
     ctx = recorder.ctx
     rom_stats["rom_order"] = max(rom_stats["rom_order"], model.order)
     max_abs_err = rom_stats["rom_peak_abs_err_K"]
-    x = model.project(recorder.state)
+    x_start = model.project(recorder.state)
     # Acquired at the chunk's first checkpoint, if it has one.
     probe = reference_solver = None
-    # The chunk advances through the factored recurrence
-    # ``x_{k+1} = P x_k + M^{-1} Vᵀ b_k``: all rhs projections solve
-    # in one dense call, each step is one order-sized matvec, and the
-    # scalar observables of the whole chunk come from two BLAS-3
-    # products over the stacked reduced states.
     times = (first_step + np.arange(1, chunk + 1)) * dt
-    projected = np.empty((model.order, chunk))
-    for column, time in enumerate(times):
-        projected[:, column] = model.project_rhs(float(time))
-    forced = model.solve_projected(projected)
-    propagation = model.propagation
-    states = np.empty((model.order, chunk))
-    x_start = x
-    for column in range(chunk):
-        x = propagation @ x + forced[:, column]
-        states[:, column] = x
+    states = model.advance(x_start, times)
     rom_stats["n_rom_steps"] = int(rom_stats["n_rom_steps"]) + chunk
     peaks = model.output_max_many("solid", states)
     if ctx.coolant_cells.size == 0:
@@ -661,13 +631,11 @@ def _advance_reduced(
         if checkpoint:
             x_prev = states[:, column - 1] if column else x_start
             if reference_solver is None:
-                probe = probe_context()
-                implicit, c_over_dt, token = probe.solver.implicit_system(dt)
-                reference_solver = probe.solver.backend.solver_for(
-                    implicit, token
-                )
+                probe = ctx.solver_at(recorder.scale)
+                implicit, c_over_dt, token = probe.implicit_system(dt)
+                reference_solver = probe.backend.solver_for(implicit, token)
             reference = reference_solver.solve(
-                probe.solver.rhs_at(float(times[column]))
+                probe.rhs_at(float(times[column]))
                 + c_over_dt @ model.lift(x_prev)
             )
             max_abs_err = max(

@@ -12,7 +12,9 @@ likewise produce identical histories.
 Every system is a cached flow-free base of its stack geometry plus a
 flow/power write, so the flow-refresh tests assemble the registered stacks
 at several flows in shuffled order over bases seeded at another flow, and
-check which stack changes share a base and which build their own.
+check which stack changes share a base and which build their own.  A
+system moved to another flow by ``at_flow`` must equal a fresh assembly at
+that flow, and so must its affine flow split.
 """
 
 from __future__ import annotations
@@ -494,6 +496,66 @@ class TestFlowSplit:
             np.testing.assert_allclose(
                 split.heat + scale * split.inlet, scaled.rhs, rtol=1e-14, atol=0.0
             )
+
+    @pytest.mark.parametrize(
+        "name, n_dies",
+        [("test-a", 2), ("niagara-arch1", 2), ("niagara-arch2", 4)],
+    )
+    def test_at_flow_equals_a_fresh_scaled_assembly(self, name, n_dies):
+        system = assemble_system(_scenario_stack(name, 1.0, n_dies))
+        assert system.flow_factor == 1.0
+        assert system.at_flow(1.0) is system
+        for scale in FLOW_SCALES + (0.71, 1.43):
+            moved = system.at_flow(scale)
+            fresh = assemble_system(_scenario_stack(name, scale, n_dies))
+            label = f"{name} x{n_dies} at flow scale {scale}"
+            assert moved.flow_factor == scale
+            assert moved.at_flow(scale) is moved
+            assert moved.pattern is system.pattern
+            assert moved.pattern_token is system.pattern_token
+            assert moved.capacitances is system.capacitances
+            assert np.array_equal(moved.matrix.indices, fresh.matrix.indices)
+            assert np.array_equal(moved.matrix.indptr, fresh.matrix.indptr)
+            moved_split, fresh_split = moved.flow_split(), fresh.flow_split()
+            pairs = [
+                (moved.matrix.data, fresh.matrix.data),
+                (moved.rhs, fresh.rhs),
+                (moved_split.fixed.data, fresh_split.fixed.data),
+                (moved_split.advection.data, fresh_split.advection.data),
+                (moved_split.heat, fresh_split.heat),
+                (moved_split.inlet, fresh_split.inlet),
+            ]
+            for actual, expected in pairs:
+                if scale in FLOW_SCALES:
+                    # A power-of-two factor scales the capacity rate
+                    # without rounding.
+                    assert np.array_equal(actual, expected), label
+                else:
+                    np.testing.assert_allclose(
+                        actual, expected, rtol=1e-14, atol=0.0, err_msg=label
+                    )
+        # The unit system is left untouched by the writes.
+        again = assemble_system(_scenario_stack(name, 1.0, n_dies))
+        assert np.array_equal(system.matrix.data, again.matrix.data)
+        assert np.array_equal(system.rhs, again.rhs)
+
+    def test_transient_solver_at_flow_shares_all_but_the_system(self):
+        stack = _scenario_stack("niagara-arch1", 1.0)
+        backend = SparseLUBackend()
+        solver = TransientSolver(stack, backend=backend)
+        solver.implicit_system(0.02)
+        assert solver.at_flow(1.0) is solver
+        moved = solver.at_flow(2.0)
+        assert moved.system.flow_factor == 2.0
+        assert moved.stack is solver.stack
+        assert moved.backend is solver.backend
+        assert moved.power_schedule is solver.power_schedule
+        implicit, _, token = moved.implicit_system(0.02)
+        fresh = TransientSolver(_scenario_stack("niagara-arch1", 2.0))
+        fresh_implicit, _, fresh_token = fresh.implicit_system(0.02)
+        assert token == fresh_token
+        assert np.array_equal(implicit.data, fresh_implicit.data)
+        assert solver.implicit_system(0.02)[0] is not implicit
 
     def test_shares_have_disjoint_support(self):
         system = assemble_system(_scenario_stack("niagara-arch1", 1.0))

@@ -17,11 +17,12 @@ Covers the reduced-order acceptance criteria:
 * model lifetime: no basis outlives the run that built it, and ROM
   sweeps give equal results through the serial, thread and process
   executors;
-* one flow-parametric model per run: a policy that changes the flow
-  builds one basis, serves every scale from the affine flow split, and
-  pays full-order work (a context, an assembly, a factorization) only at
-  the scales where full steps run; a model built at one flow tracks full
-  integration at flows from 0.5x to 2x;
+* one stack, one assembly and one flow-parametric model per run: a
+  policy that changes the flow builds one stack, one assembled system and
+  one basis, serves every scale from them by flow writes and the affine
+  flow split, and factorizes only at the scales where full steps run; a
+  model built at one flow tracks full integration at flows from 0.5x to
+  2x, also when the run's initial scale is not 1;
 * engine counters (``n_rom_builds`` / ``n_rom_steps``) through
   ``COUNTER_KEYS``, the Session and campaign summaries;
 * the MPC policy: planning picks the cheapest feasible candidate, beats
@@ -43,7 +44,7 @@ from oracles.krylov import krylov_basis
 from test_serve_service import physics
 from repro.core.engine import COUNTER_KEYS
 from repro.core.rom import build_reduced_model
-from repro.ice import AssembledSystem
+from repro.ice import AssembledSystem, TransientSolver
 from repro.policies import ModelPredictiveFlowPolicy, policy_from_spec
 import repro.transient_engine as transient_engine
 from repro.scenarios import (
@@ -441,7 +442,7 @@ class TestRomExecutorParity:
         serial = payloads["serial"]
         assert payloads["thread"] == serial
         assert payloads["process"] == serial
-        # Every run was reduced, and flow control switched contexts.
+        # Every run was reduced, and flow control switched flow scales.
         for result in serial:
             assert result["transient"]["rom_order"] >= 1
         assert any(
@@ -640,10 +641,8 @@ class TestOneModelPerRun:
         assert outcome.metadata["n_rom_builds"] == 1
         # A full run steps every applied scale and nothing else.
         assert backend.n_factorizations == len(stepped)
-        assert assembled_flows == [
-            nominal_flow(spec) * scale
-            for scale in dict.fromkeys(outcome.flow_scales.tolist())
-        ]
+        # Every applied scale is a flow write on the one nominal assembly.
+        assert assembled_flows == [nominal_flow(spec)]
 
     def test_mpc_over_a_reduced_trajectory_probes_only(self, assembled_flows):
         spec = rom_scenario(
@@ -656,10 +655,51 @@ class TestOneModelPerRun:
         full_step_scales = checkpoint_scales(outcome) | {outcome.flow_scales[0]}
         assert outcome.metadata["n_rom_builds"] == 1
         assert backend.n_factorizations == len(full_step_scales)
-        assert len(assembled_flows) == len(full_step_scales)
-        assert set(assembled_flows) == {
-            nominal_flow(spec) * scale for scale in full_step_scales
-        }
+        assert assembled_flows == [nominal_flow(spec)]
+
+    @pytest.mark.parametrize("rom", ["off", "rom"])
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            PolicySpec(
+                kind="bang-bang",
+                threshold_K=315.0,
+                low_scale=0.5,
+                high_scale=2.0,
+                control_interval_s=0.05,
+            ),
+            proportional_rom_spec().transient.policy,
+            mpc_policy_spec(threshold_K=316.0),
+        ],
+        ids=["bang-bang", "proportional", "mpc"],
+    )
+    def test_flow_varying_run_builds_one_stack_and_one_system(
+        self, monkeypatch, assembled_flows, policy, rom
+    ):
+        stacks = []
+        build_stack = ScenarioSpec.build_stack
+
+        def recording_build_stack(self):
+            stacks.append(self.name)
+            return build_stack(self)
+
+        monkeypatch.setattr(ScenarioSpec, "build_stack", recording_build_stack)
+        spec = rom_scenario(duration=0.4, policy=policy, rom=RomSpec(mode=rom))
+        backend = SparseLUBackend()
+        outcome = simulate_transient(spec, backend=backend)
+        assert outcome.metrics["n_flow_changes"] >= 1
+        assert stacks == [spec.name]
+        assert assembled_flows == [nominal_flow(spec)]
+        # One factorization per scale that full steps ran at: every chunk
+        # of a full run, the build scale and the checkpoints of a reduced
+        # one.
+        if rom == "off":
+            full_step_scales = set(outcome.flow_scales.tolist())
+        else:
+            full_step_scales = checkpoint_scales(outcome) | {
+                outcome.flow_scales[0]
+            }
+        assert backend.n_factorizations == len(full_step_scales)
 
     @pytest.mark.parametrize(
         "policy, parametric",
@@ -691,12 +731,33 @@ class TestOneModelPerRun:
 
 def step_peaks(model, start, n_steps, dt):
     """Per-step reduced peak predictions from a full initial state."""
-    x = model.project(start)
+    states = model.advance(model.project(start), np.arange(1, n_steps + 1) * dt)
+    return model.output_max_many("solid", states)
+
+
+def full_peaks(ctx, scale, backend):
+    """Per-step peaks of full integration, from a fresh assembly at ``scale``.
+
+    The stack is built from ``ctx``'s spec at the scaled flow, independently
+    of the engine's flow writes, so the comparison checks two paths.
+    """
+    spec = ctx.spec
+    scaled = spec.with_params(flow_rate_per_channel=nominal_flow(spec) * scale)
+    solver = TransientSolver(
+        scaled.build_stack(),
+        power_schedule=spec.transient.schedule(),
+        backend=backend,
+    )
+    start = np.full(ctx.system.n_unknowns, ctx.start_temperature())
     peaks = []
-    for step in range(1, n_steps + 1):
-        x = model.step(x, step * dt)
-        peaks.append(model.output_max("solid", x))
-    return np.asarray(peaks)
+    solver.integrate(
+        start,
+        step_offset=0,
+        n_steps=spec.transient.n_steps,
+        time_step=spec.transient.time_step_s,
+        on_step=lambda step, time, state: peaks.append(ctx.peak(state)),
+    )
+    return start, np.asarray(peaks)
 
 
 class TestFlowParametricAccuracy:
@@ -713,33 +774,47 @@ class TestFlowParametricAccuracy:
         dt = spec.transient.time_step_s
         n_steps = spec.transient.n_steps
         backend = SparseLUBackend()
-        nominal = transient_engine._Context(spec, 1.0, backend)
-        model = nominal.reduced_model(flow_parametric=True)
+        nominal = transient_engine._Context(spec, backend)
+        model = nominal.reduced_model(1.0, flow_parametric=True)
         assert model.order <= spec.transient.rom.order
         for scale in (0.5, 0.71, 1.0, 1.43, 2.0):
-            ctx = transient_engine._Context(spec, scale, backend)
-            start = np.full(ctx.solver.system.n_unknowns, ctx.start_temperature())
-            full = []
-            ctx.solver.integrate(
-                start,
-                step_offset=0,
-                n_steps=n_steps,
-                time_step=dt,
-                on_step=lambda step, time, state: full.append(ctx.peak(state)),
-            )
+            start, full = full_peaks(nominal, scale, backend)
             reduced = step_peaks(model.at_flow(scale), start, n_steps, dt)
-            error = float(np.max(np.abs(np.asarray(full) - reduced)))
+            error = float(np.max(np.abs(full - reduced)))
             assert error <= 1e-3, f"scale {scale}: peak error {error:.2e} K"
+
+    def test_run_from_a_non_unit_initial_scale_tracks_full(self):
+        # Bang-bang opens at its low level, 0.5: the run builds its one
+        # model at half the nominal flow, and the split taken there must
+        # still serve the high level (4x the build flow).
+        policy = PolicySpec(
+            kind="bang-bang",
+            threshold_K=315.0,
+            low_scale=0.5,
+            high_scale=2.0,
+            control_interval_s=0.05,
+        )
+        spec = rom_scenario(duration=0.4, policy=policy, rom=RomSpec(mode="rom"))
+        reduced = simulate_transient(spec)
+        full = simulate_transient(
+            replace(spec, transient=replace(spec.transient, rom=RomSpec()))
+        )
+        assert reduced.flow_scales[0] == 0.5
+        assert set(reduced.flow_scales.tolist()) == {0.5, 2.0}
+        assert reduced.metadata["n_rom_builds"] == 1
+        assert np.array_equal(reduced.flow_scales, full.flow_scales)
+        error = float(np.max(np.abs(full.peak_history_K - reduced.peak_history_K)))
+        assert error <= 1e-3
 
     def test_at_flow_serves_the_build_flow_unchanged(self):
         spec = rom_scenario(rom=RomSpec(mode="rom"))
-        ctx = transient_engine._Context(spec, 1.0, SparseLUBackend())
-        parametric = ctx.reduced_model(flow_parametric=True)
+        ctx = transient_engine._Context(spec, SparseLUBackend())
+        parametric = ctx.reduced_model(1.0, flow_parametric=True)
         assert parametric.at_flow(1.0) is parametric
         scaled = parametric.at_flow(2.0)
         assert scaled.basis is parametric.basis
         assert scaled.flow_factor == 2.0
-        plain = ctx.reduced_model(flow_parametric=False)
+        plain = ctx.reduced_model(1.0, flow_parametric=False)
         assert plain.at_flow(1.0) is plain
         with pytest.raises(ValueError, match="flow split"):
             plain.at_flow(2.0)
@@ -769,10 +844,11 @@ class TestBuildReducedModel:
         )
         x = model.project(np.ones(n))
         assert np.allclose(model.lift(x), np.ones(n))
-        stepped = model.step(x, 0.0)
+        stepped = model.advance(x, [0.0])
+        assert stepped.shape == (model.order, 1)
         expected = (base + np.ones(n)) / 2.0
-        assert np.allclose(model.lift(stepped), expected)
-        assert model.output_max("all", stepped) == pytest.approx(
+        assert np.allclose(model.lift(stepped[:, 0]), expected)
+        assert model.output_max_many("all", stepped)[0] == pytest.approx(
             float(np.max(expected))
         )
 
